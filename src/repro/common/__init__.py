@@ -11,14 +11,7 @@ from .config import (
     small_machine_config,
     table2_rows,
 )
-from .event import (
-    KERNEL_ENV,
-    SimulationError,
-    Simulator,
-    TimingWheelSimulator,
-    create_simulator,
-    default_kernel,
-)
+from .event import SimulationError, Simulator
 from .stats import SampleSummary, ScopedStats, Stats
 from .types import (
     CACHE_LINE_SIZE,
@@ -38,10 +31,6 @@ __all__ = [
     "NVM_BASE",
     "CacheLevelConfig",
     "CoreConfig",
-    "KERNEL_ENV",
-    "TimingWheelSimulator",
-    "create_simulator",
-    "default_kernel",
     "MachineConfig",
     "MemCtrlConfig",
     "MemReqType",

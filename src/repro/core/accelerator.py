@@ -78,17 +78,11 @@ class PersistentMemoryAccelerator:
                 for i in range(config.num_cores)
             ]
         elif config.txcache.organization == "cam_fifo":
-            tc_cls = TransactionCache
-            if getattr(sim, "columnar", False):
-                # columnar kernel: same CAM-FIFO semantics, indexed scans
-                from .columnar import ColumnarTransactionCache
-
-                tc_cls = ColumnarTransactionCache
             self.tcs = [
-                tc_cls(config.txcache, stats.scoped(f"tc.{i}"),
-                       seq_source=next_seq,
-                       tracer=tracer, track=f"tc{i}",
-                       clock=self._clock)
+                TransactionCache(config.txcache, stats.scoped(f"tc.{i}"),
+                                 seq_source=next_seq,
+                                 tracer=tracer, track=f"tc{i}",
+                                 clock=self._clock)
                 for i in range(config.num_cores)
             ]
         else:

@@ -27,6 +27,14 @@ entries freed out of order stay in place as *available holes* until the
 tail sweeps past them, exactly like the hardware head/tail pointers —
 so capacity behaviour (and therefore CPU stall behaviour) matches the
 paper's structure, not an idealized free list.
+
+The CAM matches themselves are answered from lookup indexes kept in
+step with the ring rather than by walking it: ``(tx_id, tag)`` for
+write coalescing, ``tx_id`` for commit and drop, ``seq`` for acks and
+``tag`` for probes.  Every state change of an entry goes through a
+method of this class, and each one updates the indexes it affects;
+:meth:`TransactionCache.check_invariants` cross-checks them against
+the ring.
 """
 
 from __future__ import annotations
@@ -34,8 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..common.config import MachineConfig, TxCacheConfig
 from ..common.stats import ScopedStats
@@ -52,9 +59,8 @@ class TxState(enum.Enum):
 class TxEntry:
     """One TC line: tag + data (version) + transaction bookkeeping.
 
-    ``__slots__`` rather than a dataclass: the CAM scans (coalesce,
-    commit, issue, ack, probe) walk every ring entry, so field reads
-    dominate the accelerator's cost."""
+    ``__slots__`` rather than a dataclass: the accelerator reads entry
+    fields on every issue, ack and probe."""
 
     __slots__ = ("seq", "tx_id", "tag", "version", "state", "issued",
                  "issue_cycle", "reissues")
@@ -97,6 +103,16 @@ class TransactionCache:
         #: entry ordering clock; shareable across TCs so cross-core
         #: probes can pick the globally newest entry
         self._seq_source = seq_source
+        # CAM match indexes over the ring's live entries.
+        #: (tx_id, tag) → the ACTIVE entry (coalescing only: a second
+        #: insert of the pair only happens after the first left ACTIVE)
+        self._active_idx: Dict[Tuple[int, int], TxEntry] = {}
+        #: tx_id → ACTIVE entries, ring (program) order
+        self._active_by_tx: Dict[int, List[TxEntry]] = {}
+        #: seq → live entry (sequence numbers are unique)
+        self._by_seq: Dict[int, TxEntry] = {}
+        #: tag → live entries, ring order (newest last)
+        self._by_tag: Dict[int, List[TxEntry]] = {}
         # observability: the TC is passive (no simulator reference), so
         # the accelerator hands it a cycle-clock for event timestamps
         self.tracer = tracer
@@ -132,8 +148,7 @@ class TransactionCache:
 
     def count_active(self, tx_id: int) -> int:
         """Active entries belonging to one transaction."""
-        return sum(1 for e in self._ring
-                   if e.tx_id == tx_id and e.state is TxState.ACTIVE)
+        return len(self._active_by_tx.get(tx_id, ()))
 
     # ------------------------------------------------------------------
     # the four request types (§4.1)
@@ -147,14 +162,14 @@ class TransactionCache:
         buffered 64 B line costs no new entry.  Ordering across
         transactions is unaffected (active entries are not yet in the
         issue stream)."""
-        if self.config.coalesce_writes:
-            tag = line_addr(addr)
-            for entry in reversed(self._ring):
-                if (entry.tx_id == tx_id and entry.tag == tag
-                        and entry.state is TxState.ACTIVE):
-                    entry.version = version
-                    self.stats.inc("write.coalesced")
-                    return True
+        tag = line_addr(addr)
+        coalesce = self.config.coalesce_writes
+        if coalesce:
+            entry = self._active_idx.get((tx_id, tag))
+            if entry is not None:
+                entry.version = version
+                self.stats.inc("write.coalesced")
+                return True
         if self.is_full():
             self.stats.inc("write.rejected_full")
             if self.tracer.enabled:
@@ -162,10 +177,14 @@ class TransactionCache:
                                     self._clock(), tx=tx_id)
             return False
         seq = self._seq_source() if self._seq_source else self._head_seq
-        entry = TxEntry(seq=seq, tx_id=tx_id,
-                        tag=line_addr(addr), version=version)
+        entry = TxEntry(seq=seq, tx_id=tx_id, tag=tag, version=version)
         self._ring.append(entry)
         self._head_seq += 1
+        if coalesce:
+            self._active_idx[(tx_id, tag)] = entry
+        self._active_by_tx.setdefault(tx_id, []).append(entry)
+        self._by_seq[seq] = entry
+        self._by_tag.setdefault(tag, []).append(entry)
         self.stats.inc("write.inserted")
         if self.tracer.enabled:
             self._trace_occupancy()
@@ -175,11 +194,11 @@ class TransactionCache:
         """CPU commit request: CAM-match TxID, active → committed.
 
         Returns the newly committed entries (oldest first)."""
-        committed = []
-        for entry in self._ring:
-            if entry.tx_id == tx_id and entry.state is TxState.ACTIVE:
-                entry.state = TxState.COMMITTED
-                committed.append(entry)
+        committed = self._active_by_tx.pop(tx_id, [])
+        active_idx = self._active_idx
+        for entry in committed:
+            entry.state = TxState.COMMITTED
+            active_idx.pop((tx_id, entry.tag), None)
         self.stats.inc("commit.requests")
         self.stats.inc("commit.entries", len(committed))
         if self.tracer.enabled:
@@ -219,16 +238,25 @@ class TransactionCache:
         in fault-free operation because the controller completes
         same-line writes in order."""
         tag = line_addr(addr)
-        for entry in self._ring:  # deque iterates oldest (tail) first
-            if (entry.tag == tag and entry.issued
-                    and entry.state is TxState.COMMITTED
-                    and (seq is None or entry.seq == seq)):
-                entry.state = TxState.AVAILABLE
-                self.stats.inc("ack.matched")
-                self._sweep_tail()
-                if self.tracer.enabled:
-                    self._trace_occupancy()
-                return entry
+        entry: Optional[TxEntry] = None
+        if seq is not None:
+            candidate = self._by_seq.get(seq)
+            if (candidate is not None and candidate.tag == tag
+                    and candidate.issued
+                    and candidate.state is TxState.COMMITTED):
+                entry = candidate
+        else:
+            for candidate in self._by_tag.get(tag, ()):  # oldest first
+                if candidate.issued and candidate.state is TxState.COMMITTED:
+                    entry = candidate
+                    break
+        if entry is not None:
+            self._free(entry)
+            self.stats.inc("ack.matched")
+            self._sweep_tail()
+            if self.tracer.enabled:
+                self._trace_occupancy()
+            return entry
         self.stats.warn(
             "ack.unmatched",
             f"unmatched/duplicate NVM ack for line {tag:#x}"
@@ -239,11 +267,10 @@ class TransactionCache:
     def probe(self, addr: int) -> Optional[TxEntry]:
         """LLC miss request: newest (nearest-head) live entry for the
         line, or None."""
-        tag = line_addr(addr)
-        for entry in reversed(self._ring):
-            if entry.tag == tag and entry.state is not TxState.AVAILABLE:
-                self.stats.inc("probe.hit")
-                return entry
+        entries = self._by_tag.get(line_addr(addr))
+        if entries:
+            self.stats.inc("probe.hit")
+            return entries[-1]
         self.stats.inc("probe.miss")
         return None
 
@@ -255,11 +282,11 @@ class TransactionCache:
         the overflow fall-back rewrites the transaction as a
         hardware-controlled copy-on-write (§4.1).  Returns the dropped
         entries in FIFO order."""
-        dropped = []
-        for entry in self._ring:
-            if entry.tx_id == tx_id and entry.state is TxState.ACTIVE:
-                entry.state = TxState.AVAILABLE
-                dropped.append(entry)
+        dropped = self._active_by_tx.pop(tx_id, [])
+        active_idx = self._active_idx
+        for entry in dropped:
+            self._free(entry)
+            active_idx.pop((tx_id, entry.tag), None)
         self._sweep_tail()
         self.stats.inc("overflow.dropped_entries", len(dropped))
         if self.tracer.enabled and dropped:
@@ -269,6 +296,16 @@ class TransactionCache:
         return dropped
 
     # ------------------------------------------------------------------
+    def _free(self, entry: TxEntry) -> None:
+        """Mark ``entry`` available and drop it from the live indexes
+        (the ring keeps it as a hole until the tail sweeps past)."""
+        entry.state = TxState.AVAILABLE
+        del self._by_seq[entry.seq]
+        entries = self._by_tag[entry.tag]
+        entries.remove(entry)  # identity match (TxEntry has no __eq__)
+        if not entries:
+            del self._by_tag[entry.tag]
+
     def _sweep_tail(self) -> None:
         while self._ring and self._ring[0].state is TxState.AVAILABLE:
             self._ring.popleft()
@@ -283,9 +320,10 @@ class TransactionCache:
         return self._tail_seq
 
     def check_invariants(self) -> None:
-        """Structural head/tail invariants; raises AssertionError on
-        corruption (used by fault-injection tests to prove duplicate
-        acks and reissues leave the FIFO sound)."""
+        """Structural head/tail invariants and index↔ring agreement;
+        raises AssertionError on corruption (used by fault-injection
+        tests to prove duplicate acks and reissues leave the FIFO
+        sound)."""
         assert self._tail_seq <= self._head_seq, (
             f"tail_seq {self._tail_seq} ran past head_seq {self._head_seq}")
         assert len(self._ring) <= self.capacity, (
@@ -293,6 +331,24 @@ class TransactionCache:
         assert self._head_seq - self._tail_seq == len(self._ring), (
             "head/tail pointers disagree with ring occupancy: "
             f"{self._head_seq} - {self._tail_seq} != {len(self._ring)}")
+        live = self.live_entries()
+        assert self._by_seq == {e.seq: e for e in live}, (
+            "seq index disagrees with the ring's live entries")
+        by_tag: Dict[int, List[TxEntry]] = {}
+        by_tx: Dict[int, List[TxEntry]] = {}
+        for e in live:
+            by_tag.setdefault(e.tag, []).append(e)
+            if e.state is TxState.ACTIVE:
+                by_tx.setdefault(e.tx_id, []).append(e)
+        assert self._by_tag == by_tag, (
+            "tag index disagrees with the ring's live entries")
+        assert self._active_by_tx == by_tx, (
+            "transaction index disagrees with the ring's active entries")
+        if self.config.coalesce_writes:
+            assert self._active_idx == {
+                (e.tx_id, e.tag): e for entries in by_tx.values()
+                for e in entries}, (
+                "coalescing index disagrees with the ring's active entries")
 
     # ------------------------------------------------------------------
     # recovery view

@@ -18,15 +18,11 @@ from __future__ import annotations
 import enum
 import io
 import json
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from ..common.columns import (
-    count_byte,
-    int_column,
-    masked_count,
-    sum_compute_instructions,
-)
 from ..common.types import Version, is_persistent_addr, line_addr
 
 
@@ -57,6 +53,10 @@ _KIND_OF = {
 }
 
 _ADDRESSED_KINDS = frozenset((KIND_LOAD, KIND_STORE, KIND_CLWB))
+
+#: ``bytes.translate`` tables turning a kinds column into a 0/1 mask
+_IS_COMPUTE = bytes(int(code == KIND_COMPUTE) for code in range(256))
+_IS_STORE = bytes(int(code == KIND_STORE) for code in range(256))
 
 
 class TraceOp:
@@ -138,14 +138,13 @@ class CompiledTrace:
     ``counts[i]`` its instruction count (an ``array('q')`` int column),
     and ``persistent[i]`` its P/V flag (byte column).  Scanning flat
     columns is markedly cheaper than touching a Python object per
-    retired op, and the aggregate reductions over them run in C (with
-    an optional numpy fast path — see :mod:`repro.common.columns`)."""
+    retired op, and the aggregate reductions over them run in C."""
 
     __slots__ = ("kinds", "counts", "persistent")
 
     def __init__(self, ops: List[TraceOp]) -> None:
         self.kinds: bytes = bytes(bytearray(op.kind for op in ops))
-        self.counts = int_column(op.count for op in ops)
+        self.counts = array("q", [op.count for op in ops])
         self.persistent: bytes = bytes(
             bytearray(1 if op.persistent else 0 for op in ops))
 
@@ -181,18 +180,21 @@ class Trace:
 
     @property
     def instructions(self) -> int:
+        """COMPUTE ops count their ALU instructions, every other op 1."""
         compiled = self.compiled()
-        return sum_compute_instructions(compiled.kinds, compiled.counts,
-                                        KIND_COMPUTE)
+        kinds = compiled.kinds
+        compute = sum(compress(compiled.counts, kinds.translate(_IS_COMPUTE)))
+        return compute + len(kinds) - kinds.count(KIND_COMPUTE)
 
     @property
     def transactions(self) -> int:
-        return count_byte(self.compiled().kinds, KIND_TX_END)
+        return self.compiled().kinds.count(KIND_TX_END)
 
     @property
     def persistent_stores(self) -> int:
         compiled = self.compiled()
-        return masked_count(compiled.kinds, KIND_STORE, compiled.persistent)
+        return sum(compress(compiled.persistent,
+                            compiled.kinds.translate(_IS_STORE)))
 
     def validate(self) -> None:
         """Check transaction bracketing and version discipline.

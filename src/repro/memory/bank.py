@@ -10,10 +10,8 @@ exploit full bank-level parallelism, while a bank's lines (one per
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional, Tuple
 
-from ..common.columns import column_min, int_column
 from ..common.config import MemCtrlConfig
 from ..common.types import NVM_BASE, is_log_region
 
@@ -121,15 +119,6 @@ class BankArray:
             Bank(i, refresh_interval=interval, refresh_cycles=refresh)
             for i in range(self._num_banks)
         ]
-        # Flat timings column: busy_column[i] mirrors
-        # banks[i].busy_until, for refresh-free (NVM) arrays only —
-        # there the controller's service path is the *sole* busy_until
-        # mutation site, so one write per service keeps the mirror
-        # exact.  Refreshing (DRAM) banks also move busy_until during
-        # scan-time catch-ups, so they keep the per-object walk.
-        self.busy_column: Optional[array] = (
-            int_column(0 for _ in range(self._num_banks))
-            if interval == 0 else None)
 
     def map_address(self, addr: int) -> Tuple[int, int]:
         """Map a byte address to (bank index, row index).
@@ -184,18 +173,6 @@ class BankArray:
     def row_misses(self) -> int:
         return sum(b.row_misses for b in self.banks)
 
-    def note_service(self, bank: Bank) -> None:
-        """Mirror one bank's busy-until into the timings column.
-
-        The controller calls this after every bank access — the only
-        place a refresh-free bank's ``busy_until`` ever moves."""
-        column = self.busy_column
-        if column is not None:
-            column[bank.index] = bank.busy_until
-
     def earliest_available(self) -> int:
         """Cycle at which the soonest-free bank becomes available."""
-        column = self.busy_column
-        if column is not None:
-            return column_min(column)
         return min([b.busy_until for b in self.banks])

@@ -9,10 +9,10 @@ detection, normalization — and keep the committed baseline file honest
 from __future__ import annotations
 
 import json
-import os
 
 from repro.bench.kernel import (
     BASELINE_PATH,
+    FULL_POINTS,
     SCHEMA_VERSION,
     SMOKE_POINTS,
     BenchPoint,
@@ -21,21 +21,17 @@ from repro.bench.kernel import (
     load_baseline,
     measure_point,
     run_bench,
-    stale_baseline,
 )
-from repro.common.event import KERNEL_ENV, KERNEL_NAMES
 
 
-def _report(normalized_by_key, kernel="wheel"):
+def _report(normalized_by_key):
     return {
         "schema": SCHEMA_VERSION,
         "calibration_ops_per_sec": 1_000_000.0,
-        "kernels": {
-            kernel: {
-                key: {"normalized": norm, "events_per_sec": norm * 1e6,
-                      "events": 1000, "wall_s": 0.001}
-                for key, norm in normalized_by_key.items()
-            }
+        "points": {
+            key: {"normalized": norm, "events_per_sec": norm * 1e6,
+                  "events": 1000, "wall_s": 0.001}
+            for key, norm in normalized_by_key.items()
         },
     }
 
@@ -74,10 +70,6 @@ class TestComparison:
         cur = _report({"a": 0.01, "new": 0.001})
         assert compare_reports(base, cur) == []
 
-    def test_unknown_kernel_compares_nothing(self):
-        base = _report({"a": 0.01})
-        assert compare_reports(base, base, kernel="heap") == []
-
     def test_keys_restricts_comparison_to_claimed_points(self):
         """A smoke run covers a subset of the full baseline — only the
         points it claims must be present and within tolerance."""
@@ -96,31 +88,6 @@ class TestComparison:
         assert len(failures) == 1 and "baseline" in failures[0]
 
 
-class TestStaleBaseline:
-    def test_missing_kernel_is_flagged(self):
-        """A baseline that predates a kernel must fail --check loudly
-        instead of letting the new kernel escape the gate."""
-        partial = _report({"a": 0.01})  # wheel only
-        problems = stale_baseline(partial)
-        flagged = {k for k in KERNEL_NAMES
-                   if any(repr(k) in p for p in problems)}
-        assert flagged == set(KERNEL_NAMES) - {"wheel"}
-
-    def test_empty_kernel_records_are_flagged(self):
-        report = _report({"a": 0.01})
-        for kernel in KERNEL_NAMES:
-            report["kernels"][kernel] = report["kernels"]["wheel"]
-        report["kernels"]["heap"] = {}
-        problems = stale_baseline(report)
-        assert len(problems) == 1 and "'heap'" in problems[0]
-
-    def test_full_baseline_is_fresh(self):
-        report = _report({"a": 0.01})
-        for kernel in KERNEL_NAMES:
-            report["kernels"][kernel] = report["kernels"]["wheel"]
-        assert stale_baseline(report) == []
-
-
 class TestBenchPoint:
     def test_key_encodes_every_parameter(self):
         point = BenchPoint("sps", "sp", cores=2, operations=30, seed=7)
@@ -128,7 +95,7 @@ class TestBenchPoint:
 
     def test_smoke_points_cover_both_paths(self):
         """One accelerator-path scheme, one software-path scheme —
-        the smoke gate must notice a kernel slowdown on either."""
+        the smoke gate must notice a slowdown on either."""
         schemes = {p.scheme for p in SMOKE_POINTS}
         assert "txcache" in schemes and "sp" in schemes
 
@@ -139,22 +106,12 @@ class TestCommittedBaseline:
         assert report["schema"] == SCHEMA_VERSION
         assert report["calibration_ops_per_sec"] > 0
 
-    def test_baseline_covers_smoke_points_for_every_kernel(self):
-        report = load_baseline()
-        for kernel in KERNEL_NAMES:
-            records = report["kernels"][kernel]
-            for point in SMOKE_POINTS:
-                rec = records[point.key]
-                assert rec["events"] > 0
-                assert rec["normalized"] > 0
-                # determinism: every kernel executed the same events
-                assert rec["events"] == \
-                    report["kernels"]["wheel"][point.key]["events"]
-
-    def test_committed_baseline_is_fresh(self):
-        """Every kernel in KERNEL_NAMES has committed records — a new
-        kernel must not silently escape the --check gate."""
-        assert stale_baseline(load_baseline()) == []
+    def test_baseline_covers_every_point(self):
+        records = load_baseline()["points"]
+        assert sorted(records) == sorted(p.key for p in FULL_POINTS)
+        for rec in records.values():
+            assert rec["events"] > 0 and rec["cycles"] > 0
+            assert rec["normalized"] > 0
 
     def test_baseline_round_trips(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -164,26 +121,24 @@ class TestCommittedBaseline:
 
 
 class TestMeasurement:
-    def test_measure_point_record_shape_and_env_restore(self):
+    def test_measure_point_record_shape(self):
         point = BenchPoint("hashtable", "txcache", cores=1, operations=2)
-        saved = os.environ.get(KERNEL_ENV)
-        rec = measure_point(point, kernel="heap", repeats=1)
-        assert os.environ.get(KERNEL_ENV) == saved  # env restored
-        assert rec["kernel"] == "heap"
+        rec = measure_point(point, repeats=1)
+        assert sorted(rec) == ["cycles", "events", "events_per_sec",
+                               "wall_s"]
         assert rec["events"] > 0 and rec["cycles"] > 0
         assert rec["events_per_sec"] > 0
 
     def test_measure_point_deterministic_events(self):
         point = BenchPoint("hashtable", "txcache", cores=1, operations=2)
-        a = measure_point(point, kernel="wheel", repeats=1)
-        b = measure_point(point, kernel="heap", repeats=1)
+        a = measure_point(point, repeats=1)
+        b = measure_point(point, repeats=2)
         assert a["events"] == b["events"]
         assert a["cycles"] == b["cycles"]
 
     def test_run_bench_normalizes_against_calibration(self):
         point = BenchPoint("hashtable", "txcache", cores=1, operations=2)
-        report = run_bench([point], kernels=("heap",), repeats=1,
-                           calibration=1_000_000.0)
-        rec = report["kernels"]["heap"][point.key]
+        report = run_bench([point], repeats=1, calibration=1_000_000.0)
+        rec = report["points"][point.key]
         assert rec["normalized"] == round(rec["events_per_sec"] / 1e6, 6)
-        assert "heap" in format_report(report)
+        assert point.key in format_report(report)

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -19,6 +24,19 @@ class TestParser:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "sps", "nope"])
+
+
+class TestImport:
+    def test_cli_import_keeps_numpy_out(self):
+        """The package declares no dependencies: importing the CLI in a
+        fresh interpreter must not load numpy, even where it is
+        installed (every serve and cluster process pays its import)."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestTables:

@@ -1,27 +1,23 @@
-"""Unit tests for the discrete-event kernel.
+"""Unit and property tests for the discrete-event kernel.
 
-Every behavioural test is parametrized over both kernels — the heapq
-reference :class:`Simulator` and the :class:`TimingWheelSimulator` —
-because the two must be observationally indistinguishable.
+The unit tests pin individual behaviours of :class:`Simulator`; the
+hypothesis layer at the end runs random recursive *schedule programs*
+on it and on a sort-by-(time, insertion) model of the kernel contract,
+and requires every observable to agree.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.event import (
-    KERNEL_ENV,
-    SimulationError,
-    Simulator,
-    TimingWheelSimulator,
-    create_simulator,
-    default_kernel,
-)
-
-WHEEL = TimingWheelSimulator.WHEEL_SIZE
+from repro.common.event import SimulationError, Simulator
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def sim(request):
-    return create_simulator(request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 def test_events_run_in_time_order(sim):
@@ -129,7 +125,7 @@ def test_advance_hook_fires_between_time_steps(sim):
 
 def test_advance_hook_not_fired_on_until_jump(sim):
     """run(until=...) jumping the clock past the last event is a quiet
-    jump in the reference kernel; the wheel must match."""
+    jump: the hook only fires on the way to an event."""
     log = []
     sim.schedule(2, lambda: None)
     sim.set_advance_hook(lambda t: log.append(t))
@@ -171,117 +167,223 @@ def test_non_numeric_time_rejected(sim):
         sim.schedule("soon", lambda: None)
 
 
-# ---------------------------------------------------------------------------
-# Timing-wheel specifics: far-future overflow and migration ordering.
+@pytest.mark.parametrize("entry", ["schedule", "schedule_at"])
+@pytest.mark.parametrize("value", [None, "3", 1 + 2j, [1], (1,), 2.5,
+                                   float("nan"), float("inf")],
+                         ids=["None", "str", "complex", "list", "tuple",
+                              "fraction", "nan", "inf"])
+def test_invalid_times_rejected_without_queueing(sim, entry, value):
+    """Every non-cycle value is refused by both entry points, and a
+    refused call leaves nothing behind in the queue."""
+    with pytest.raises(SimulationError):
+        getattr(sim, entry)(value, lambda: None)
+    assert sim.pending() == 0
 
-def test_wheel_far_future_events_fire_in_order():
-    sim = TimingWheelSimulator()
-    order = []
-    sim.schedule(3 * WHEEL + 5, order.append, "far")
-    sim.schedule(2, order.append, "near")
-    assert sim.pending() == 2
+
+@pytest.mark.parametrize("value", [True, 3], ids=["bool", "int"])
+def test_int_subclass_times_accepted_as_plain_int(sim, value):
+    sim.schedule_at(value, lambda: None)
     sim.run()
-    assert order == ["near", "far"]
-    assert sim.now == 3 * WHEEL + 5
+    assert sim.now == int(value)
+    assert type(sim.now) is int
 
 
-def test_wheel_migrated_event_precedes_later_same_cycle_schedule():
-    """A far-future event scheduled FIRST must still run before a
-    same-timestamp event scheduled later from within the horizon —
-    migration must beat direct bucket inserts."""
-    sim = TimingWheelSimulator()
-    target = 2 * WHEEL + 10
-    order = []
-    sim.schedule_at(target, order.append, "scheduled-first-from-afar")
+def test_run_until_includes_events_at_the_boundary(sim):
+    fired = []
+    sim.schedule(10, fired.append, "at")
+    sim.schedule(11, fired.append, "after")
+    assert sim.run(until=10) == 1
+    assert fired == ["at"]
+    assert sim.pending() == 1
 
-    def near_scheduler():
-        sim.schedule_at(target, order.append, "scheduled-second-from-near")
 
-    # runs inside the horizon of `target`, after the far schedule
-    sim.schedule_at(target - 5, near_scheduler)
+def test_run_until_in_the_past_does_not_rewind(sim):
+    sim.schedule(20, lambda: None)
     sim.run()
-    assert order == ["scheduled-first-from-afar",
-                     "scheduled-second-from-near"]
+    assert sim.run(until=5) == 0
+    assert sim.now == 20
 
 
-def test_wheel_until_jump_migrates_far_events():
-    """After run(until=...) jumps the clock, a previously-far event now
-    inside the horizon must still order before later same-cycle
-    schedules."""
-    sim = TimingWheelSimulator()
-    target = WHEEL + 50
+def test_schedule_at_now_runs_after_already_queued_same_cycle_events(sim):
+    """A zero-delay event scheduled from a callback joins the back of
+    the current cycle: it runs after events already queued for it."""
     order = []
-    sim.schedule_at(target, order.append, "old-far")
-    sim.run(until=WHEEL)          # quiet jump; `target` is now near
-    assert sim.now == WHEEL
-    sim.schedule_at(target, order.append, "new-near")
+
+    def first():
+        order.append("first")
+        sim.schedule_at(sim.now, order.append, "spawned")
+
+    sim.schedule(4, first)
+    sim.schedule(4, order.append, "queued")
     sim.run()
-    assert order == ["old-far", "new-near"]
+    assert order == ["first", "queued", "spawned"]
+    assert sim.now == 4
 
 
-def test_wheel_same_cycle_burst_across_horizon_boundary():
-    sim = TimingWheelSimulator()
-    order = []
-    for tag in range(4):
-        sim.schedule_at(WHEEL - 1, order.append, ("edge", tag))
-    for tag in range(4):
-        sim.schedule_at(WHEEL, order.append, ("far", tag))
+def test_callback_receives_positional_args(sim):
+    seen = []
+    sim.schedule(1, lambda *args: seen.append(args), 1, "two", None)
     sim.run()
-    assert order == ([("edge", t) for t in range(4)]
-                     + [("far", t) for t in range(4)])
+    assert seen == [(1, "two", None)]
 
 
-def test_wheel_max_events_raise_keeps_state_consistent():
-    """A mid-bucket max_events abort must leave already-run events
-    removed so a resumed run() continues from the right place."""
-    sim = TimingWheelSimulator()
+def test_max_events_equal_to_work_does_not_raise(sim):
+    """The valve trips only when *more* than ``max_events`` fire."""
+    for delay in range(5):
+        sim.schedule(delay, lambda: None)
+    assert sim.run(max_events=5) == 5
+
+
+def test_step_fires_advance_hook_only_when_time_moves(sim):
+    log = []
+    sim.set_advance_hook(log.append)
+    sim.schedule(0, lambda: None)
+    sim.schedule(3, lambda: None)
+    sim.schedule(3, lambda: None)
+    while sim.step():
+        pass
+    assert log == [3]
+
+
+def test_advance_hook_removed_with_none(sim):
+    log = []
+    sim.set_advance_hook(log.append)
+    sim.schedule(1, lambda: None)
+    sim.run()
+    sim.set_advance_hook(None)
+    sim.schedule(1, lambda: None)
+    sim.run()
+    assert log == [1]
+    assert sim.now == 2
+
+
+def test_max_events_abort_keeps_state_consistent(sim):
+    """A max_events abort leaves already-run events removed, so a
+    resumed run() continues from the right place."""
     order = []
     for tag in range(6):
         sim.schedule(1, order.append, tag)
     with pytest.raises(SimulationError):
         sim.run(max_events=3)
-    assert order == [0, 1, 2, 3]          # same as the reference kernel
+    assert order == [0, 1, 2, 3]
     assert sim.pending() == 2
     sim.run()
     assert order == list(range(6))
 
 
-def test_wheel_matches_heap_on_max_events_abort():
-    def build(kernel):
-        s = create_simulator(kernel)
-        fired = []
-        for tag in range(6):
-            s.schedule(1, fired.append, tag)
-        return s, fired
-
-    heap_sim, heap_fired = build("heap")
-    wheel_sim, wheel_fired = build("wheel")
-    for s in (heap_sim, wheel_sim):
-        with pytest.raises(SimulationError):
-            s.run(max_events=3)
-    assert wheel_fired == heap_fired
-    assert wheel_sim.pending() == heap_sim.pending()
-    assert wheel_sim.now == heap_sim.now
-
-
 # ---------------------------------------------------------------------------
-# Kernel factory.
+# Property layer: the kernel against a sort-by-(time, insertion) model.
 
-def test_create_simulator_kernels():
-    assert type(create_simulator("heap")) is Simulator
-    assert type(create_simulator("wheel")) is TimingWheelSimulator
+class SortedModel:
+    """The kernel contract spelled out: pending events kept in a plain
+    list, the next one found by sorting on (time, insertion order)."""
+
+    def __init__(self):
+        self.now, self.hook, self._events, self._seq = 0, None, [], 0
+
+    def set_advance_hook(self, hook):
+        self.hook = hook
+
+    def schedule(self, delay, fn, *args):
+        self._events.append((self.now + delay, self._seq, fn, args))
+        self._seq += 1
+
+    def pending(self):
+        return len(self._events)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._events:
+            self._events.sort(key=lambda event: event[:2])
+            time, _seq, fn, args = self._events[0]
+            if until is not None and time > until:
+                break
+            del self._events[0]
+            advanced, self.now = time > self.now, time
+            if advanced and self.hook is not None:
+                self.hook(time)
+            fn(*args)
+            executed += 1
+            if max_events is not None and executed > max_events:
+                raise SimulationError("max_events")
+        if until is not None and self.now < until:
+            self.now = until
+        return executed
 
 
-def test_create_simulator_reads_environment(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "heap")
-    assert default_kernel() == "heap"
-    assert type(create_simulator()) is Simulator
-    monkeypatch.setenv(KERNEL_ENV, "wheel")
-    assert type(create_simulator()) is TimingWheelSimulator
-    monkeypatch.delenv(KERNEL_ENV)
-    assert type(create_simulator()) is TimingWheelSimulator
+# A schedule node is (delay, children): when the node's event fires, it
+# schedules each child relative to the firing time.  Recursion gives
+# programs where callbacks schedule callbacks — the shape every
+# simulator component has.
+_NODES = st.recursive(
+    st.tuples(st.integers(min_value=0, max_value=40), st.just(())),
+    lambda children: st.tuples(st.integers(min_value=0, max_value=40),
+                               st.lists(children, max_size=3).map(tuple)),
+    max_leaves=24,
+)
+_PROGRAMS = st.lists(_NODES, min_size=1, max_size=8)
+_UNTILS = st.lists(st.integers(min_value=0, max_value=200),
+                   max_size=3).map(sorted)
 
 
-def test_create_simulator_rejects_unknown_kernel():
-    with pytest.raises(SimulationError, match="unknown simulator kernel"):
-        create_simulator("fifo")
+def _execute(kernel, program, untils=(), max_events=None):
+    """Run ``program`` on ``kernel``; return every observable the
+    kernel contract promises (firing log, hook calls, counts, clock,
+    pending events)."""
+    firing_log = []
+    hook_calls = []
+    kernel.set_advance_hook(hook_calls.append)
+    labels = itertools.count()
+
+    def fire(label, children):
+        firing_log.append((kernel.now, label))
+        for child in children:
+            schedule(child)
+
+    def schedule(node):
+        delay, children = node
+        kernel.schedule(delay, fire, next(labels), children)
+
+    for node in program:
+        schedule(node)
+    executed = []
+    aborted = False
+    try:
+        for until in untils:
+            executed.append(kernel.run(until=until))
+            executed.append(kernel.pending())
+        executed.append(kernel.run(max_events=max_events))
+    except SimulationError:
+        aborted = True
+    return {
+        "firing_log": firing_log,
+        "hook_calls": hook_calls,
+        "executed": executed,
+        "aborted": aborted,
+        "now": kernel.now,
+        "pending": kernel.pending(),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=_PROGRAMS)
+def test_kernel_matches_model_full_drain(program):
+    assert _execute(Simulator(), program) == _execute(SortedModel(), program)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=_PROGRAMS, untils=_UNTILS)
+def test_kernel_matches_model_segmented_run(program, untils):
+    """run(until=...) segments, including quiet clock jumps past the
+    last event, leave kernel and model in identical states."""
+    assert (_execute(Simulator(), program, untils=untils)
+            == _execute(SortedModel(), program, untils=untils))
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_PROGRAMS, max_events=st.integers(min_value=1, max_value=30))
+def test_kernel_matches_model_max_events_abort(program, max_events):
+    """The livelock valve trips after the same event as the model,
+    leaving the same partial firing log, clock and pending count."""
+    assert (_execute(Simulator(), program, max_events=max_events)
+            == _execute(SortedModel(), program, max_events=max_events))

@@ -116,21 +116,20 @@ def test_figure_pair_matches_golden(name):
         + "\n".join(lines))
 
 
-@pytest.mark.parametrize("name", sorted(FIGURE_PAIRS))
-def test_figure_pair_matches_golden_under_columnar_kernel(monkeypatch, name):
-    """Regenerate nothing: the committed snapshot passes unmodified
-    under the columnar kernel.  This pins zero numeric drift — the
-    columnar core is a throughput change, not a modelling one, and the
-    golden file is shared by all kernels."""
-    from repro.common.event import KERNEL_ENV
-
-    monkeypatch.setenv(KERNEL_ENV, "columnar")
-    golden = load_golden()[name]
-    actual = simulate(name)
-    lines = diff_dicts(golden, actual)
+@pytest.mark.parametrize("name", sorted(
+    name for name, pair in FIGURE_PAIRS.items() if pair[1] == "txcache"))
+def test_txcache_figure_pair_matches_golden_under_ring_scan_checks(
+        ring_scan_checks, name):
+    """The committed snapshot passes unmodified while every TC CAM
+    match is re-derived by a ring scan (``tests/conftest.py``): the
+    indexed lookups are a throughput change, not a modelling one."""
+    with ring_scan_checks() as checks:
+        actual = simulate(name)
+    lines = diff_dicts(load_golden()[name], actual)
     assert not lines, (
-        f"{name} drifted under the columnar kernel "
-        f"({len(lines)} fields):\n" + "\n".join(lines))
+        f"{name} drifted under ring-scan checks ({len(lines)} fields):\n"
+        + "\n".join(lines))
+    assert checks["probe"] and checks["ack"]
 
 
 def test_parallel_engine_reproduces_golden():

@@ -103,3 +103,17 @@ class TestInterleave:
             return sim.now
 
         assert drain_time("row") > drain_time("line") * 2
+
+
+class TestEarliestAvailable:
+    @pytest.mark.parametrize("device", ["dram", "nvm"])
+    def test_is_min_busy_until_over_banks(self, device):
+        banks = BankArray(getattr(paper_machine_config(), device))
+        assert banks.earliest_available() == 0
+        *busy, last = banks.banks
+        for i, bank in enumerate(busy):
+            bank.access(row=i, now=10 * i, hit_cycles=5, miss_cycles=40 + i)
+        assert banks.earliest_available() == 0  # ``last`` is still idle
+        last.access(row=0, now=7, hit_cycles=5, miss_cycles=40)
+        assert banks.earliest_available() == min(
+            b.busy_until for b in banks.banks) == 40

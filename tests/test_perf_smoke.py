@@ -1,7 +1,6 @@
 """Opt-in performance smoke gate (CI perf-smoke job).
 
-Runs the two smoke benchmark points under the default (wheel) kernel
-and fails if normalized events/sec regresses more than the tolerance
+Runs the two smoke benchmark points and fails if normalized events/sec regresses more than the tolerance
 against the committed ``benchmarks/perf/BENCH_kernel.json``.
 
 Wall-clock assertions are inherently machine- and load-sensitive, so
@@ -36,8 +35,8 @@ pytestmark = pytest.mark.skipif(
 
 def test_smoke_points_within_tolerance_of_baseline():
     baseline = load_baseline()
-    report = run_bench(SMOKE_POINTS, kernels=("wheel",), repeats=3)
-    failures = compare_reports(baseline, report, kernel="wheel",
+    report = run_bench(SMOKE_POINTS, repeats=3)
+    failures = compare_reports(baseline, report,
                                tolerance=DEFAULT_TOLERANCE,
                                keys=[point.key for point in SMOKE_POINTS])
     assert not failures, (

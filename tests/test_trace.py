@@ -6,6 +6,8 @@ import pytest
 
 from repro.common.types import NVM_BASE, Version
 from repro.cpu.trace import OpType, Trace, TraceBuilder, TraceOp
+from repro.sim.runner import make_traces
+from repro.workloads import WORKLOADS
 
 
 class TestTraceOp:
@@ -144,3 +146,56 @@ class TestTraceQueries:
         back = Trace.load(buffer)
         assert back.name == trace.name
         assert back.ops == trace.ops
+
+
+def _per_op_aggregates(trace):
+    """The trace aggregates by their definition, one op at a time."""
+    return (sum(op.instructions for op in trace.ops),
+            sum(op.op is OpType.TX_END for op in trace.ops),
+            sum(op.op is OpType.STORE and op.persistent for op in trace.ops))
+
+
+def _aggregates(trace):
+    return trace.instructions, trace.transactions, trace.persistent_stores
+
+
+class TestCompiledAggregates:
+    """The column reductions behind ``instructions``, ``transactions``
+    and ``persistent_stores`` equal their per-op definitions."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_workload_traces_match_per_op_definition(self, workload):
+        for trace in make_traces(workload, 2, 25, seed=3):
+            assert _aggregates(trace) == _per_op_aggregates(trace)
+
+    def test_every_op_kind(self):
+        trace = Trace("kinds", [
+            TraceOp(OpType.COMPUTE, count=5),
+            TraceOp(OpType.TX_BEGIN, tx_id=1),
+            TraceOp(OpType.LOAD, addr=NVM_BASE),
+            TraceOp(OpType.STORE, addr=NVM_BASE, tx_id=1,
+                    version=Version(1, 0)),
+            TraceOp(OpType.STORE, addr=64),  # volatile
+            TraceOp(OpType.CLWB, addr=NVM_BASE),
+            TraceOp(OpType.SFENCE),
+            TraceOp(OpType.TX_END, tx_id=1),
+        ])
+        assert _aggregates(trace) == (12, 1, 1) == _per_op_aggregates(trace)
+
+    def test_empty_trace(self):
+        assert _aggregates(Trace("empty")) == (0, 0, 0)
+
+    def test_compute_counts_beyond_32_bits(self):
+        trace = Trace("big", [TraceOp(OpType.COMPUTE, count=2**40),
+                              TraceOp(OpType.COMPUTE, count=0),
+                              TraceOp(OpType.LOAD, addr=NVM_BASE)])
+        assert trace.instructions == 2**40 + 1
+
+    def test_appending_ops_recompiles(self):
+        trace = TestTraceQueries().make_trace()
+        before = _aggregates(trace)
+        trace.ops.append(TraceOp(OpType.STORE, addr=NVM_BASE + 192, tx_id=3,
+                                 version=Version(3, 0)))
+        trace.ops.append(TraceOp(OpType.TX_END, tx_id=3))
+        assert _aggregates(trace) == (before[0] + 2, before[1] + 1,
+                                      before[2] + 1)

@@ -1,12 +1,18 @@
 """Unit tests for the CAM-FIFO transaction cache (paper §4.1)."""
 
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import TxCacheConfig, paper_machine_config
 from repro.common.stats import Stats
-from repro.common.types import NVM_BASE, Version
+from repro.common.types import NVM_BASE, Version, line_addr
 from repro.core.txcache import (
     TransactionCache,
+    TxEntry,
     TxState,
     hardware_overhead,
     overhead_summary_bits,
@@ -276,6 +282,213 @@ class TestDuplicateAndUnmatchedAcks:
         tc.write(1, line(0), Version(1, 0))
         tc._head_seq = -5  # corrupt: head behind tail
         with pytest.raises(AssertionError):
+            tc.check_invariants()
+
+
+class RingScanModel:
+    """The CAM FIFO with every match a literal ring scan (paper §4.1):
+    the reference the indexed :class:`TransactionCache` must equal."""
+
+    def __init__(self, capacity, coalesce, next_seq):
+        self.capacity, self.coalesce, self.next_seq = capacity, coalesce, next_seq
+        self.ring, self.head, self.tail, self.stats = [], 0, 0, Counter()
+
+    def _live(self, tx=None, tag=None, state=None):
+        return [e for e in self.ring if e.state is not TxState.AVAILABLE
+                and tx in (None, e.tx_id) and tag in (None, e.tag)
+                and state in (None, e.state)]
+
+    def _free(self, entries, stat):
+        for e in entries:
+            e.state = TxState.AVAILABLE
+        self.stats[stat] += len(entries)
+        while self.ring and self.ring[0].state is TxState.AVAILABLE:
+            self.ring.pop(0)
+            self.tail += 1
+        return entries
+
+    def write(self, tx, addr, version):
+        mine = self._live(tx, line_addr(addr), TxState.ACTIVE)
+        if self.coalesce and mine:
+            mine[-1].version = version
+            self.stats["write.coalesced"] += 1
+            return True
+        if len(self.ring) >= self.capacity:
+            self.stats["write.rejected_full"] += 1
+            return False
+        seq = self.next_seq() if self.next_seq else self.head
+        self.ring.append(TxEntry(seq, tx, line_addr(addr), version))
+        self.head += 1
+        self.stats["write.inserted"] += 1
+        return True
+
+    def commit(self, tx):
+        committed = self._live(tx, state=TxState.ACTIVE)
+        for e in committed:
+            e.state = TxState.COMMITTED
+        self.stats["commit.requests"] += 1
+        self.stats["commit.entries"] += len(committed)
+        return committed
+
+    def take_issuable(self, limit=None):
+        out = []
+        for e in self._live():
+            if e.state is TxState.ACTIVE or len(out) == limit:
+                break
+            if not e.issued:
+                e.issued = True
+                out.append(e)
+        self.stats["issue.entries"] += len(out)
+        return out
+
+    def ack(self, addr, seq=None):
+        for e in self._live(tag=line_addr(addr), state=TxState.COMMITTED):
+            if e.issued and seq in (None, e.seq):
+                return self._free([e], "ack.matched")[0]
+        self.stats["ack.unmatched"] += 1
+        return None
+
+    def probe(self, addr):
+        hits = self._live(tag=line_addr(addr))
+        self.stats["probe.hit" if hits else "probe.miss"] += 1
+        return hits[-1] if hits else None
+
+    def drop_transaction(self, tx):
+        return self._free(self._live(tx, state=TxState.ACTIVE),
+                          "overflow.dropped_entries")
+
+
+_LINES = st.integers(min_value=0, max_value=3)
+# writes go to the current transaction or (interleaved) the next one;
+# commit and drop end the current transaction
+_WRITE = st.tuples(st.just("write"), _LINES, st.booleans())
+_END = st.tuples(st.sampled_from(["commit", "commit", "drop"]))
+_TAKE = st.tuples(st.just("take"), st.one_of(st.none(), st.integers(1, 3)))
+# an ack naming a live issued entry (optionally with a wrong line), a
+# re-sent earlier ack, an arbitrary (line, seq) pair, a seqless ack
+_ACK = st.one_of(
+    st.tuples(st.just("ack_issued"), st.integers(0, 7), st.booleans()),
+    st.tuples(st.just("ack_again"), st.integers(0, 7)),
+    st.tuples(st.just("ack_seq"), _LINES, st.integers(0, 12)),
+    st.tuples(st.just("ack_line"), _LINES),
+)
+_TC_OPS = st.lists(st.one_of(
+    _WRITE, _WRITE, _END, _TAKE, _ACK, st.tuples(st.just("probe"), _LINES),
+), min_size=10, max_size=60)
+
+
+def _view(entry):
+    if entry is None:
+        return None
+    return (entry.seq, entry.tx_id, entry.tag, entry.version,
+            entry.state, entry.issued)
+
+
+def _views(entries):
+    return [_view(e) for e in entries]
+
+
+class TestIndexedMatchesRingScan:
+    """Random op sequences: every return value, stat and structural
+    view of the indexed TC equals the ring-scan model's, and the
+    indexes agree with the ring after every op."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_TC_OPS, entries=st.integers(1, 6),
+           coalesce=st.booleans(), shared_seq=st.booleans())
+    def test_random_ops_match_model(self, ops, entries, coalesce,
+                                    shared_seq):
+        stats = Stats()
+        config = TxCacheConfig(size_bytes=entries * 64,
+                               coalesce_writes=coalesce)
+        seqs = (itertools.count(1).__next__, itertools.count(1).__next__)
+        tc = TransactionCache(config, stats.scoped("tc"),
+                              seq_source=seqs[0] if shared_seq else None)
+        model = RingScanModel(tc.capacity, coalesce,
+                              seqs[1] if shared_seq else None)
+        acked = []  # (line, seq) of every ack sent, for duplicates
+        versions = itertools.count()
+        tx = 1  # the current transaction
+        for op in ops:
+            kind = op[0]
+            if kind == "write":
+                writer = tx + op[2]
+                version = Version(writer, next(versions))
+                got = tc.write(writer, line(op[1]), version)
+                want = model.write(writer, line(op[1]), version)
+            elif kind == "commit":
+                got, want = _views(tc.commit(tx)), _views(model.commit(tx))
+                tx += 1
+            elif kind == "drop":
+                got = _views(tc.drop_transaction(tx))
+                want = _views(model.drop_transaction(tx))
+                tx += 1
+            elif kind == "take":
+                got = _views(tc.take_issuable(op[1]))
+                want = _views(model.take_issuable(op[1]))
+            elif kind == "probe":
+                got = _view(tc.probe(line(op[1])))
+                want = _view(model.probe(line(op[1])))
+            elif kind == "ack_line":
+                got = _view(tc.ack(line(op[1])))
+                want = _view(model.ack(line(op[1])))
+            else:
+                if kind == "ack_issued":  # optionally naming a wrong line
+                    issued = [e for e in model._live() if e.issued]
+                    entry = issued[op[1] % len(issued)] if issued else None
+                    target = ((entry.tag + 64 * op[2], entry.seq) if entry
+                              else (line(0), 0))
+                elif kind == "ack_again":
+                    target = (acked[op[1] % len(acked)] if acked
+                              else (line(0), 0))
+                else:
+                    target = (line(op[1]), op[2])
+                acked.append(target)
+                got = _view(tc.ack(*target))
+                want = _view(model.ack(*target))
+            assert got == want, op
+            tc.check_invariants()
+            assert _views(tc._ring) == _views(model.ring)
+            assert (tc.head_seq, tc.tail_seq) == (model.head, model.tail)
+            assert stats.counters() == {f"tc.{k}": v
+                                        for k, v in model.stats.items()}
+            for writer in (tx, tx + 1):
+                assert tc.count_active(writer) == \
+                    len(model._live(writer, state=TxState.ACTIVE))
+
+    def test_check_invariants_catches_stale_index(self):
+        tc = make_tc()
+        tc.write(1, line(0), Version(1, 0))
+        tc.commit(1)
+        (entry,) = tc.take_issuable()
+        entry.state = TxState.AVAILABLE  # freed behind the indexes' back
+        with pytest.raises(AssertionError, match="index"):
+            tc.check_invariants()
+
+    @staticmethod
+    def _populated():
+        """Tx 1 committed and issued, tx 2 still active: every index
+        holds entries."""
+        tc = make_tc()
+        tc.write(1, line(0), Version(1, 0))
+        tc.write(1, line(1), Version(1, 1))
+        tc.commit(1)
+        tc.take_issuable()
+        tc.write(2, line(1), Version(2, 0))
+        tc.check_invariants()
+        return tc
+
+    @pytest.mark.parametrize("corrupt,index", [
+        (lambda tc: tc._by_seq.popitem(), "seq index"),
+        (lambda tc: tc._by_tag[line(1)].reverse(), "tag index"),
+        (lambda tc: tc._active_by_tx.pop(2), "transaction index"),
+        (lambda tc: tc._active_idx.clear(), "coalescing index"),
+    ], ids=["seq", "tag", "transaction", "coalescing"])
+    def test_check_invariants_names_each_corrupted_index(self, corrupt,
+                                                         index):
+        tc = self._populated()
+        corrupt(tc)
+        with pytest.raises(AssertionError, match=index):
             tc.check_invariants()
 
 
