@@ -122,11 +122,14 @@ class MemRequest:
         bank: owning controller's :class:`~repro.memory.bank.Bank`
             for this line (set at enqueue; None before that).
         row: row index within ``bank`` (set at enqueue).
+        ready_cycle: first cycle the owning controller may grant the
+            request (set at enqueue to the next cycle; a write-verify
+            retry sets it to the end of its backoff).
     """
 
     __slots__ = ("addr", "req_type", "persistent", "tx_id", "version",
                  "callback", "issue_cycle", "source", "meta",
-                 "line", "is_write", "bank", "row")
+                 "line", "is_write", "bank", "row", "ready_cycle")
 
     def __init__(self, addr: int, req_type: MemReqType,
                  persistent: bool = False,
@@ -148,6 +151,7 @@ class MemRequest:
         self.is_write = req_type is MemReqType.WRITE
         self.bank = None
         self.row = 0
+        self.ready_cycle = 0
 
     @property
     def space(self) -> MemSpace:

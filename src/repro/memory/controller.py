@@ -135,8 +135,8 @@ class MemoryController:
         self._drain_mode = False
         self._tick_at: Optional[int] = None
         self._inflight = 0
-        self._retries_pending = 0
         self._last_write_service = 0
+        self._last_grant = -config.scheduler_period_cycles
         # Hot-path precomputation: the scheduler runs every few cycles,
         # so bank timings (pure functions of the frozen config) and
         # fully-qualified stat keys are resolved once here instead of
@@ -182,6 +182,7 @@ class MemoryController:
         ``request.callback(request, cycle)``."""
         now = self.sim.now
         request.issue_cycle = now
+        request.ready_cycle = now + 1
         # Resolve the address map once; every scheduler scan after this
         # reads the cached (bank, row) instead of redoing the division.
         request.bank, request.row = self.banks.locate(request.line)
@@ -215,15 +216,16 @@ class MemoryController:
             not self.read_queue.is_empty()
             or not self.write_queue.is_empty()
             or self._inflight > 0
-            or self._retries_pending > 0
         )
 
     # ------------------------------------------------------------------
     # scheduler
     # ------------------------------------------------------------------
     def _kick(self, at_time: int) -> None:
-        """Ensure a scheduler tick is pending no later than ``at_time``."""
-        at_time = max(at_time, self.sim.now)
+        """Ensure a scheduler tick is pending no later than ``at_time``,
+        but not within ``scheduler_period_cycles`` of the last grant."""
+        at_time = max(at_time, self.sim.now,
+                      self._last_grant + self._period)
         if self._tick_at is not None and self._tick_at <= at_time:
             return
         self._tick_at = at_time
@@ -267,8 +269,6 @@ class MemoryController:
         starved = bool(w_entries) and (now - self._last_write_service
                                        > self.WRITE_STARVATION_LIMIT)
         if drain or starved:
-            if starved and not drain:
-                self._inc(self._k_starvation_grants)
             queues = (write_queue, read_queue)
         else:
             queues = (read_queue, write_queue)
@@ -281,6 +281,8 @@ class MemoryController:
                     self._trace_queues()
                 if chosen.is_write:
                     self._last_write_service = now
+                    if starved and not drain:
+                        self._inc(self._k_starvation_grants)
                 request = chosen
                 break
         if request is None:
@@ -301,6 +303,7 @@ class MemoryController:
                 self._tick_at = earliest
                 self.sim.schedule_at(earliest, self._tick)
             return
+        self._last_grant = now
         self._service(request)
         if read_queue.entries or write_queue.entries:
             at_time = now + self._period
@@ -319,7 +322,8 @@ class MemoryController:
     def _scan(self, queue, now: int) -> Optional[MemRequest]:
         """First row-hit whose bank is free; else first bank-free entry.
 
-        A row-hit entry is skipped if an *older* request to the same
+        Only requests whose ``ready_cycle`` has come are candidates.  A
+        row-hit entry is skipped if an *older* request to the same
         line exists earlier in the queue — same-line order is preserved
         unconditionally.
 
@@ -347,10 +351,12 @@ class MemoryController:
             bank = request.bank
             if bank.refresh_interval > 0:
                 bank._catch_up_refresh(now)
-            busy_until = bank.busy_until
-            if now < busy_until:
+            free_at = bank.busy_until
+            if request.ready_cycle > free_at:
+                free_at = request.ready_cycle
+            if now < free_at:
                 if self._no_refresh:
-                    self._scan_memo[queue.name] = (queue.version, busy_until)
+                    self._scan_memo[queue.name] = (queue.version, free_at)
                 return None
             return request
         fallback: Optional[MemRequest] = None
@@ -365,10 +371,12 @@ class MemoryController:
             bank = request.bank
             if bank.refresh_interval > 0:
                 bank._catch_up_refresh(now)
-            busy_until = bank.busy_until
-            if now < busy_until:
-                if min_busy is None or busy_until < min_busy:
-                    min_busy = busy_until
+            free_at = bank.busy_until
+            if request.ready_cycle > free_at:
+                free_at = request.ready_cycle
+            if now < free_at:
+                if min_busy is None or free_at < min_busy:
+                    min_busy = free_at
                 continue
             if bank.open_row == request.row:
                 return request
@@ -381,10 +389,8 @@ class MemoryController:
 
     def _service(self, request: MemRequest) -> None:
         now = self.sim.now
-        # The bank access below moves busy_until (fault-injected write
-        # retries may even *lower* it, servicing a busy bank), so every
-        # cached availability fact is stale after this point (fault
-        # retries reach here directly, outside any scheduler tick).
+        # The bank access below moves busy_until, so every cached
+        # availability fact is stale after this point.
         self._earliest = None
         if self._scan_memo:
             self._scan_memo.clear()
@@ -430,15 +436,17 @@ class MemoryController:
             self.stats.inc("write.verify_failures")
             if attempt <= self.faults.config.max_write_retries:
                 # write-verify-retry: the array write failed
-                # verification; back off exponentially and redo the
-                # bank access with the same request (same-line order
-                # is safe: the line's newest data is rewritten).
+                # verification.  The request goes back to the head of
+                # the write queue, ahead of newer writes to its line,
+                # and waits out an exponential backoff and then its
+                # bank like any other request.
                 request.meta["write_attempts"] = attempt + 1
                 self.stats.inc("write.retries")
                 self._inflight -= 1
-                self._retries_pending += 1
-                self.sim.schedule(self.faults.write_retry_backoff(attempt),
-                                  self._retry_write, request)
+                request.ready_cycle = \
+                    now + self.faults.write_retry_backoff(attempt)
+                self.write_queue.requeue(request)
+                self._kick(request.ready_cycle)
                 self._kick(now + 1)
                 return
             # Bounded retries exhausted: the cell is worn out.  Remap
@@ -455,10 +463,6 @@ class MemoryController:
             self._inc(self._k_write_acks)
             self._send_ack(request, now)
         self._kick(now + 1)
-
-    def _retry_write(self, request: MemRequest) -> None:
-        self._retries_pending -= 1
-        self._service(request)
 
     def _send_ack(self, request: MemRequest, now: int) -> None:
         """Deliver the completion acknowledgment, subject to the

@@ -82,6 +82,19 @@ class RequestQueue:
         self._admit(request)
         return True
 
+    def requeue(self, request: MemRequest) -> None:
+        """Put a request back at the head, ahead of every queued
+        request (a write-verify retry keeps its place before newer
+        same-line writes).  A full queue spills its newest entry back
+        to the front of the backlog."""
+        counts = self._line_counts
+        counts[request.line] = counts.get(request.line, 0) + 1
+        entries = self.entries
+        entries.appendleft(request)
+        self.version += 1
+        if len(entries) > self.capacity:
+            self._backlog.appendleft(entries.pop())
+
     def _admit(self, request: MemRequest) -> None:
         self.entries.append(request)
         self.version += 1

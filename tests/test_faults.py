@@ -195,6 +195,57 @@ class TestWriteVerifyRetry:
         assert len(completions) == 1
         assert stats.counter("mem.nvm.write.verify_failures") == 0
 
+    def test_retry_is_not_overtaken_by_newer_same_line_write(self):
+        # v0's first attempt fails verification and backs off; v1,
+        # queued behind it on the same line, must still reach the array
+        # after it
+        class FirstWriteFails(FaultInjector):
+            attempts = 0
+
+            def nvm_write_fails(self):
+                self.attempts += 1
+                return self.attempts == 1
+
+        cfg = faulty_config(nvm_write_fail_rate=0.5, retry_backoff_cycles=16)
+        sim = Simulator()
+        faults = FirstWriteFails(cfg)
+        memory = MemorySystem(sim, small_machine_config(num_cores=1),
+                              Stats(), faults=faults)
+        memory.write(NVM_BASE, Version(1, 0))
+        memory.write(NVM_BASE, Version(1, 1))
+        sim.run(max_events=100_000)
+        durable = [version for _cycle, _seq, _line, version
+                   in memory.durable_image.events]
+        assert durable == [Version(1, 0), Version(1, 1)]
+        assert memory.durable_image.current(NVM_BASE) == Version(1, 1)
+
+    @pytest.mark.parametrize("workload,scheme", [
+        ("hashtable", "sp"), ("hashtable", "undo_log")])
+    def test_no_bank_access_while_busy_under_retries(self, monkeypatch,
+                                                     workload, scheme):
+        """A retried write waits for its bank like any request: no bank
+        is ever accessed before its previous access has finished."""
+        from repro.memory.bank import Bank
+
+        busy_accesses = []
+        inner = Bank.access
+
+        def checked(bank, row, now, hit_cycles, miss_cycles):
+            bank._catch_up_refresh(now)
+            if now < bank.busy_until:
+                busy_accesses.append((bank.index, now, bank.busy_until))
+            return inner(bank, row, now, hit_cycles, miss_cycles)
+
+        monkeypatch.setattr(Bank, "access", checked)
+        config = replace(small_machine_config(num_cores=2),
+                         faults=faulty_config(nvm_write_fail_rate=0.2))
+        system = System(config, scheme)
+        system.load_traces(make_traces(workload, 2, 60, seed=42))
+        system.run()
+        assert system.done
+        assert system.stats.counter("mem.nvm.write.retries") > 0
+        assert busy_accesses == []
+
 
 # ---------------------------------------------------------------------------
 # end-to-end: lossy acks, reissue, ECC fallback, zero-rate no-op

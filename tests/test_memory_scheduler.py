@@ -81,34 +81,65 @@ class TestDrainHysteresis:
 
 
 class TestWriteAntiStarvation:
-    def _run_with_read_stream(self, max_reads=40):
-        """One write plus a back-to-back read stream on the same bank
-        (different lines, so read forwarding cannot shortcut)."""
+    def _run_with_read_stream(self, chains=2, max_reads=40):
+        """One write plus ``chains`` dependent read chains on the same
+        bank (different lines, so read forwarding cannot shortcut):
+        each read's completion enqueues the next read of its chain.
+
+        A request is eligible from the cycle after it is enqueued, so a
+        single chain's next read is not yet ready on the cycle the bank
+        frees.  Two chains keep a ready read queued on that cycle, which
+        read-first always prefers until the write starves.
+
+        Returns the stats, the write's completion cycles, the reads'
+        completion cycles and the ``(request, cycle)`` grant log."""
         cfg = paper_machine_config().nvm
         sim, stats, ctrl = make()
-        write_line, read_line = same_bank_lines(cfg, 2)
+        write_line, *read_lines = same_bank_lines(cfg, 1 + chains)
         write_done = []
+        read_done = []
+        grants = []
+        service = ctrl._service
+
+        def logged_service(request):
+            grants.append((request, sim.now))
+            service(request)
+
+        ctrl._service = logged_service
         ctrl.enqueue(write(write_line, cb=lambda r, c: write_done.append(c)))
         state = {"count": 0}
 
         def feed(request, cycle):
+            read_done.append(cycle)
             state["count"] += 1
             if state["count"] < max_reads and not write_done:
-                ctrl.enqueue(read(read_line, cb=feed))
+                ctrl.enqueue(read(request.line, cb=feed))
 
-        ctrl.enqueue(read(read_line, cb=feed))
+        for line in read_lines:
+            ctrl.enqueue(read(line, cb=feed))
         sim.run()
-        return stats, write_done
+        return stats, write_done, read_done, grants
 
     def test_steady_reads_do_not_starve_writes(self):
-        stats, write_done = self._run_with_read_stream()
+        stats, write_done, _reads, _grants = self._run_with_read_stream()
         assert write_done, "write starved forever"
         # granted within the starvation window + a few services
         assert write_done[0] < 5 * MemoryController.WRITE_STARVATION_LIMIT
 
     def test_starvation_grant_counted(self):
-        stats, write_done = self._run_with_read_stream()
+        stats, _write_done, _reads, _grants = self._run_with_read_stream()
         assert stats.counter("nvm.write.starvation_grants") >= 1
+
+    def test_single_dependent_read_chain_lets_write_in_when_bank_frees(self):
+        # the chain's next read is enqueued on the cycle the bank frees,
+        # so it is not yet eligible and the queued write goes first —
+        # by read-first order, not by the starvation rule
+        stats, _write_done, read_done, grants = \
+            self._run_with_read_stream(chains=1)
+        kinds = [request.is_write for request, _cycle in grants[:2]]
+        assert kinds == [False, True]
+        assert grants[1][1] == read_done[0]  # the first free bank cycle
+        assert stats.counter("nvm.write.starvation_grants") == 0
 
 
 class TestSameLineOrdering:
