@@ -11,8 +11,10 @@ Usage (from the repository root)::
 ``--update`` runs the full point set and rewrites
 ``benchmarks/perf/BENCH_kernel.json`` — commit the diff together with
 whatever change moved the numbers.  ``--check`` (the CI perf-smoke
-job) runs the smoke points and fails if normalized events/sec
-regresses more than the tolerance (default 10%) on any point.
+job) runs the smoke points and fails if normalized simulated
+instructions/sec regresses more than the tolerance (default 10%) on
+any point, or if any callback owner's event count differs from the
+baseline at all.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ def main(argv=None) -> int:
                         help="fresh runs per point, best wall kept")
     parser.add_argument("--tolerance", type=float,
                         default=CHECK_TOLERANCE,
-                        help="allowed normalized events/sec drop for "
-                             "--check (default %(default)s)")
+                        help="allowed normalized instructions/sec drop "
+                             "for --check (default %(default)s)")
     parser.add_argument("--check", action="store_true",
                         help="fail (exit 1) on a regression vs the "
                              "committed baseline")

@@ -1,18 +1,27 @@
 """Simulation-kernel benchmark harness with a regression gate.
 
-Measures events/second and wall-clock for canonical experiment points
-(the same (workload, scheme) pairs the golden figures freeze) and
-compares runs against the committed baseline
+Measures simulated instructions per host second and wall-clock for
+canonical experiment points (the same (workload, scheme) pairs the
+golden figures freeze), counts every event each point schedules by
+callback owner, and compares runs against the committed baseline
 ``benchmarks/perf/BENCH_kernel.json``.
 
-Raw events/second is machine-dependent, so every report carries a
-*calibration* score — the throughput of a fixed pure-Python loop on
-the same interpreter — and the regression gate compares the
-**normalized** metric ``events_per_sec / calibration``: how many
-simulator events one unit of this machine's Python throughput buys.
-That ratio is stable across machine speeds (both numerator and
-denominator scale with the host) while staying sensitive to the thing
-the gate protects: simulator work per event growing.
+Two gates, one per kind of number:
+
+* **Speed.**  Raw instructions/second is machine-dependent, so every
+  report carries a *calibration* score — the throughput of a fixed
+  pure-Python loop on the same interpreter — and the gate compares the
+  **normalized** metric ``instructions_per_sec / calibration``.  That
+  ratio is stable across machine speeds (both numerator and
+  denominator scale with the host).  Instructions, not events, are the
+  numerator because a point's instruction count is fixed by its
+  workload, while its event count is an implementation detail:
+  deleting no-op events makes each remaining event costlier, so
+  events/second would fall exactly when the simulator gets faster.
+* **Work.**  ``events_by_owner`` maps each callback's qualified name
+  (``MemoryController._tick``) to the number of events scheduled for
+  it.  The counts are deterministic, so they are compared exactly: a
+  change that re-adds polling fails here even on a fast machine.
 
 Driver: ``python benchmarks/perf/bench_kernel.py`` (see there), or the
 perf-smoke test in ``tests/test_perf_smoke.py``.
@@ -32,7 +41,8 @@ from ..common.config import small_machine_config
 BASELINE_PATH = (pathlib.Path(__file__).resolve().parents[3]
                  / "benchmarks" / "perf" / "BENCH_kernel.json")
 
-#: smoke gate: normalized events/sec may regress at most this fraction
+#: smoke gate: normalized instructions/sec may regress at most this
+#: fraction
 DEFAULT_TOLERANCE = 0.30
 
 #: ``--check`` gate: per-point normalized slowdown bound (tighter than
@@ -40,7 +50,7 @@ DEFAULT_TOLERANCE = 0.30
 CHECK_TOLERANCE = 0.10
 
 #: baseline file format: one record per point key under ``points``
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -95,21 +105,41 @@ def calibrate(loops: int = 300_000, repeats: int = 3) -> float:
     return loops / best
 
 
+def count_events_by_owner(system, traces) -> Dict[str, int]:
+    """Load ``traces`` into a fresh ``system`` and drain it, counting
+    every event scheduled on its kernel under the callback's qualified
+    name."""
+    sim = system.sim
+    schedule_at = sim.schedule_at
+    counts: Dict[str, int] = {}
+
+    def counting(time: int, fn, *args) -> None:
+        owner = getattr(fn, "__qualname__", type(fn).__name__)
+        counts[owner] = counts.get(owner, 0) + 1
+        schedule_at(time, fn, *args)
+
+    # Simulator.schedule goes through self.schedule_at, so shadowing
+    # the instance attribute sees every event
+    sim.schedule_at = counting
+    system.load_traces(traces)
+    system.run()
+    return dict(sorted(counts.items()))
+
+
 def measure_point(point: BenchPoint, repeats: int = 2) -> Dict[str, object]:
     """Run ``point`` cold and return its benchmark record.
 
     ``wall_s`` is the best of ``repeats`` fresh systems (timing the
-    event-loop drain only, not trace generation); ``events`` is
-    identical across repeats by determinism."""
-    from ..sim.runner import make_traces
+    event-loop drain only, not trace generation); ``events`` and
+    ``instructions`` are identical across repeats by determinism.
+    ``events_by_owner`` comes from one more, untimed run."""
+    from ..sim.runner import collect_result, make_traces
     from ..sim.system import System
 
     config = small_machine_config(num_cores=point.cores)
     traces = make_traces(point.workload, point.cores, point.operations,
                          seed=point.seed)
     best_wall = float("inf")
-    events = 0
-    cycles = 0
     for _ in range(max(1, repeats)):
         system = System(config, point.scheme)
         system.load_traces(traces)
@@ -117,13 +147,15 @@ def measure_point(point: BenchPoint, repeats: int = 2) -> Dict[str, object]:
         system.run()
         wall = time.perf_counter() - start
         best_wall = min(best_wall, wall)
-        events = system.events_executed
-        cycles = system.cycles
+    instructions = collect_result(system).instructions_executed
     return {
-        "events": events,
-        "cycles": cycles,
+        "events": system.events_executed,
+        "events_by_owner": count_events_by_owner(
+            System(config, point.scheme), traces),
+        "instructions": instructions,
+        "cycles": system.cycles,
         "wall_s": round(best_wall, 6),
-        "events_per_sec": round(events / best_wall, 1),
+        "instructions_per_sec": round(instructions / best_wall, 1),
     }
 
 
@@ -135,7 +167,7 @@ def run_bench(points: Sequence[BenchPoint], repeats: int = 2,
     for point in points:
         record = measure_point(point, repeats=repeats)
         record["normalized"] = round(
-            record["events_per_sec"] / calibration, 6)
+            record["instructions_per_sec"] / calibration, 6)
         records[point.key] = record
     return {
         "schema": SCHEMA_VERSION,
@@ -152,7 +184,8 @@ def compare_reports(baseline: Dict[str, object],
                     current: Dict[str, object],
                     tolerance: float = DEFAULT_TOLERANCE,
                     keys: Optional[Sequence[str]] = None) -> List[str]:
-    """Regression check: normalized events/sec per point.
+    """Regression check per point: normalized instructions/sec within
+    ``tolerance``, and ``events_by_owner`` exactly equal.
 
     Returns human-readable failure lines (empty = gate passes).
     ``keys`` names the baseline points the current run claims to cover
@@ -176,9 +209,16 @@ def compare_reports(baseline: Dict[str, object],
         if cur["normalized"] < floor:
             drop = 1.0 - cur["normalized"] / base["normalized"]
             failures.append(
-                f"{key}: normalized events/sec "
+                f"{key}: normalized instructions/sec "
                 f"{cur['normalized']:.4f} is {drop:.0%} below baseline "
                 f"{base['normalized']:.4f} (tolerance {tolerance:.0%})")
+        base_owners = base["events_by_owner"]
+        cur_owners = cur["events_by_owner"]
+        for owner in sorted(set(base_owners) | set(cur_owners)):
+            was, now = base_owners.get(owner, 0), cur_owners.get(owner, 0)
+            if was != now:
+                failures.append(f"{key}: {owner} scheduled {now:,} events, "
+                                f"baseline {was:,}")
     return failures
 
 
@@ -188,6 +228,6 @@ def format_report(report: Dict[str, object]) -> str:
         lines.append(
             f"  {key:<42} {rec['events']:>9,} ev  "
             f"{rec['wall_s']*1e3:>8.1f} ms  "
-            f"{rec['events_per_sec']:>12,.0f} ev/s  "
+            f"{rec['instructions_per_sec']:>12,.0f} instr/s  "
             f"norm {rec['normalized']:.4f}")
     return "\n".join(lines)

@@ -172,7 +172,3 @@ class BankArray:
     @property
     def row_misses(self) -> int:
         return sum(b.row_misses for b in self.banks)
-
-    def earliest_available(self) -> int:
-        """Cycle at which the soonest-free bank becomes available."""
-        return min([b.busy_until for b in self.banks])

@@ -36,7 +36,6 @@ controller only), two fault models run here:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -137,8 +136,7 @@ class MemoryController:
         self._inflight = 0
         self._last_write_service = 0
         self._last_grant = -config.scheduler_period_cycles
-        # Hot-path precomputation: the scheduler runs every few cycles,
-        # so bank timings (pure functions of the frozen config) and
+        # Hot-path precomputation: bank timings (pure functions of the frozen config) and
         # fully-qualified stat keys are resolved once here instead of
         # per event.
         timing = config.timing
@@ -149,19 +147,6 @@ class MemoryController:
         self._period = config.scheduler_period_cycles
         self._drain_high = config.write_drain_threshold
         self._drain_low = self._drain_high / 2
-        # Refresh-free (NVM) banks have *pure* scans: a scan's only side
-        # effect is DRAM refresh catch-up, so for NVM a failed scan can
-        # be memoized and the bank-availability horizon cached without
-        # perturbing any timing.  DRAM keeps the exact per-tick path
-        # (its per-tick catch-ups move busy_until, which feeds the
-        # re-kick target).
-        self._no_refresh = config.timing.refresh_interval_ns <= 0
-        # cached banks.earliest_available(); invalidated on every access
-        self._earliest: Optional[int] = None
-        # queue.name -> (queue.version, none_until): a failed scan of
-        # that queue version provably stays None while now < none_until
-        # (busy_until never decreases between bank accesses)
-        self._scan_memo: Dict[str, Tuple[int, int]] = {}
         base = stats.base
         self._inc = base.inc
         self._hist = base.hist
@@ -233,13 +218,15 @@ class MemoryController:
 
     def _tick(self) -> None:
         """One scheduler decision: drain-mode hysteresis, FR-FCFS pick
-        over the priority-ordered queues, service or re-arm.
+        over the priority-ordered queues, then service or sleep.
 
-        The whole decision is fused into one function on purpose: on a
-        bank-busy poll (by far the common tick outcome) the cost is a
-        few attribute reads and the re-arm ``schedule_at`` — profiling
-        showed the previous helper-per-step layout spending more time
-        on call frames than on the decision itself.
+        The scheduler wakes only when something it depends on changes:
+        a request becomes eligible (the cycle after it arrives, or the
+        end of a retry's backoff) or a candidate's bank frees up.  A
+        tick that grants nothing re-arms once, at the earliest such
+        cycle over the candidates it scanned; new arrivals kick it
+        earlier.  Starvation needs no timer of its own: it only reorders
+        requests that are already serviceable.
 
         ``entries`` alone decides queue emptiness throughout: the
         backlog admits into ``entries`` whenever there is room, so a
@@ -272,39 +259,30 @@ class MemoryController:
             queues = (write_queue, read_queue)
         else:
             queues = (read_queue, write_queue)
-        request: Optional[MemRequest] = None
+        wake: Optional[int] = None
         for queue in queues:
-            chosen = self._scan(queue, now)
+            chosen, free_at = self._scan(queue, now)
             if chosen is not None:
-                queue.pop(chosen)
-                if self.tracer.enabled:
-                    self._trace_queues()
-                if chosen.is_write:
-                    self._last_write_service = now
-                    if starved and not drain:
-                        self._inc(self._k_starvation_grants)
-                request = chosen
                 break
-        if request is None:
-            if read_queue.entries or w_entries:
-                # All candidate banks are busy; retry when one frees
-                # up.  No tick is pending here (this one was just
-                # consumed and nothing above kicks), so arm directly
-                # instead of going through _kick.
-                if self._no_refresh:
-                    earliest = self._earliest
-                    if earliest is None:
-                        earliest = self._earliest = \
-                            self.banks.earliest_available()
-                else:
-                    earliest = self.banks.earliest_available()
-                if earliest <= now:
-                    earliest = now + 1
-                self._tick_at = earliest
-                self.sim.schedule_at(earliest, self._tick)
+            if free_at is not None and (wake is None or free_at < wake):
+                wake = free_at
+        else:
+            if wake is not None:
+                # Nothing is serviceable before ``wake``.  No tick is
+                # pending here (this one was just consumed and nothing
+                # above kicks), so arm directly instead of via _kick.
+                self._tick_at = wake
+                self.sim.schedule_at(wake, self._tick)
             return
+        queue.pop(chosen)
+        if self.tracer.enabled:
+            self._trace_queues()
+        if chosen.is_write:
+            self._last_write_service = now
+            if starved and not drain:
+                self._inc(self._k_starvation_grants)
         self._last_grant = now
-        self._service(request)
+        self._service(chosen)
         if read_queue.entries or write_queue.entries:
             at_time = now + self._period
             self._tick_at = at_time
@@ -319,51 +297,28 @@ class MemoryController:
                                 "drain.enter" if drain else "drain.exit",
                                 self.sim.now, write_queue=write_depth)
 
-    def _scan(self, queue, now: int) -> Optional[MemRequest]:
-        """First row-hit whose bank is free; else first bank-free entry.
+    def _scan(self, queue,
+              now: int) -> Tuple[Optional[MemRequest], Optional[int]]:
+        """FR-FCFS pick over one queue: ``(request, None)`` for the
+        first row hit whose bank is free, else the first bank-free
+        entry; ``(None, free_at)`` when no entry is serviceable, where
+        ``free_at`` is the earliest cycle one can be (``None`` for an
+        empty queue).
 
         Only requests whose ``ready_cycle`` has come are candidates.  A
-        row-hit entry is skipped if an *older* request to the same
-        line exists earlier in the queue — same-line order is preserved
+        request is skipped if an *older* request to the same line
+        exists earlier in the queue — same-line order is preserved
         unconditionally.
 
-        This is the hottest loop in the simulator: it runs over the
-        admitted queue every scheduler tick, so it reads the (bank,
-        row) pair precomputed at enqueue and inlines
-        ``Bank.available`` / row-hit checks (``_catch_up_refresh`` is a
-        no-op for refresh-free NVM banks and is skipped outright)."""
-        entries = queue.entries
-        if not entries:
-            return None
-        memo = self._scan_memo.get(queue.name)
-        if memo is not None and memo[0] == queue.version and now < memo[1]:
-            # A scan of this exact queue content already failed, and no
-            # candidate bank frees up before memo[1]: busy_until only
-            # moves through _service (which clears the memo), so the
-            # scan outcome cannot have changed.  Skipping it is safe
-            # because refresh-free scans have no side effects.
-            return None
-        if len(entries) == 1:
-            # single candidate (the common read-queue case): no seen-set
-            # or fallback bookkeeping needed — free bank means this
-            # request wins whether or not its row is open
-            request = entries[0]
-            bank = request.bank
-            if bank.refresh_interval > 0:
-                bank._catch_up_refresh(now)
-            free_at = bank.busy_until
-            if request.ready_cycle > free_at:
-                free_at = request.ready_cycle
-            if now < free_at:
-                if self._no_refresh:
-                    self._scan_memo[queue.name] = (queue.version, free_at)
-                return None
-            return request
+        This runs over the admitted queue on every tick, so it reads
+        the (bank, row) pair precomputed at enqueue and inlines the
+        bank availability and row-hit checks (refresh catch-up is
+        skipped outright for refresh-free NVM banks)."""
         fallback: Optional[MemRequest] = None
         seen_lines = set()
         seen_add = seen_lines.add
-        min_busy: Optional[int] = None
-        for request in entries:
+        wake: Optional[int] = None
+        for request in queue.entries:
             line = request.line
             if line in seen_lines:
                 continue
@@ -375,25 +330,17 @@ class MemoryController:
             if request.ready_cycle > free_at:
                 free_at = request.ready_cycle
             if now < free_at:
-                if min_busy is None or free_at < min_busy:
-                    min_busy = free_at
+                if wake is None or free_at < wake:
+                    wake = free_at
                 continue
             if bank.open_row == request.row:
-                return request
+                return request, None
             if fallback is None:
                 fallback = request
-        if fallback is None and min_busy is not None and self._no_refresh:
-            # the earliest any of this queue's candidates frees up
-            self._scan_memo[queue.name] = (queue.version, min_busy)
-        return fallback
+        return fallback, wake
 
     def _service(self, request: MemRequest) -> None:
         now = self.sim.now
-        # The bank access below moves busy_until, so every cached
-        # availability fact is stale after this point.
-        self._earliest = None
-        if self._scan_memo:
-            self._scan_memo.clear()
         bank_state = request.bank
         row = request.row
         if request.is_write:
@@ -427,7 +374,6 @@ class MemoryController:
             self._inflight -= 1
         if request.callback is not None:
             request.callback(request, now)
-        self._kick(now + 1)
 
     def _finish_write(self, request: MemRequest) -> None:
         now = self.sim.now
@@ -447,7 +393,6 @@ class MemoryController:
                     now + self.faults.write_retry_backoff(attempt)
                 self.write_queue.requeue(request)
                 self._kick(request.ready_cycle)
-                self._kick(now + 1)
                 return
             # Bounded retries exhausted: the cell is worn out.  Remap
             # the line to a spare row — the write then completes, so
@@ -462,7 +407,6 @@ class MemoryController:
         if request.persistent and self.ack_handler is not None:
             self._inc(self._k_write_acks)
             self._send_ack(request, now)
-        self._kick(now + 1)
 
     def _send_ack(self, request: MemRequest, now: int) -> None:
         """Deliver the completion acknowledgment, subject to the

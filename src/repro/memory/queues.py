@@ -26,7 +26,7 @@ class RequestQueue:
     read-only outside this class.
     """
 
-    __slots__ = ("name", "capacity", "entries", "version", "_backlog",
+    __slots__ = ("name", "capacity", "entries", "_backlog",
                  "_line_counts", "peak_occupancy", "total_admitted",
                  "total_backlogged")
 
@@ -36,9 +36,6 @@ class RequestQueue:
         self.name = name
         self.capacity = capacity
         self.entries: Deque[MemRequest] = deque()
-        #: bumped on every change to ``entries`` — lets the scheduler
-        #: memoize a failed scan until the queue contents change
-        self.version = 0
         self._backlog: Deque[MemRequest] = deque()
         #: line -> queued-request count (entries + backlog): makes the
         #: common ``find_line`` miss (read forwarding probe) O(1)
@@ -91,13 +88,11 @@ class RequestQueue:
         counts[request.line] = counts.get(request.line, 0) + 1
         entries = self.entries
         entries.appendleft(request)
-        self.version += 1
         if len(entries) > self.capacity:
             self._backlog.appendleft(entries.pop())
 
     def _admit(self, request: MemRequest) -> None:
         self.entries.append(request)
-        self.version += 1
         self.total_admitted += 1
         if len(self.entries) > self.peak_occupancy:
             self.peak_occupancy = len(self.entries)
@@ -105,7 +100,6 @@ class RequestQueue:
     def pop(self, request: MemRequest) -> None:
         """Remove a specific (scheduled) request, then admit backlog."""
         self.entries.remove(request)
-        self.version += 1
         counts = self._line_counts
         line = request.line
         remaining = counts[line] - 1

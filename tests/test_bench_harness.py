@@ -24,13 +24,16 @@ from repro.bench.kernel import (
 )
 
 
-def _report(normalized_by_key):
+def _report(normalized_by_key, ticks=900):
     return {
         "schema": SCHEMA_VERSION,
         "calibration_ops_per_sec": 1_000_000.0,
         "points": {
-            key: {"normalized": norm, "events_per_sec": norm * 1e6,
-                  "events": 1000, "wall_s": 0.001}
+            key: {"normalized": norm, "instructions_per_sec": norm * 1e6,
+                  "instructions": 500, "events": 100 + ticks,
+                  "events_by_owner": {"Core._step": 100,
+                                      "MemoryController._tick": ticks},
+                  "wall_s": 0.001}
             for key, norm in normalized_by_key.items()
         },
     }
@@ -79,6 +82,34 @@ class TestComparison:
         failures = compare_reports(base, cur, keys=["a", "b"])
         assert len(failures) == 1 and "missing" in failures[0]
 
+    def test_any_event_count_change_fails(self):
+        """Event counts are deterministic, so the gate has no tolerance
+        for them — either direction names the owner that moved."""
+        base = _report({"a": 0.01}, ticks=900)
+        for ticks in (899, 901):
+            failures = compare_reports(base, _report({"a": 0.01},
+                                                     ticks=ticks))
+            assert len(failures) == 1
+            assert "MemoryController._tick" in failures[0]
+            assert f"{ticks:,}" in failures[0] and "900" in failures[0]
+
+    def test_new_or_vanished_owner_fails(self):
+        base = _report({"a": 0.01})
+        cur = _report({"a": 0.01})
+        cur["points"]["a"]["events_by_owner"]["Poller.poll"] = 5
+        del cur["points"]["a"]["events_by_owner"]["Core._step"]
+        failures = compare_reports(base, cur)
+        assert len(failures) == 2
+        assert "Core._step" in failures[0] and "Poller.poll" in failures[1]
+
+    def test_re_added_polls_fail_even_when_faster(self):
+        """Events/sec would rise if polls came back; the gate must not
+        read that as an improvement."""
+        base = _report({"a": 0.01}, ticks=300)
+        cur = _report({"a": 0.02}, ticks=3000)
+        failures = compare_reports(base, cur)
+        assert len(failures) == 1 and "_tick" in failures[0]
+
     def test_key_absent_from_baseline_is_a_failure(self):
         """Claiming a point the baseline never measured means the
         baseline is stale — surface it, don't skip it."""
@@ -111,7 +142,8 @@ class TestCommittedBaseline:
         assert sorted(records) == sorted(p.key for p in FULL_POINTS)
         for rec in records.values():
             assert rec["events"] > 0 and rec["cycles"] > 0
-            assert rec["normalized"] > 0
+            assert rec["instructions"] > 0 and rec["normalized"] > 0
+            assert sum(rec["events_by_owner"].values()) == rec["events"]
 
     def test_baseline_round_trips(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -124,21 +156,29 @@ class TestMeasurement:
     def test_measure_point_record_shape(self):
         point = BenchPoint("hashtable", "txcache", cores=1, operations=2)
         rec = measure_point(point, repeats=1)
-        assert sorted(rec) == ["cycles", "events", "events_per_sec",
+        assert sorted(rec) == ["cycles", "events", "events_by_owner",
+                               "instructions", "instructions_per_sec",
                                "wall_s"]
         assert rec["events"] > 0 and rec["cycles"] > 0
-        assert rec["events_per_sec"] > 0
+        assert rec["instructions"] > 0 and rec["instructions_per_sec"] > 0
+        # the untimed counting run schedules exactly the timed run's
+        # events, every one under a named owner
+        assert sum(rec["events_by_owner"].values()) == rec["events"]
+        assert "MemoryController._tick" in rec["events_by_owner"]
 
     def test_measure_point_deterministic_events(self):
         point = BenchPoint("hashtable", "txcache", cores=1, operations=2)
         a = measure_point(point, repeats=1)
         b = measure_point(point, repeats=2)
         assert a["events"] == b["events"]
+        assert a["events_by_owner"] == b["events_by_owner"]
+        assert a["instructions"] == b["instructions"]
         assert a["cycles"] == b["cycles"]
 
     def test_run_bench_normalizes_against_calibration(self):
         point = BenchPoint("hashtable", "txcache", cores=1, operations=2)
         report = run_bench([point], repeats=1, calibration=1_000_000.0)
         rec = report["points"][point.key]
-        assert rec["normalized"] == round(rec["events_per_sec"] / 1e6, 6)
+        assert rec["normalized"] == round(
+            rec["instructions_per_sec"] / 1e6, 6)
         assert point.key in format_report(report)

@@ -142,6 +142,87 @@ class TestWriteAntiStarvation:
         assert stats.counter("nvm.write.starvation_grants") == 0
 
 
+class TestWakeSources:
+    """The scheduler runs only when a request becomes eligible or a
+    candidate's bank frees up — never on idle cycles in between."""
+
+    @staticmethod
+    def instrument(sim, ctrl):
+        """Log ``(request, cycle, done_cycle)`` per grant and count
+        scheduler ticks that ran (superseded ones return at once)."""
+        grants, ticks = [], []
+        service, tick = ctrl._service, ctrl._tick
+
+        def logged_service(request):
+            now = sim.now
+            service(request)
+            grants.append((request, now, request.bank.busy_until))
+
+        def logged_tick():
+            if ctrl._tick_at == sim.now:
+                ticks.append(sim.now)
+            tick()
+
+        ctrl._service = logged_service
+        ctrl._tick = logged_tick
+        return grants, ticks
+
+    @pytest.mark.parametrize("device", ["dram", "nvm"])
+    def test_blocked_request_wakes_when_its_bank_frees(self, device):
+        config = getattr(paper_machine_config(), device)
+        sim, stats, ctrl = make(config)
+        grants, ticks = self.instrument(sim, ctrl)
+        done = []
+        for line in same_bank_lines(config, 2):
+            ctrl.enqueue(read(line, cb=lambda r, c: done.append(c)))
+        sim.run()
+        (_first, first_at, first_done), (_second, second_at, _) = grants
+        assert first_at == 1  # eligible the cycle after arrival
+        assert second_at == first_done == done[0]  # the bank frees
+        # grant, the period re-arm that finds the bank busy, the wake
+        assert ticks == [1, 1 + config.scheduler_period_cycles, done[0]]
+
+    def test_at_most_one_grant_per_scheduler_period(self):
+        config = paper_machine_config().nvm
+        sim, stats, ctrl = make(config)
+        grants, _ticks = self.instrument(sim, ctrl)
+        for i in range(6):  # six different banks, all free
+            ctrl.enqueue(write(NVM_BASE + i * 64))
+        sim.run()
+        cycles = [cycle for _request, cycle, _done in grants]
+        period = config.scheduler_period_cycles
+        assert cycles == [1 + k * period for k in range(6)]
+
+    def test_write_retry_wakes_at_end_of_backoff(self):
+        from repro.common.config import FaultConfig
+        from repro.faults import FaultInjector
+
+        class FirstWriteFails(FaultInjector):
+            attempts = 0
+
+            def nvm_write_fails(self):
+                self.attempts += 1
+                return self.attempts == 1
+
+        backoff = 16
+        config = paper_machine_config().nvm
+        sim = Simulator()
+        stats = Stats()
+        ctrl = MemoryController(
+            sim, config, stats.scoped("nvm"), 2.0,
+            faults=FirstWriteFails(FaultConfig(nvm_write_fail_rate=0.5,
+                                               retry_backoff_cycles=backoff)))
+        grants, _ticks = self.instrument(sim, ctrl)
+        done = []
+        request = write(NVM_BASE, cb=lambda r, c: done.append(c))
+        ctrl.enqueue(request)
+        sim.run()
+        (first, _first_at, failed_at), (retry, retry_at, _done) = grants
+        assert first is retry is request and len(done) == 1
+        assert retry_at == failed_at + backoff
+        assert stats.counter("nvm.write.retries") == 1
+
+
 class TestSameLineOrdering:
     def test_writes_to_same_line_never_reorder(self):
         sim, stats, ctrl = make()

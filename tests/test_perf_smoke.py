@@ -1,7 +1,9 @@
 """Opt-in performance smoke gate (CI perf-smoke job).
 
-Runs the two smoke benchmark points and fails if normalized events/sec regresses more than the tolerance
-against the committed ``benchmarks/perf/BENCH_kernel.json``.
+Runs the two smoke benchmark points and fails if normalized simulated
+instructions/sec regresses more than the tolerance, or any callback
+owner's event count differs at all, against the committed
+``benchmarks/perf/BENCH_kernel.json``.
 
 Wall-clock assertions are inherently machine- and load-sensitive, so
 this module is **skipped unless ``REPRO_PERF_SMOKE=1``** — it must
