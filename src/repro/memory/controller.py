@@ -136,9 +136,9 @@ class MemoryController:
         self._inflight = 0
         self._last_write_service = 0
         self._last_grant = -config.scheduler_period_cycles
-        # Hot-path precomputation: bank timings (pure functions of the frozen config) and
-        # fully-qualified stat keys are resolved once here instead of
-        # per event.
+        # Hot-path precomputation: bank timings (pure functions of the
+        # frozen config) and fully-qualified stat keys are resolved once
+        # here instead of per event.
         timing = config.timing
         self._write_hit_cycles = timing.write_cycles(freq_ghz, row_hit=True)
         self._write_miss_cycles = timing.write_cycles(freq_ghz, row_hit=False)

@@ -26,6 +26,17 @@ def faulty_config(**kwargs):
     return FaultConfig(**kwargs)
 
 
+class FirstWriteFails(FaultInjector):
+    """Fails the first NVM write verification only (the configured
+    ``nvm_write_fail_rate`` is ignored)."""
+
+    attempts = 0
+
+    def nvm_write_fails(self):
+        self.attempts += 1
+        return self.attempts == 1
+
+
 # ---------------------------------------------------------------------------
 # injector
 # ---------------------------------------------------------------------------
@@ -195,22 +206,21 @@ class TestWriteVerifyRetry:
         assert len(completions) == 1
         assert stats.counter("mem.nvm.write.verify_failures") == 0
 
+    @staticmethod
+    def first_write_fails(backoff):
+        sim = Simulator()
+        stats = Stats()
+        faults = FirstWriteFails(faulty_config(
+            nvm_write_fail_rate=0.5, retry_backoff_cycles=backoff))
+        memory = MemorySystem(sim, small_machine_config(num_cores=1),
+                              stats, faults=faults)
+        return sim, stats, memory
+
     def test_retry_is_not_overtaken_by_newer_same_line_write(self):
         # v0's first attempt fails verification and backs off; v1,
         # queued behind it on the same line, must still reach the array
         # after it
-        class FirstWriteFails(FaultInjector):
-            attempts = 0
-
-            def nvm_write_fails(self):
-                self.attempts += 1
-                return self.attempts == 1
-
-        cfg = faulty_config(nvm_write_fail_rate=0.5, retry_backoff_cycles=16)
-        sim = Simulator()
-        faults = FirstWriteFails(cfg)
-        memory = MemorySystem(sim, small_machine_config(num_cores=1),
-                              Stats(), faults=faults)
+        sim, _stats, memory = self.first_write_fails(backoff=16)
         memory.write(NVM_BASE, Version(1, 0))
         memory.write(NVM_BASE, Version(1, 1))
         sim.run(max_events=100_000)
@@ -218,6 +228,27 @@ class TestWriteVerifyRetry:
                    in memory.durable_image.events]
         assert durable == [Version(1, 0), Version(1, 1)]
         assert memory.durable_image.current(NVM_BASE) == Version(1, 1)
+
+    def test_retry_waits_out_backoff_then_its_bank(self):
+        backoff = 16
+        sim, stats, memory = self.first_write_fails(backoff)
+        controller = memory.nvm
+        grants = []
+        service = controller._service
+
+        def logged_service(request):
+            now = sim.now
+            service(request)
+            grants.append((now, request.bank.busy_until))
+
+        controller._service = logged_service
+        memory.write(NVM_BASE, Version(1, 0))
+        sim.run(max_events=100_000)
+        (_first_at, failed_at), (retry_at, _done) = grants
+        # the bank is free when the backoff ends, so the scheduler
+        # wakes for the retry exactly then
+        assert retry_at == failed_at + backoff
+        assert stats.counter("mem.nvm.write.retries") == 1
 
     @pytest.mark.parametrize("workload,scheme", [
         ("hashtable", "sp"), ("hashtable", "undo_log")])

@@ -124,6 +124,19 @@ class TestRequestQueue:
         q.push(target)
         assert q.find_line(NVM_BASE + 64) is target
 
+    def test_requeue_goes_to_head_and_spills_newest_when_full(self):
+        q = RequestQueue("q", 2)
+        first, second, third, retry = read(0), read(64), read(128), read(192)
+        for request in (first, second, third):
+            q.push(request)
+        q.requeue(retry)
+        assert list(q) == [retry, first]
+        assert q.backlog_depth == 2
+        assert q.find_line(192) is retry
+        q.pop(retry)
+        q.pop(first)
+        assert list(q) == [second, third]  # arrival order kept
+
     def test_occupancy_fraction(self):
         q = RequestQueue("q", 4)
         q.push(read(0))

@@ -35,6 +35,27 @@ def same_bank_lines(config, count, start=0):
     return [NVM_BASE + start + i * stride for i in range(count)]
 
 
+def instrument(sim, ctrl):
+    """Log ``(request, cycle, done_cycle)`` per grant, and the cycles of
+    scheduler ticks that ran (superseded ones return at once)."""
+    grants, ticks = [], []
+    service, tick = ctrl._service, ctrl._tick
+
+    def logged_service(request):
+        now = sim.now
+        service(request)
+        grants.append((request, now, request.bank.busy_until))
+
+    def logged_tick():
+        if ctrl._tick_at == sim.now:
+            ticks.append(sim.now)
+        tick()
+
+    ctrl._service = logged_service
+    ctrl._tick = logged_tick
+    return grants, ticks
+
+
 class TestFrFcfs:
     def test_row_hit_preferred_over_older_row_miss(self):
         cfg = paper_machine_config().nvm
@@ -92,20 +113,13 @@ class TestWriteAntiStarvation:
         read-first always prefers until the write starves.
 
         Returns the stats, the write's completion cycles, the reads'
-        completion cycles and the ``(request, cycle)`` grant log."""
+        completion cycles and the grant log of :func:`instrument`."""
         cfg = paper_machine_config().nvm
         sim, stats, ctrl = make()
         write_line, *read_lines = same_bank_lines(cfg, 1 + chains)
         write_done = []
         read_done = []
-        grants = []
-        service = ctrl._service
-
-        def logged_service(request):
-            grants.append((request, sim.now))
-            service(request)
-
-        ctrl._service = logged_service
+        grants, _ticks = instrument(sim, ctrl)
         ctrl.enqueue(write(write_line, cb=lambda r, c: write_done.append(c)))
         state = {"count": 0}
 
@@ -136,7 +150,7 @@ class TestWriteAntiStarvation:
         # by read-first order, not by the starvation rule
         stats, _write_done, read_done, grants = \
             self._run_with_read_stream(chains=1)
-        kinds = [request.is_write for request, _cycle in grants[:2]]
+        kinds = [request.is_write for request, _cycle, _done in grants[:2]]
         assert kinds == [False, True]
         assert grants[1][1] == read_done[0]  # the first free bank cycle
         assert stats.counter("nvm.write.starvation_grants") == 0
@@ -146,32 +160,11 @@ class TestWakeSources:
     """The scheduler runs only when a request becomes eligible or a
     candidate's bank frees up — never on idle cycles in between."""
 
-    @staticmethod
-    def instrument(sim, ctrl):
-        """Log ``(request, cycle, done_cycle)`` per grant and count
-        scheduler ticks that ran (superseded ones return at once)."""
-        grants, ticks = [], []
-        service, tick = ctrl._service, ctrl._tick
-
-        def logged_service(request):
-            now = sim.now
-            service(request)
-            grants.append((request, now, request.bank.busy_until))
-
-        def logged_tick():
-            if ctrl._tick_at == sim.now:
-                ticks.append(sim.now)
-            tick()
-
-        ctrl._service = logged_service
-        ctrl._tick = logged_tick
-        return grants, ticks
-
     @pytest.mark.parametrize("device", ["dram", "nvm"])
     def test_blocked_request_wakes_when_its_bank_frees(self, device):
         config = getattr(paper_machine_config(), device)
         sim, stats, ctrl = make(config)
-        grants, ticks = self.instrument(sim, ctrl)
+        grants, ticks = instrument(sim, ctrl)
         done = []
         for line in same_bank_lines(config, 2):
             ctrl.enqueue(read(line, cb=lambda r, c: done.append(c)))
@@ -183,44 +176,19 @@ class TestWakeSources:
         assert ticks == [1, 1 + config.scheduler_period_cycles, done[0]]
 
     def test_at_most_one_grant_per_scheduler_period(self):
+        # three writes (free banks) arrive on the cycle of a grant,
+        # after it; their kick must not squeeze a second grant into the
+        # period that grant started
         config = paper_machine_config().nvm
         sim, stats, ctrl = make(config)
-        grants, _ticks = self.instrument(sim, ctrl)
-        for i in range(6):  # six different banks, all free
-            ctrl.enqueue(write(NVM_BASE + i * 64))
+        grants, _ticks = instrument(sim, ctrl)
+        ctrl.enqueue(write(NVM_BASE))
+        for i in range(1, 4):
+            sim.schedule_at(1, ctrl.enqueue, write(NVM_BASE + i * 64))
         sim.run()
         cycles = [cycle for _request, cycle, _done in grants]
         period = config.scheduler_period_cycles
-        assert cycles == [1 + k * period for k in range(6)]
-
-    def test_write_retry_wakes_at_end_of_backoff(self):
-        from repro.common.config import FaultConfig
-        from repro.faults import FaultInjector
-
-        class FirstWriteFails(FaultInjector):
-            attempts = 0
-
-            def nvm_write_fails(self):
-                self.attempts += 1
-                return self.attempts == 1
-
-        backoff = 16
-        config = paper_machine_config().nvm
-        sim = Simulator()
-        stats = Stats()
-        ctrl = MemoryController(
-            sim, config, stats.scoped("nvm"), 2.0,
-            faults=FirstWriteFails(FaultConfig(nvm_write_fail_rate=0.5,
-                                               retry_backoff_cycles=backoff)))
-        grants, _ticks = self.instrument(sim, ctrl)
-        done = []
-        request = write(NVM_BASE, cb=lambda r, c: done.append(c))
-        ctrl.enqueue(request)
-        sim.run()
-        (first, _first_at, failed_at), (retry, retry_at, _done) = grants
-        assert first is retry is request and len(done) == 1
-        assert retry_at == failed_at + backoff
-        assert stats.counter("nvm.write.retries") == 1
+        assert cycles == [1 + k * period for k in range(4)]
 
 
 class TestSameLineOrdering:
