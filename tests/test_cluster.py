@@ -35,7 +35,12 @@ from repro.cluster import (
 )
 from repro.cluster.transport import request_json
 from repro.common.stats import Stats
-from repro.serve import parse_request, read_http_request, write_http_response
+from repro.serve import (
+    ServeService,
+    parse_request,
+    read_http_request,
+    write_http_response,
+)
 
 
 def run_async(coro):
@@ -726,3 +731,135 @@ class TestRouterObservability:
                 await _stop_router(router, task)
                 await stub.stop()
         run_async(scenario())
+
+
+# ---------------------------------------------------------------------------
+# one wire contract for node and router
+# ---------------------------------------------------------------------------
+async def _start_service(role):
+    """A serve node, or a router over one stub node, on an ephemeral
+    port; returns ``(service, run_task, stub)``."""
+    stub = await StubNode().start()
+    if role == "router":
+        service, task = await _start_router([stub.info("only")],
+                                            replication=1)
+        return service, task, stub
+    service = ServeService(port=0, jobs=1)
+    task = asyncio.create_task(service.run(install_signals=False))
+    while service.bound_port is None:
+        await asyncio.sleep(0.005)
+    return service, task, stub
+
+
+async def _exchange(reader, writer, method, target, body=b"",
+                    headers=()):
+    """One raw HTTP/1.1 exchange on an open connection; returns
+    ``(status, lowercased headers, body bytes)``."""
+    lines = [f"{method} {target} HTTP/1.1", "Host: 127.0.0.1",
+             f"Content-Length: {len(body)}"]
+    lines.extend(f"{name}: {value}" for name, value in headers)
+    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+                 + body)
+    await writer.drain()
+    status_line = await asyncio.wait_for(reader.readline(), 10)
+    status = int(status_line.split()[1])
+    response_headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        response_headers[name.strip().lower()] = value.strip()
+    blob = await reader.readexactly(
+        int(response_headers["content-length"]))
+    return status, response_headers, blob
+
+
+def _on_one_connection(role, exchange):
+    """Run ``exchange(reader, writer)`` against a fresh service of the
+    given role, closing the connection before the service stops."""
+    async def scenario():
+        service, task, stub = await _start_service(role)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.bound_port)
+        try:
+            await exchange(reader, writer)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            service.request_shutdown()
+            await asyncio.wait_for(task, timeout=15)
+            await stub.stop()
+    run_async(scenario())
+
+
+@pytest.mark.parametrize("role", ["node", "router"])
+class TestServiceWireContract:
+    def test_wrong_method_is_405_on_every_route(self, role):
+        async def exchange(reader, writer):
+            for target, wrong, right in (
+                    ("/healthz", "POST", "GET"),
+                    ("/stats", "POST", "GET"),
+                    ("/metrics", "POST", "GET"),
+                    ("/trace", "DELETE", "GET"),
+                    ("/v1/points", "GET", "POST")):
+                status, _headers, blob = await _exchange(
+                    reader, writer, wrong, target)
+                assert status == 405, target
+                assert json.loads(blob) == {"error": f"use {right}"}
+        _on_one_connection(role, exchange)
+
+    def test_unknown_path_is_404(self, role):
+        async def exchange(reader, writer):
+            status, _headers, blob = await _exchange(
+                reader, writer, "GET", "/nope")
+            assert status == 404
+            assert json.loads(blob) == {
+                "error": "no such endpoint '/nope'"}
+        _on_one_connection(role, exchange)
+
+    def test_non_json_body_is_400(self, role):
+        async def exchange(reader, writer):
+            status, headers, blob = await _exchange(
+                reader, writer, "POST", "/v1/points", b"{not json")
+            payload = json.loads(blob)
+            assert status == 400
+            assert payload["error"] == "request body is not valid JSON"
+            assert payload["request_id"] == headers["x-request-id"]
+        _on_one_connection(role, exchange)
+
+    def test_request_id_round_trips_in_header_and_body(self, role):
+        async def exchange(reader, writer):
+            body = json.dumps({"workload": "nope",
+                               "scheme": "txcache"}).encode("utf-8")
+            status, headers, blob = await _exchange(
+                reader, writer, "POST", "/v1/points", body,
+                headers=[("X-Request-Id", "wire-rid-1")])
+            payload = json.loads(blob)
+            assert status == 400
+            assert "workload" in payload["error"]
+            assert payload["request_id"] == "wire-rid-1"
+            assert headers["x-request-id"] == "wire-rid-1"
+        _on_one_connection(role, exchange)
+
+    def test_two_requests_share_one_keep_alive_connection(self, role):
+        async def exchange(reader, writer):
+            for _ in range(2):
+                status, headers, blob = await _exchange(
+                    reader, writer, "GET", "/healthz")
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                assert headers["content-type"] == "application/json"
+                assert json.loads(blob)["live"] is True
+        _on_one_connection(role, exchange)
+
+    def test_connection_close_is_honoured(self, role):
+        async def exchange(reader, writer):
+            status, headers, _blob = await _exchange(
+                reader, writer, "GET", "/healthz",
+                headers=[("Connection", "close")])
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+        _on_one_connection(role, exchange)
+
