@@ -33,9 +33,9 @@ import sys
 import tempfile
 
 from repro.cluster import LocalFleet, RouterService
-from repro.cluster.router import run_router_in_thread
 from repro.obs import (merge_chrome_traces, parse_prometheus,
                        validate_chrome_trace)
+from repro.serve import run_in_thread
 from repro.serve.client import ServeClient
 from repro.serve.protocol import parse_request
 from repro.sim.parallel import execute_point
@@ -87,7 +87,7 @@ def main() -> int:
     with fleet:
         router = RouterService(fleet.infos(), replication=min(
             2, args.nodes), port=0)
-        thread, port = run_router_in_thread(router)
+        thread, port = run_in_thread(router)
         client = ServeClient(port=port)
         response = client.submit(request, retries=3, request_id=rid)
         if response.get("request_id") != rid:

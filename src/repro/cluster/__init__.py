@@ -39,7 +39,7 @@ from .chaos import (
 from .fleet import LocalFleet, NodeProcess
 from .membership import Membership, NodeInfo
 from .placement import HashRing
-from .router import ReplicasExhausted, RouterService, run_router_in_thread
+from .router import ReplicasExhausted, RouterService
 
 __all__ = [
     "ChaosAction",
@@ -54,5 +54,4 @@ __all__ = [
     "default_grid",
     "make_plan",
     "run_chaos",
-    "run_router_in_thread",
 ]

@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..serve.client import ServeClient, ServeError
+from ..serve.http import run_in_thread
 from ..serve.protocol import parse_request
 from ..sim.parallel import execute_point
 from .fleet import LocalFleet
-from .router import RouterService, run_router_in_thread
+from .router import RouterService
 
 #: what a plan may do to a node
 ACTIONS = ("kill", "restart", "hang", "resume")
@@ -202,7 +203,7 @@ def run_chaos(specs: Sequence[Dict[str, object]], *,
             health_interval_seconds=health_interval_seconds,
             probe_timeout=1.0,
             request_timeout=request_timeout)
-        router_thread, router_port = run_router_in_thread(router)
+        router_thread, router_port = run_in_thread(router)
         client = ServeClient(port=router_port,
                              timeout=request_timeout * 4)
         note(f"router on :{router_port}; submitting "

@@ -32,28 +32,25 @@ and turns them into a degradable fleet:
   per-node-prefixed (``nodes.<id>.*``), alongside the router's own
   routing counters.
 
-The HTTP surface mirrors one node's (``POST /v1/points``,
-``GET /healthz``, ``GET /stats``), so a :class:`~repro.serve.client.
-ServeClient` pointed at a router needs no changes at all.
+The router runs on the same HTTP service shell as a node
+(:mod:`repro.serve.http`): same endpoints, same wire contract, same
+lifecycle.  It plugs in forward-with-failover as its submit step, the
+health loop as a background task, and the fleet-wide payloads, so a
+:class:`~repro.serve.client.ServeClient` pointed at a router needs no
+changes at all.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Coroutine, Dict, List, Optional, Sequence, Tuple
 
 from ..common.stats import Stats
 from ..faults import exponential_backoff
-from ..obs.jsonlog import get_logger
 from ..obs.metrics import stats_to_prometheus
-from ..obs.spans import SpanRecorder
-from ..serve.ops import (TimeSlicer, ensure_request_id,
-                         install_signal_handlers, tick_forever)
-from ..serve.protocol import ProtocolError, parse_request
-from ..serve.server import read_http_request, write_http_response
+from ..serve.http import HttpService, Response
+from ..serve.ops import RetryLater, hit_ratio
+from ..serve.protocol import PointRequest
 from .membership import Membership, NodeInfo
 from .placement import HashRing
 from .transport import request_json
@@ -63,19 +60,25 @@ from .transport import request_json
 _FAILOVER_STATUSES = frozenset({500, 502, 503, 504})
 
 
-class ReplicasExhausted(Exception):
+class ReplicasExhausted(RetryLater):
     """Every candidate failed on every attempt (router answers 503)."""
 
     def __init__(self, key: str, attempts: int,
                  retry_after: int) -> None:
         super().__init__(
             f"point {key[:12]}…: all replicas failed over "
-            f"{attempts} attempt(s), retry after ~{retry_after}s")
-        self.retry_after = retry_after
+            f"{attempts} attempt(s), retry after ~{retry_after}s",
+            retry_after)
 
 
-class RouterService:
+class RouterService(HttpService):
     """Sharded, replicated front-end over a fixed node list."""
+
+    prefix = "cluster"
+    role = "router"
+    request_span = ("route", "route")
+    request_event = "route"
+    request_log_fields = ("key", "node")
 
     def __init__(self, nodes: Sequence[NodeInfo], replication: int = 2,
                  host: str = "127.0.0.1", port: int = 8341,
@@ -97,139 +100,33 @@ class RouterService:
                 f"{len(nodes)}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        self.host = host
-        self.port = port
-        self.bound_port: Optional[int] = None
+        super().__init__(host, port, "router", epoch_ms, ready_callback)
         self.replication = replication
         self.retries = retries
         self.retry_backoff_seconds = retry_backoff_seconds
         self.health_interval_seconds = health_interval_seconds
         self.request_timeout = request_timeout
-        self.stats = Stats()
         self.ring = HashRing(info.node_id for info in nodes)
         self.membership = Membership(nodes,
                                      fail_threshold=fail_threshold,
                                      probe_timeout=probe_timeout,
                                      stats=self.stats)
-        self.slicer = TimeSlicer(epoch_ms=epoch_ms)
+        self._inflight: Dict[str, asyncio.Future] = {}
         self.slicer.add_probe("ready_nodes",
                               lambda: len(self.membership.ready_ids()))
         self.slicer.add_probe("inflight", lambda: len(self._inflight))
-        self.spans = SpanRecorder("router")
-        self.log = get_logger()
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._ready_callback = ready_callback
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
-    # -- lifecycle -----------------------------------------------------
-    def request_shutdown(self) -> None:
-        """Stop the router; callable from any thread."""
-        loop, shutdown = self._loop, self._shutdown
-        if loop is None or shutdown is None:
-            return
-        loop.call_soon_threadsafe(shutdown.set)
+    # -- backend -------------------------------------------------------
+    def _background(self) -> List[Coroutine]:
+        return [self._health_forever()]
 
-    async def run(self, install_signals: bool = True) -> None:
-        """Route until shutdown is requested."""
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        server = await asyncio.start_server(self._handle_connection,
-                                            self.host, self.port)
-        self.bound_port = server.sockets[0].getsockname()[1]
-        if install_signals:
-            install_signal_handlers(self._loop, self._shutdown.set)
-        health = asyncio.create_task(self._health_forever())
-        # telemetry ticks on its own task: coupling the sampler to the
-        # health loop leaves idle-period gaps whenever probes stall
-        ticker = asyncio.create_task(tick_forever(self.slicer))
-        if self._ready_callback is not None:
-            self._ready_callback(self.bound_port)
-        self.log.log("router.ready", host=self.host,
-                     port=self.bound_port,
-                     nodes=len(self.membership.node_ids))
-        try:
-            await self._shutdown.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            # let in-flight forwards answer their clients
-            if self._connections:
-                await asyncio.wait(set(self._connections), timeout=10)
-            for task in (health, ticker):
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-            self.log.log("router.stop",
-                         uptime_seconds=round(
-                             self.slicer.uptime_seconds, 3))
+    def _ready_fields(self) -> Dict[str, object]:
+        return {"nodes": len(self.membership.node_ids)}
 
     async def _health_forever(self) -> None:
         while True:
             await self.membership.check_once()
             await asyncio.sleep(self.health_interval_seconds)
-
-    # -- HTTP front ----------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._connections[task] = writer
-        try:
-            while True:
-                request = await read_http_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                self.stats.inc("cluster.http.requests")
-                status, payload, extra = await self._dispatch(
-                    method, target, body, headers)
-                self.stats.inc(f"cluster.http.{status}")
-                keep_alive = headers.get("connection", "").lower() \
-                    != "close"
-                await write_http_response(writer, status, payload,
-                                          extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.LimitOverrunError, ValueError):
-            pass  # half-closed or garbage connection: just drop it
-        finally:
-            self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(self, method: str, target: str, body: bytes,
-                        headers: Optional[Dict[str, str]] = None
-                        ) -> Tuple[int, Dict[str, object],
-                                   Dict[str, str]]:
-        target = target.split("?", 1)[0]
-        if target == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, self.healthz_payload(), {}
-        if target == "/stats":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, await self.cluster_stats(), {}
-        if target == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, await self.cluster_metrics(), {}
-        if target == "/trace":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, self.spans.chrome_trace(), {}
-        if target == "/v1/points":
-            if method != "POST":
-                return 405, {"error": "use POST"}, {}
-            return await self._submit(body, ensure_request_id(headers))
-        return 404, {"error": f"no such endpoint {target!r}"}, {}
 
     def healthz_payload(self) -> Dict[str, object]:
         ready = self.membership.ready_ids()
@@ -245,46 +142,12 @@ class RouterService:
         }
 
     # -- routing -------------------------------------------------------
-    async def _submit(self, body: bytes,
-                      request_id: Optional[str] = None
-                      ) -> Tuple[int, Dict[str, object],
-                                 Dict[str, str]]:
-        if request_id is None:
-            request_id = ensure_request_id()
-        started = time.perf_counter()
-        with self.spans.span("route", "route",
-                             request_id=request_id) as span:
-            status, payload, extra = await self._submit_inner(
-                body, request_id)
-            span["status"] = status
-            if "key" in payload:
-                span["key"] = payload["key"]
-        self.stats.hist("cluster.request.ms",
-                        (time.perf_counter() - started) * 1000)
-        # every waiter (coalesced or not) answers with its *own* id
-        payload = dict(payload)
-        payload["request_id"] = request_id
-        extra = dict(extra)
-        extra["X-Request-Id"] = request_id
-        self.log.log("route", request_id=request_id, status=status,
-                     key=payload.get("key"), node=payload.get("node"))
-        return status, payload, extra
-
-    async def _submit_inner(self, body: bytes, request_id: str
-                            ) -> Tuple[int, Dict[str, object],
-                                       Dict[str, str]]:
-        # Parse at the edge: a malformed spec is a 400 here, never a
-        # wasted forward; a valid one yields the engine spec key the
-        # ring places.  The original body is forwarded verbatim so the
-        # node builds the byte-identical point.
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return 400, {"error": "request body is not valid JSON"}, {}
-        try:
-            request = parse_request(data)
-        except ProtocolError as error:
-            return 400, {"error": str(error)}, {}
+    async def _submit(self, request: PointRequest, body: bytes,
+                      request_id: str) -> Response:
+        # The shell parsed at the edge: a malformed spec was a 400
+        # there, never a wasted forward.  The original body is
+        # forwarded verbatim so the node builds the byte-identical
+        # point.
         key = request.key
 
         future = self._inflight.get(key)
@@ -294,12 +157,7 @@ class RouterService:
             self.stats.inc("cluster.coalesced")
             self.spans.instant("route", "coalesce.join",
                                request_id=request_id, key=key)
-            try:
-                return await asyncio.shield(future)
-            except ReplicasExhausted as error:
-                return self._exhausted_response(error)
-            except asyncio.CancelledError:
-                raise
+            return await asyncio.shield(future)
 
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
@@ -308,9 +166,6 @@ class RouterService:
                                                         request_id)
             future.set_result(response)
             return response
-        except ReplicasExhausted as error:
-            future.set_exception(error)
-            return self._exhausted_response(error)
         except BaseException as error:
             future.set_exception(error)
             raise
@@ -318,14 +173,6 @@ class RouterService:
             self._inflight.pop(key, None)
             if future.done() and not future.cancelled():
                 future.exception()   # absorb if nobody coalesced
-
-    @staticmethod
-    def _exhausted_response(error: ReplicasExhausted
-                            ) -> Tuple[int, Dict[str, object],
-                                       Dict[str, str]]:
-        return 503, {"error": str(error),
-                     "retry_after": error.retry_after}, \
-            {"Retry-After": str(error.retry_after)}
 
     def candidates(self, key: str) -> List[str]:
         """Failover order for a key: ready home replicas, then ready
@@ -345,8 +192,7 @@ class RouterService:
 
     async def _forward_with_retries(
             self, key: str, body: bytes,
-            request_id: Optional[str] = None
-    ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+            request_id: Optional[str] = None) -> Response:
         attempts = 0
         retry_after = 0
         forward_headers = ({"X-Request-Id": request_id}
@@ -410,27 +256,48 @@ class RouterService:
                                 retry_after=max(retry_after, 1))
 
     # -- the merged cluster view ---------------------------------------
-    async def cluster_stats(self) -> Dict[str, object]:
+    async def _fleet_stats(self) -> Tuple[
+            Stats, Dict[str, Optional[Tuple[Dict[str, object], Stats]]]]:
+        """Every node's ``/stats``, fetched concurrently: the fleet's
+        summed counters, and node id → ``(payload, counters)``, or
+        ``None`` for an unreachable node."""
+        async def fetch(info: NodeInfo):
+            try:
+                status, _headers, payload = await request_json(
+                    info.host, info.port, "GET", "/stats",
+                    timeout=self.membership.probe_timeout)
+            except (OSError, asyncio.TimeoutError, ValueError):
+                return None
+            if status != 200:
+                return None
+            counters = payload.get("counters", {})
+            return payload, Stats.from_flat(
+                counters if isinstance(counters, dict) else {})
+
+        node_ids = self.membership.node_ids
+        fetched = await asyncio.gather(
+            *(fetch(self.membership.node(node_id)) for node_id in node_ids))
+        totals = Stats()
+        for row in fetched:
+            if row is not None:
+                totals.merge(row[1])
+        return totals, dict(zip(node_ids, fetched))
+
+    async def stats_payload(self) -> Dict[str, object]:
         """``/stats``: every reachable node's registry folded into one
         via :meth:`Stats.merge` — ``cluster.counters`` sums the fleet,
         ``nodes.<id>.*`` keeps the per-node split, and the cache block
         aggregates hit/miss/eviction effectiveness."""
-        node_ids = self.membership.node_ids
-        results = await asyncio.gather(
-            *(self._fetch_stats(node_id) for node_id in node_ids))
-        totals = Stats()
+        totals, rows = await self._fleet_stats()
         by_node = Stats()
         nodes: Dict[str, object] = {}
         cache = {"hits": 0, "misses": 0, "evictions": 0, "entries": 0,
                  "size_bytes": 0}
-        for node_id, payload in zip(node_ids, results):
-            if payload is None:
+        for node_id, row in rows.items():
+            if row is None:
                 nodes[node_id] = {"reachable": False}
                 continue
-            counters = payload.get("counters", {})
-            flat = Stats.from_flat(counters if isinstance(counters, dict)
-                                   else {})
-            totals.merge(flat)
+            payload, flat = row
             by_node.merge(flat, prefix=f"{node_id}.")
             node_cache = payload.get("cache", {})
             if isinstance(node_cache, dict):
@@ -448,9 +315,7 @@ class RouterService:
                 "uptime_seconds": payload.get("uptime_seconds"),
                 "cache": node_cache,
             }
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_ratio"] = round(cache["hits"] / lookups, 6) \
-            if lookups else 0.0
+        cache["hit_ratio"] = hit_ratio(cache["hits"], cache["misses"])
         return {
             "role": "router",
             "replication": self.replication,
@@ -463,7 +328,7 @@ class RouterService:
             "counters_by_node": by_node.dump(),
         }
 
-    async def cluster_metrics(self) -> str:
+    async def metrics_payload(self) -> str:
         """``/metrics``: the router's own registry (``repro_*``,
         labelled ``role="router"``) followed by the fleet's summed
         counters rebuilt via :meth:`Stats.from_flat` + :meth:`merge`
@@ -478,56 +343,10 @@ class RouterService:
                 "inflight": len(self._inflight),
                 "uptime_seconds": round(self.slicer.uptime_seconds, 3),
             })
-        node_ids = self.membership.node_ids
-        results = await asyncio.gather(
-            *(self._fetch_stats(node_id) for node_id in node_ids))
-        totals = Stats()
-        reachable = 0
-        for payload in results:
-            if payload is None:
-                continue
-            reachable += 1
-            counters = payload.get("counters", {})
-            totals.merge(Stats.from_flat(
-                counters if isinstance(counters, dict) else {}))
+        totals, rows = await self._fleet_stats()
+        reachable = sum(row is not None for row in rows.values())
         fleet = stats_to_prometheus(
             totals, namespace="repro_fleet",
             labels={"role": "router"},
             gauges={"reachable_nodes": reachable})
         return own + fleet
-
-    async def _fetch_stats(self, node_id: str
-                           ) -> Optional[Dict[str, object]]:
-        info = self.membership.node(node_id)
-        try:
-            status, _headers, payload = await request_json(
-                info.host, info.port, "GET", "/stats",
-                timeout=self.membership.probe_timeout)
-        except (OSError, asyncio.TimeoutError, ValueError):
-            return None
-        return payload if status == 200 else None
-
-
-def run_router_in_thread(router: RouterService
-                         ) -> Tuple[threading.Thread, int]:
-    """Start a router on a daemon thread; returns ``(thread,
-    bound_port)`` once it is listening — same harness shape as
-    :func:`repro.serve.server.run_in_thread`."""
-    ready = threading.Event()
-    ports: List[int] = []
-    previous = router._ready_callback
-
-    def on_ready(port: int) -> None:
-        ports.append(port)
-        ready.set()
-        if previous is not None:
-            previous(port)
-
-    router._ready_callback = on_ready
-    thread = threading.Thread(
-        target=lambda: asyncio.run(router.run(install_signals=False)),
-        name="repro-cluster-router", daemon=True)
-    thread.start()
-    if not ready.wait(timeout=30):
-        raise RuntimeError("router failed to start within 30s")
-    return thread, ports[0]

@@ -1,7 +1,7 @@
 """Minimal asyncio HTTP/1.1 JSON client used inside the router.
 
 The serve tier speaks a deliberately tiny HTTP dialect
-(:mod:`repro.serve.server`); this is its client-side mirror — one
+(:mod:`repro.serve.http`); this is its client-side mirror — one
 ``Connection: close`` request per call, stdlib only, every call bounded
 by a timeout so a hung node (e.g. a SIGSTOPped process in the chaos
 harness) turns into :class:`asyncio.TimeoutError` instead of a wedged
@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 import json
 from typing import Dict, Optional, Tuple
+
+from ..serve.http import read_http_headers
 
 
 async def request_json(host: str, port: int, method: str, path: str,
@@ -60,13 +62,7 @@ async def _request(host: str, port: int, method: str, path: str,
             raise ConnectionError(
                 f"malformed status line {status_line!r}")
         status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        headers = await read_http_headers(reader)
         length = headers.get("content-length")
         raw = (await reader.readexactly(int(length)) if length
                else await reader.read())

@@ -13,11 +13,12 @@ minimal hand-rolled HTTP/1.1 JSON protocol.  Pieces:
   a cache-first fast path,
 * :mod:`~repro.serve.pool` — the worker fleet: a crash-tolerant
   ``ProcessPoolExecutor`` with bounded exponential-backoff retry,
-* :mod:`~repro.serve.ops` — /healthz, /stats (with wall-clock
-  time-sliced telemetry via the observability layer's EpochSampler),
-  and graceful SIGTERM drain,
-* :mod:`~repro.serve.server` — the asyncio front-end tying it all
-  together (``repro serve``),
+* :mod:`~repro.serve.ops` — wall-clock time-sliced telemetry (via the
+  observability layer's EpochSampler) and request ids,
+* :mod:`~repro.serve.http` — the HTTP service shell shared with the
+  cluster router: lifecycle, connection loop, dispatch,
+* :mod:`~repro.serve.server` — the node: the shell in front of the
+  scheduler, with its ops payloads (``repro serve``),
 * :mod:`~repro.serve.client` — the small sync client (``repro
   submit``, tests, CI).
 
@@ -26,16 +27,11 @@ tuning guidance.
 """
 
 from .client import ServeClient, ServeError
+from .http import read_http_request, run_in_thread, write_http_response
 from .pool import WorkerCrashed, WorkerFleet
 from .protocol import PointRequest, ProtocolError, parse_request
 from .scheduler import DeadlineExpired, Draining, QueueFull, Scheduler
-from .server import (
-    ServeService,
-    read_http_request,
-    run_in_thread,
-    serve_forever,
-    write_http_response,
-)
+from .server import ServeService, serve_forever
 
 __all__ = [
     "DeadlineExpired",

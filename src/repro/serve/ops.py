@@ -1,7 +1,7 @@
-"""Operational surface of the simulation service.
+"""Operational helpers shared by the serve node and the cluster router.
 
-``/healthz`` and ``/stats`` payload construction, wall-clock
-time-sliced telemetry, and graceful SIGTERM/SIGINT drain.
+Wall-clock time-sliced telemetry, request correlation ids, the cache
+hit ratio, and the retry-later refusal.
 
 Time slicing reuses the observability layer's
 :class:`~repro.obs.sampler.EpochSampler` unchanged: the sampler is
@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import asyncio
 import re
-import signal
 import time
 import uuid
 from typing import Callable, Dict, List, Mapping, Optional
 
-from ..obs.metrics import stats_to_prometheus
 from ..obs.sampler import EpochSampler
 from ..obs.tracer import Tracer
 
@@ -74,8 +72,8 @@ async def tick_forever(slicer: TimeSlicer) -> None:
     (health probes, request handling): a slicer ticked only when
     something else happens leaves holes in the queue-depth/occupancy
     series exactly when the interesting thing is that *nothing* is
-    happening.  Both the serve node and the cluster router run this as
-    their own asyncio task."""
+    happening.  The service shell (:mod:`repro.serve.http`) runs this
+    as its own asyncio task."""
     while True:
         slicer.tick()
         await asyncio.sleep(slicer.epoch_ms / 1000)
@@ -98,97 +96,19 @@ def ensure_request_id(headers: Optional[Mapping[str, str]] = None) -> str:
     return uuid.uuid4().hex
 
 
-def metrics_payload(service) -> str:
-    """The node's ``/metrics`` exposition text: every Stats counter
-    and histogram plus point-in-time gauges, labelled with the node
-    id so fleet scrapes stay distinguishable."""
-    scheduler = service.scheduler
-    gauges: Dict[str, float] = {
-        "queue_depth": scheduler.queue_depth,
-        "inflight": scheduler.inflight,
-        "draining": 1 if scheduler.draining else 0,
-        "uptime_seconds": round(service.slicer.uptime_seconds, 3),
-    }
-    if scheduler.cache is not None:
-        gauges["cache_entries"] = len(scheduler.cache)
-        gauges["cache_size_bytes"] = scheduler.cache.size_bytes()
-    labels = {"node": service.node_id} if service.node_id else {}
-    return stats_to_prometheus(service.stats, namespace="repro",
-                               labels=labels, gauges=gauges)
+class RetryLater(Exception):
+    """A refusal for now, not a failure: the service shell answers 503
+    with the error, a ``retry_after`` field and a ``Retry-After``
+    header (seconds)."""
+
+    def __init__(self, message: str, retry_after: int) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
-def healthz_payload(service) -> Dict[str, object]:
-    """Liveness *and* readiness in one probe.
-
-    ``live`` is unconditional — answering at all proves the event loop
-    is turning.  ``ready`` means "send me new work": a draining node
-    (SIGTERM received, scheduler finishing its in-flight points) is
-    still live but *not* ready, which is what tells the cluster router
-    to fail its keys over to the next replica instead of feeding a
-    dying node.
-    """
-    draining = service.scheduler.draining
-    return {
-        "status": "draining" if draining else "ok",
-        "live": True,
-        "ready": not draining,
-        "node": service.node_id,
-        "uptime_seconds": round(service.slicer.uptime_seconds, 3),
-    }
-
-
-def stats_payload(service) -> Dict[str, object]:
-    """The /stats JSON: aggregate counters + queue/cache gauges +
-    recent time series."""
-    stats = service.stats
-    scheduler = service.scheduler
-    hits = stats.counter("serve.cache.hits")
-    misses = stats.counter("serve.cache.misses")
+def hit_ratio(hits: float, misses: float) -> float:
+    """Cache hits over lookups as served on the wire; 0.0 before the
+    first lookup."""
     lookups = hits + misses
-    cache: Dict[str, object] = {
-        "configured": scheduler.cache is not None,
-        "hits": hits,
-        "misses": misses,
-        "hit_ratio": round(hits / lookups, 6) if lookups else 0.0,
-    }
-    if scheduler.cache is not None:
-        cache["entries"] = len(scheduler.cache)
-        cache["size_bytes"] = scheduler.cache.size_bytes()
-        cache["max_bytes"] = scheduler.cache.max_bytes
-        # the store's own view: lookups it served (hits/misses of
-        # every get(), scheduler or engine) and entries evicted by
-        # the size cap — per-node cache effectiveness for the
-        # cluster's merged /stats
-        cache["store_hits"] = scheduler.cache.hits
-        cache["store_misses"] = scheduler.cache.misses
-        cache["evictions"] = scheduler.cache.evictions
-    return {
-        "node": service.node_id,
-        "uptime_seconds": round(service.slicer.uptime_seconds, 3),
-        "draining": scheduler.draining,
-        "queue_depth": scheduler.queue_depth,
-        "inflight": scheduler.inflight,
-        "max_queue": scheduler.max_queue,
-        "max_inflight": scheduler.max_inflight,
-        "jobs": service.fleet.jobs,
-        "cache": cache,
-        "counters": stats.dump(),
-        "timeseries": service.slicer.series(),
-    }
+    return round(hits / lookups, 6) if lookups else 0.0
 
-
-def install_signal_handlers(loop, shutdown: Callable[[], None],
-                            signals=(signal.SIGTERM,
-                                     signal.SIGINT)) -> List[int]:
-    """Route SIGTERM/SIGINT into a graceful drain; returns the signal
-    numbers actually installed (platforms without
-    ``loop.add_signal_handler`` — or non-main threads — get none and
-    rely on the caller's fallback)."""
-    installed: List[int] = []
-    for signum in signals:
-        try:
-            loop.add_signal_handler(signum, shutdown)
-        except (NotImplementedError, RuntimeError, ValueError):
-            continue
-        installed.append(signum)
-    return installed

@@ -40,14 +40,15 @@ from ..common.stats import Stats
 from ..obs.jsonlog import NULL_LOG
 from ..obs.spans import NULL_SPANS
 from ..sim.parallel import ResultCache
+from .ops import RetryLater
 
 
-class QueueFull(Exception):
+class QueueFull(RetryLater):
     """Load shed: the admission queue is full (answer 503)."""
 
     def __init__(self, retry_after: int) -> None:
-        super().__init__(f"queue full, retry after ~{retry_after}s")
-        self.retry_after = retry_after
+        super().__init__(f"queue full, retry after ~{retry_after}s",
+                         retry_after)
 
 
 class Draining(Exception):

@@ -1,7 +1,9 @@
-"""The asyncio front-end: a minimal HTTP/1.1 JSON server.
+"""The serve node: the service shell in front of the local scheduler.
 
-Hand-rolled on :func:`asyncio.start_server` — no frameworks, stdlib
-only, keep-alive supported.  Three endpoints:
+:class:`ServeService` plugs the admission scheduler, the worker fleet
+and the result cache into the shared HTTP shell
+(:mod:`repro.serve.http`), which owns the connection loop, dispatch
+and lifecycle.  Endpoints:
 
 =====================  ======================================================
 ``POST /v1/points``    body: one point spec (:mod:`repro.serve.protocol`);
@@ -10,6 +12,8 @@ only, keep-alive supported.  Three endpoints:
                        to what the batch engine caches for that key
 ``GET /healthz``       liveness + drain state
 ``GET /stats``         counters, queue/cache gauges, recent time series
+``GET /metrics``       Prometheus exposition text
+``GET /trace``         the node's request spans as a Chrome trace
 =====================  ======================================================
 
 Error mapping: malformed spec → 400; queue full → 503 with a
@@ -26,91 +30,24 @@ point finishes and lands in the cache), then stop the fleet.
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
-import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional
 
-from ..common.stats import Stats
-from ..obs.jsonlog import get_logger
-from ..obs.metrics import PROMETHEUS_CONTENT_TYPE
-from ..obs.spans import SpanRecorder
+from ..obs.metrics import stats_to_prometheus
 from ..sim.parallel import ResultCache
-from .ops import (
-    TimeSlicer,
-    ensure_request_id,
-    healthz_payload,
-    install_signal_handlers,
-    metrics_payload,
-    stats_payload,
-    tick_forever,
-)
+from .http import HttpService, Response
+from .ops import RetryLater, hit_ratio
 from .pool import WorkerCrashed, WorkerFleet
-from .protocol import ProtocolError, parse_request
-from .scheduler import DeadlineExpired, Draining, QueueFull, Scheduler
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error",
-            502: "Bad Gateway", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
-
-#: request body ceiling — a point spec is small; anything bigger is abuse
-MAX_BODY_BYTES = 1 << 20
+from .protocol import PointRequest
+from .scheduler import DeadlineExpired, Draining, Scheduler
 
 
-async def read_http_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request into ``(method, target, headers,
-    body)``; ``None`` at EOF.  Shared by the serve front-end and the
-    cluster router, which speak the same minimal dialect."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) != 3:
-        raise ValueError("malformed request line")
-    method, target, _version = parts
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0))
-    if not 0 <= length <= MAX_BODY_BYTES:
-        raise ValueError("unreasonable content-length")
-    body = await reader.readexactly(length) if length else b""
-    return method, target, headers, body
-
-
-async def write_http_response(writer: asyncio.StreamWriter, status: int,
-                              payload: Union[Dict[str, object], str, bytes],
-                              extra: Dict[str, str],
-                              keep_alive: bool) -> None:
-    """Serialize one response (shared with the cluster router).
-
-    A dict payload is sent as JSON; a ``str``/``bytes`` payload is
-    sent verbatim as text — how ``/metrics`` serves its Prometheus
-    exposition text through the same JSON-era plumbing."""
-    if isinstance(payload, (str, bytes)):
-        blob = payload.encode("utf-8") if isinstance(payload, str) \
-            else payload
-        content_type = PROMETHEUS_CONTENT_TYPE
-    else:
-        blob = json.dumps(payload).encode("utf-8")
-        content_type = "application/json"
-    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-             f"Content-Type: {content_type}",
-             f"Content-Length: {len(blob)}",
-             f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-    lines.extend(f"{name}: {value}" for name, value in extra.items())
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-                 + blob)
-    await writer.drain()
-
-
-class ServeService:
+class ServeService(HttpService):
     """One long-lived simulation service instance."""
+
+    prefix = role = "serve"
+    request_span = ("http", "serve.request")
+    request_event = "request"
+    request_log_fields = ("key", "cached", "error")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7341,
                  jobs: int = 2, cache_dir=None,
@@ -120,15 +57,11 @@ class ServeService:
                  epoch_ms: int = 1000,
                  node_id: Optional[str] = None,
                  ready_callback=None) -> None:
-        self.host = host
-        self.port = port          # requested; 0 = ephemeral
-        self.bound_port: Optional[int] = None
+        super().__init__(host, port,
+                         f"serve:{node_id}" if node_id else "serve",
+                         epoch_ms, ready_callback)
         self.node_id = node_id    # cluster identity; None = standalone
         self.default_deadline = default_deadline
-        self.stats = Stats()
-        self.spans = SpanRecorder(
-            f"serve:{node_id}" if node_id else "serve")
-        self.log = get_logger()
         self.fleet = WorkerFleet(jobs=jobs, stats=self.stats)
         cache = (ResultCache(cache_dir, max_bytes=cache_max_bytes)
                  if cache_dir is not None else None)
@@ -137,187 +70,108 @@ class ServeService:
                                    max_inflight=max_inflight,
                                    stats=self.stats,
                                    spans=self.spans, log=self.log)
-        self.slicer = TimeSlicer(epoch_ms=epoch_ms)
         self.slicer.add_probe("queue_depth",
                               lambda: self.scheduler.queue_depth)
         self.slicer.add_probe("inflight",
                               lambda: self.scheduler.inflight)
-        self.slicer.add_probe("cache_hit_ratio", self._hit_ratio)
-        self._ready_callback = ready_callback
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._busy: set = set()   # connection tasks mid-request
+        self.slicer.add_probe("cache_hit_ratio", lambda: hit_ratio(
+            self.stats.counter("serve.cache.hits"),
+            self.stats.counter("serve.cache.misses")))
 
-    def _hit_ratio(self) -> float:
-        hits = self.stats.counter("serve.cache.hits")
-        lookups = hits + self.stats.counter("serve.cache.misses")
-        return round(hits / lookups, 6) if lookups else 0.0
+    # -- ops payloads --------------------------------------------------
+    def healthz_payload(self) -> Dict[str, object]:
+        """Liveness *and* readiness in one probe.
 
-    # -- lifecycle -----------------------------------------------------
-    def request_shutdown(self) -> None:
-        """Trigger a graceful drain; callable from any thread."""
-        loop, shutdown = self._loop, self._shutdown
-        if loop is None or shutdown is None:
-            return
-        loop.call_soon_threadsafe(shutdown.set)
+        ``live`` is unconditional — answering at all proves the event
+        loop is turning.  ``ready`` means "send me new work": a
+        draining node (SIGTERM received, scheduler finishing its
+        in-flight points) is still live but *not* ready, which is what
+        tells the cluster router to fail its keys over to the next
+        replica instead of feeding a dying node.
+        """
+        draining = self.scheduler.draining
+        return {
+            "status": "draining" if draining else "ok",
+            "live": True,
+            "ready": not draining,
+            "node": self.node_id,
+            "uptime_seconds": round(self.slicer.uptime_seconds, 3),
+        }
 
-    async def run(self, install_signals: bool = True) -> None:
-        """Serve until shutdown is requested, then drain and exit."""
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        server = await asyncio.start_server(self._handle_connection,
-                                            self.host, self.port)
-        self.bound_port = server.sockets[0].getsockname()[1]
-        if install_signals:
-            install_signal_handlers(self._loop, self._shutdown.set)
-        ticker = asyncio.create_task(tick_forever(self.slicer))
-        if self._ready_callback is not None:
-            self._ready_callback(self.bound_port)
-        self.log.log("serve.ready", host=self.host,
-                     port=self.bound_port)
-        try:
-            await self._shutdown.wait()
-        finally:
-            self.log.log("serve.drain.begin",
-                         queue_depth=self.scheduler.queue_depth,
-                         inflight=self.scheduler.inflight)
-            server.close()
-            await server.wait_closed()
-            await self.scheduler.drain()
-            # Drop idle keep-alive connections so their handler tasks
-            # finish before the loop tears down (readline sees EOF).
-            # Busy handlers still hold a drained result to write; they
-            # close themselves after responding (draining check below).
-            for conn_task, conn_writer in list(self._connections.items()):
-                if conn_task not in self._busy:
-                    conn_writer.close()
-            if self._connections:
-                await asyncio.wait(set(self._connections), timeout=5)
-            ticker.cancel()
-            try:
-                await ticker
-            except asyncio.CancelledError:
-                pass
-            self.fleet.shutdown()
-            self.log.log("serve.stop",
-                         uptime_seconds=round(
-                             self.slicer.uptime_seconds, 3))
+    def stats_payload(self) -> Dict[str, object]:
+        """The /stats JSON: aggregate counters + queue/cache gauges +
+        recent time series."""
+        stats = self.stats
+        scheduler = self.scheduler
+        hits = stats.counter("serve.cache.hits")
+        misses = stats.counter("serve.cache.misses")
+        cache: Dict[str, object] = {
+            "configured": scheduler.cache is not None,
+            "hits": hits,
+            "misses": misses,
+            "hit_ratio": hit_ratio(hits, misses),
+        }
+        if scheduler.cache is not None:
+            cache["entries"] = len(scheduler.cache)
+            cache["size_bytes"] = scheduler.cache.size_bytes()
+            cache["max_bytes"] = scheduler.cache.max_bytes
+            # the store's own view: lookups it served (hits/misses of
+            # every get(), scheduler or engine) and entries evicted by
+            # the size cap — per-node cache effectiveness for the
+            # cluster's merged /stats
+            cache["store_hits"] = scheduler.cache.hits
+            cache["store_misses"] = scheduler.cache.misses
+            cache["evictions"] = scheduler.cache.evictions
+        return {
+            "node": self.node_id,
+            "uptime_seconds": round(self.slicer.uptime_seconds, 3),
+            "draining": scheduler.draining,
+            "queue_depth": scheduler.queue_depth,
+            "inflight": scheduler.inflight,
+            "max_queue": scheduler.max_queue,
+            "max_inflight": scheduler.max_inflight,
+            "jobs": self.fleet.jobs,
+            "cache": cache,
+            "counters": stats.dump(),
+            "timeseries": self.slicer.series(),
+        }
 
-    # -- HTTP ----------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._connections[task] = writer
-        try:
-            while True:
-                request = await read_http_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                self.stats.inc("serve.http.requests")
-                self._busy.add(task)
-                try:
-                    status, payload, extra = await self._dispatch(
-                        method, target, body, headers)
-                finally:
-                    self._busy.discard(task)
-                self.stats.inc(f"serve.http.{status}")
-                keep_alive = headers.get("connection", "").lower() \
-                    != "close"
-                await self._respond(writer, status, payload, extra,
-                                    keep_alive)
-                if not keep_alive or self.scheduler.draining:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.LimitOverrunError, ValueError):
-            pass  # half-closed or garbage connection: just drop it
-        finally:
-            self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def metrics_payload(self) -> str:
+        """The node's ``/metrics`` exposition text: every Stats counter
+        and histogram plus point-in-time gauges, labelled with the node
+        id so fleet scrapes stay distinguishable."""
+        scheduler = self.scheduler
+        gauges: Dict[str, float] = {
+            "queue_depth": scheduler.queue_depth,
+            "inflight": scheduler.inflight,
+            "draining": 1 if scheduler.draining else 0,
+            "uptime_seconds": round(self.slicer.uptime_seconds, 3),
+        }
+        if scheduler.cache is not None:
+            gauges["cache_entries"] = len(scheduler.cache)
+            gauges["cache_size_bytes"] = scheduler.cache.size_bytes()
+        labels = {"node": self.node_id} if self.node_id else {}
+        return stats_to_prometheus(self.stats, namespace="repro",
+                                   labels=labels, gauges=gauges)
 
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: Dict[str, object],
-                       extra: Dict[str, str], keep_alive: bool) -> None:
-        await write_http_response(writer, status, payload, extra,
-                                  keep_alive)
+    # -- backend -------------------------------------------------------
+    async def _drain(self) -> None:
+        self.log.log("serve.drain.begin",
+                     queue_depth=self.scheduler.queue_depth,
+                     inflight=self.scheduler.inflight)
+        await self.scheduler.drain()
 
-    async def _dispatch(self, method: str, target: str, body: bytes,
-                        headers: Optional[Dict[str, str]] = None
-                        ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        target = target.split("?", 1)[0]
-        if target == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, healthz_payload(self), {}
-        if target == "/stats":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, stats_payload(self), {}
-        if target == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, metrics_payload(self), {}
-        if target == "/trace":
-            if method != "GET":
-                return 405, {"error": "use GET"}, {}
-            return 200, self.spans.chrome_trace(), {}
-        if target == "/v1/points":
-            if method != "POST":
-                return 405, {"error": "use POST"}, {}
-            return await self._submit(body, ensure_request_id(headers))
-        return 404, {"error": f"no such endpoint {target!r}"}, {}
+    def _close(self) -> None:
+        self.fleet.shutdown()
 
-    async def _submit(self, body: bytes,
-                      request_id: Optional[str] = None
-                      ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        if request_id is None:
-            request_id = ensure_request_id()
-        started = time.perf_counter()
-        with self.spans.span("http", "serve.request",
-                             request_id=request_id) as span:
-            status, result, extra = await self._submit_inner(
-                body, request_id)
-            span["status"] = status
-            if "key" in result:
-                span["key"] = result["key"]
-        self.stats.hist("serve.request.ms",
-                        (time.perf_counter() - started) * 1000)
-        result = dict(result)
-        result["request_id"] = request_id
-        extra = dict(extra)
-        extra["X-Request-Id"] = request_id
-        self.log.log("request", request_id=request_id, status=status,
-                     key=result.get("key"),
-                     cached=result.get("cached"),
-                     error=result.get("error"))
-        return status, result, extra
-
-    async def _submit_inner(self, body: bytes, request_id: str
-                            ) -> Tuple[int, Dict[str, object],
-                                       Dict[str, str]]:
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return 400, {"error": "request body is not valid JSON"}, {}
-        try:
-            request = parse_request(data)
-        except ProtocolError as error:
-            return 400, {"error": str(error)}, {}
+    async def _submit(self, request: PointRequest, body: bytes,
+                      request_id: str) -> Response:
         deadline = (request.deadline if request.deadline is not None
                     else self.default_deadline)
         try:
             result = await self.scheduler.submit(request.point,
                                                  deadline=deadline,
                                                  request_id=request_id)
-        except QueueFull as error:
-            return 503, {"error": str(error),
-                         "retry_after": error.retry_after}, \
-                {"Retry-After": str(error.retry_after)}
         except Draining:
             return 503, {"error": "service is draining"}, \
                 {"Retry-After": "5"}
@@ -325,8 +179,8 @@ class ServeService:
             return 504, {"error": str(error)}, {}
         except WorkerCrashed as error:
             return 500, {"error": str(error)}, {}
-        except asyncio.CancelledError:
-            raise
+        except RetryLater:
+            raise                 # QueueFull: the shell answers 503
         except Exception as error:  # noqa: BLE001 — surface, don't die
             return 500, {"error": f"{type(error).__name__}: {error}"}, {}
         result = dict(result)
@@ -348,40 +202,11 @@ def serve_forever(host: str = "127.0.0.1", port: int = 7341,
         from ..obs import jsonlog
         jsonlog.enable(node_id=node_id)
 
-    def ready(bound_port: int) -> None:
-        if announce is not None:
-            announce(bound_port)
-
     service = ServeService(host=host, port=port, jobs=jobs,
                            cache_dir=cache_dir, max_queue=max_queue,
                            max_inflight=max_inflight,
                            cache_max_bytes=cache_max_bytes,
                            node_id=node_id,
-                           ready_callback=ready)
+                           ready_callback=announce)
     asyncio.run(service.run())
     return 0
-
-
-def run_in_thread(service: ServeService
-                  ) -> Tuple[threading.Thread, int]:
-    """Start a service on a daemon thread; returns ``(thread,
-    bound_port)`` once the socket is listening.  The test-suite (and
-    notebook) harness — production uses :func:`serve_forever`."""
-    ready = threading.Event()
-    ports = []
-    previous = service._ready_callback
-
-    def on_ready(port: int) -> None:
-        ports.append(port)
-        ready.set()
-        if previous is not None:
-            previous(port)
-
-    service._ready_callback = on_ready
-    thread = threading.Thread(
-        target=lambda: asyncio.run(service.run(install_signals=False)),
-        name="repro-serve", daemon=True)
-    thread.start()
-    if not ready.wait(timeout=30):
-        raise RuntimeError("service failed to start within 30s")
-    return thread, ports[0]

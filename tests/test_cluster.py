@@ -20,6 +20,7 @@ Three layers, matched to the subsystem's structure:
 import asyncio
 import json
 import socket
+import time
 
 import pytest
 
@@ -863,3 +864,29 @@ class TestServiceWireContract:
             assert await asyncio.wait_for(reader.read(), 5) == b""
         _on_one_connection(role, exchange)
 
+
+@pytest.mark.parametrize("role", ["node", "router"])
+def test_idle_keep_alive_connection_does_not_stall_shutdown(role):
+    async def scenario():
+        service, task, stub = await _start_service(role)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.bound_port)
+        try:
+            status, headers, _blob = await _exchange(
+                reader, writer, "GET", "/healthz")
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            started = time.monotonic()
+            service.request_shutdown()
+            done, _pending = await asyncio.wait({task}, timeout=2.0)
+            assert task in done, (
+                f"run() still going {time.monotonic() - started:.2f}s "
+                "after request_shutdown()")
+            task.result()
+            # the service hung up on the idle connection
+            assert await asyncio.wait_for(reader.read(), 2) == b""
+        finally:
+            writer.close()
+            await asyncio.wait_for(task, timeout=15)
+            await stub.stop()
+    run_async(scenario())

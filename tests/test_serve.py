@@ -45,7 +45,6 @@ from repro.serve import (
     parse_request,
     run_in_thread,
 )
-from repro.serve.ops import healthz_payload, stats_payload
 from repro.sim.parallel import (
     ExperimentEngine,
     ExperimentPoint,
@@ -548,6 +547,27 @@ class TestServiceEndToEnd:
         assert excinfo.value.status == 400
         assert "workload" in str(excinfo.value)
 
+    def test_queue_full_is_503_with_retry_after(self, tmp_path):
+        svc = ServeService(port=0, jobs=1, cache_dir=tmp_path)
+
+        async def shed(*_args, **_kwargs):
+            raise QueueFull(3)
+
+        svc.scheduler.submit = shed
+        thread, port = run_in_thread(svc)
+        try:
+            with pytest.raises(ServeError) as excinfo:
+                ServeClient(port=port, timeout=30).submit(SPEC)
+        finally:
+            svc.request_shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert excinfo.value.status == 503
+        assert excinfo.value.retry_after == 3
+        assert excinfo.value.payload["error"] == \
+            "queue full, retry after ~3s"
+        assert excinfo.value.payload["retry_after"] == 3
+
     def test_unknown_endpoint_is_404(self, service):
         _svc, client, _cache = service
         status, _headers, payload = client._request("GET", "/nope")
@@ -603,7 +623,7 @@ class TestServiceEndToEnd:
 class TestLivenessReadiness:
     def test_fresh_service_is_live_and_ready(self, tmp_path):
         svc = ServeService(port=0, jobs=1, cache_dir=tmp_path)
-        health = healthz_payload(svc)
+        health = svc.healthz_payload()
         assert health["live"] is True
         assert health["ready"] is True
         assert health["status"] == "ok"
@@ -611,7 +631,7 @@ class TestLivenessReadiness:
     def test_draining_service_is_live_but_not_ready(self, tmp_path):
         svc = ServeService(port=0, jobs=1, cache_dir=tmp_path)
         run_async(svc.scheduler.drain())
-        health = healthz_payload(svc)
+        health = svc.healthz_payload()
         # live: the loop still turns, in-flight points still finish;
         # ready: false, so the cluster router fails new keys over
         assert health["live"] is True
@@ -621,12 +641,12 @@ class TestLivenessReadiness:
     def test_node_identity_travels_in_health_and_stats(self, tmp_path):
         svc = ServeService(port=0, jobs=1, cache_dir=tmp_path,
                            node_id="node7")
-        assert healthz_payload(svc)["node"] == "node7"
-        assert stats_payload(svc)["node"] == "node7"
+        assert svc.healthz_payload()["node"] == "node7"
+        assert svc.stats_payload()["node"] == "node7"
 
     def test_standalone_service_has_no_node_identity(self, tmp_path):
         svc = ServeService(port=0, jobs=1, cache_dir=tmp_path)
-        assert healthz_payload(svc)["node"] is None
+        assert svc.healthz_payload()["node"] is None
 
 
 # ---------------------------------------------------------------------------
