@@ -111,4 +111,3 @@ def hit_ratio(hits: float, misses: float) -> float:
     first lookup."""
     lookups = hits + misses
     return round(hits / lookups, 6) if lookups else 0.0
-
