@@ -21,6 +21,7 @@ from repro.common.config import (
     small_machine_config,
 )
 from repro.common.types import SchemeName
+from repro.litmus.generator import message_passing
 from repro.sim.chaos import ChaosRun, chaos_sweep
 from repro.sim.crash import CrashReport, crash_sweep, run_with_crash
 from repro.sim.parallel import (
@@ -28,8 +29,10 @@ from repro.sim.parallel import (
     CrashPoint,
     ExperimentEngine,
     ExperimentPoint,
+    LitmusPoint,
     ResultCache,
     RunLengthPoint,
+    point_key,
 )
 from repro.sim.runner import run_experiment
 from repro.sim.sweep import tc_size_sweep
@@ -67,6 +70,49 @@ class TestPointKeys:
         exp = ExperimentPoint("sps", "txcache", CONFIG, operations=20)
         length = RunLengthPoint("sps", "txcache", CONFIG, operations=20)
         assert exp.key != length.key
+
+    def test_point_specs_are_pinned(self):
+        """One fixed point of each kind: the exact spec dict (key order
+        included — cache entries store it verbatim) and a key that is
+        the digest of that spec.  Router placement, coalescing and every
+        on-disk cache key on ``point.key``, so these must never drift."""
+        fingerprint = config_fingerprint(CONFIG)
+        params = (("array_elements", 64),)
+        program = message_passing()
+        cases = [
+            (ExperimentPoint("sps", "txcache", CONFIG, operations=20,
+                             seed=7, workload_params=params),
+             "experiment",
+             {"workload": "sps", "scheme": "txcache",
+              "config": fingerprint, "operations": 20, "seed": 7,
+              "workload_params": [["array_elements", 64]]}),
+            (RunLengthPoint("sps", "sp", CONFIG),
+             "run_length",
+             {"workload": "sps", "scheme": "sp", "config": fingerprint,
+              "operations": 50, "seed": 42, "workload_params": []}),
+            (CrashPoint("hashtable", "txcache", 900, 4000, CONFIG,
+                        workload_params=params),
+             "crash",
+             {"workload": "hashtable", "scheme": "txcache",
+              "crash_cycle": 900, "total_cycles": 4000,
+              "config": fingerprint, "operations": 50, "seed": 42,
+              "workload_params": [["array_elements", 64]]}),
+            (ChaosPoint("queue", "kiln", 300, 1200, CONFIG, seed=3),
+             "chaos",
+             {"workload": "queue", "scheme": "kiln", "crash_cycle": 300,
+              "total_cycles": 1200, "config": fingerprint,
+              "operations": 40, "seed": 3, "workload_params": []}),
+            (LitmusPoint(program.canonical_json(), "txcache", CONFIG,
+                         check_every=2),
+             "litmus",
+             {"program": json.loads(program.canonical_json()),
+              "scheme": "txcache", "config": fingerprint,
+              "check_every": 2}),
+        ]
+        for point, kind, spec in cases:
+            assert point.kind == kind
+            assert list(point.spec().items()) == list(spec.items())
+            assert point.key == point_key(kind, spec)
 
     def test_config_fingerprint_covers_every_knob(self):
         base = small_machine_config()
