@@ -25,9 +25,10 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName
 from ..cpu.trace import Trace
-from .crash import crash_and_check, measure_run_length
-from .runner import make_traces
+from .crash import crash_and_check
+from .parallel import ChaosPoint, ExperimentEngine, RunLengthPoint
 from .system import System
+from .validate import require_valid_config
 
 #: stats counters surfaced per run: (report key, counter name)
 FAULT_COUNTERS = (
@@ -205,7 +206,7 @@ def chaos_sweep(
     num_cores: int = 1,
     operations: int = 40,
     seed: int = 42,
-    engine=None,
+    engine: Optional[ExperimentEngine] = None,
     trace_dir=None,
     trace_epoch: int = 0,
 ) -> ChaosReport:
@@ -213,9 +214,10 @@ def chaos_sweep(
 
     Crash points are placed as fractions of each experiment's
     *fault-free* run length, so a sweep at different fault rates
-    crashes at comparable execution points; traces are generated once
-    per workload and shared by every run (engine-driven runs
-    regenerate them per point from the same seed — identical traces).
+    crashes at comparable execution points.  The run-length points and
+    then the chaos points run on ``engine`` (by default an inline
+    :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
+    cache); every point regenerates its traces from the same seed.
 
     Each run gets its own fault seed (``fault_config.seed`` + run
     index) so the sweep explores distinct fault timings instead of
@@ -224,67 +226,32 @@ def chaos_sweep(
 
     Every per-run config (machine geometry + derived fault seed) is
     materialized and validated up front, so a bad knob raises before
-    any point simulates.  ``engine`` — an optional
-    :class:`~repro.sim.parallel.ExperimentEngine` — fans the fault-free
-    run-length measurements and then the crash runs out over its
-    worker pool.
+    any point simulates.
     """
     fault_config = fault_config or FaultConfig()
     base = config or small_machine_config(num_cores=num_cores)
     clean = replace(base, faults=FaultConfig())
-    scheme_names = [SchemeName.parse(scheme) for scheme in schemes]
     # fail fast: build every run's config (replace() re-runs the
     # FaultConfig validators) and check the machine geometry once,
     # before the first — potentially minutes-long — simulation
-    from .validate import require_valid_config
-
     require_valid_config(base, context="chaos sweep config")
-    total_runs = len(workloads) * len(scheme_names) * len(fractions)
+    pairs = [(workload, SchemeName.parse(scheme).value)
+             for workload in workloads for scheme in schemes]
     faulty_configs = [
         replace(base, faults=replace(fault_config,
                                      seed=fault_config.seed + index))
-        for index in range(total_runs)
+        for index in range(len(pairs) * len(fractions))
     ]
-    report = ChaosReport(fault_config=fault_config)
-
-    if engine is not None:
-        from .parallel import ChaosPoint, RunLengthPoint
-
-        measures = [RunLengthPoint(workload, scheme.value, clean,
-                                   operations=operations, seed=seed)
-                    for workload in workloads for scheme in scheme_names]
-        totals = engine.run(measures)
-        points = []
-        run_index = 0
-        for (workload, scheme), total in zip(
-                ((w, s) for w in workloads for s in scheme_names), totals):
-            for fraction in fractions:
-                crash_cycle = max(1, int(total * fraction))
-                points.append(ChaosPoint(
-                    workload, scheme.value, crash_cycle, total,
-                    faulty_configs[run_index], operations=operations,
-                    seed=seed, trace_dir=trace_dir,
-                    trace_epoch=trace_epoch))
-                run_index += 1
-        report.runs = engine.run(points)
-        return report
-
-    if trace_dir is not None:
-        raise ValueError("trace capture requires an engine "
-                         "(per-point trace files are keyed like cache "
-                         "entries)")
-    run_index = 0
-    for workload in workloads:
-        traces = make_traces(workload, base.num_cores, operations,
-                             seed=seed)
-        for scheme in scheme_names:
-            total = measure_run_length(workload, scheme, config=clean,
-                                       traces=traces)
-            for fraction in fractions:
-                crash_cycle = max(1, int(total * fraction))
-                faulty = faulty_configs[run_index]
-                run_index += 1
-                report.runs.append(run_chaos_crash(
-                    workload, scheme, crash_cycle, traces, faulty,
-                    total_cycles=total))
-    return report
+    engine = engine or ExperimentEngine()
+    totals = engine.run([RunLengthPoint(workload, scheme, clean,
+                                        operations=operations, seed=seed)
+                         for workload, scheme in pairs])
+    crashes = [(workload, scheme, total, max(1, int(total * fraction)))
+               for (workload, scheme), total in zip(pairs, totals)
+               for fraction in fractions]
+    points = [ChaosPoint(workload, scheme, crash_cycle, total, faulty,
+                         operations=operations, seed=seed,
+                         trace_dir=trace_dir, trace_epoch=trace_epoch)
+              for (workload, scheme, total, crash_cycle), faulty
+              in zip(crashes, faulty_configs)]
+    return ChaosReport(fault_config=fault_config, runs=engine.run(points))

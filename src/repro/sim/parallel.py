@@ -73,10 +73,6 @@ def point_key(kind: str, spec: Dict[str, object]) -> str:
     return sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _params_dict(params: WorkloadParams) -> Dict[str, object]:
-    return dict(params)
-
-
 def _capture_obs(point):
     """Build the point's observability bundle, or None when tracing is
     off.  ``trace_dir``/``trace_epoch`` are deliberately **excluded**
@@ -110,8 +106,33 @@ def make_params(params: Dict[str, object]) -> WorkloadParams:
 # ---------------------------------------------------------------------------
 # point kinds
 # ---------------------------------------------------------------------------
+class _Point:
+    """The identity every point kind shares: its key is the digest of
+    its kind and spec."""
+
+    kind = ""
+
+    @property
+    def key(self) -> str:
+        return point_key(self.kind, self.spec())
+
+
+def _workload_spec(point, **crash) -> Dict[str, object]:
+    """The spec of a workload point kind; the crash kinds pass their
+    ``crash_cycle`` and ``total_cycles``, which sit after the scheme."""
+    return {
+        "workload": point.workload,
+        "scheme": point.scheme,
+        **crash,
+        "config": config_fingerprint(point.config),
+        "operations": point.operations,
+        "seed": point.seed,
+        "workload_params": [list(pair) for pair in point.workload_params],
+    }
+
+
 @dataclass(frozen=True)
-class ExperimentPoint:
+class ExperimentPoint(_Point):
     """One full (workload, scheme, config, seed) simulation."""
 
     workload: str
@@ -127,25 +148,14 @@ class ExperimentPoint:
     kind = "experiment"
 
     def spec(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "config": config_fingerprint(self.config),
-            "operations": self.operations,
-            "seed": self.seed,
-            "workload_params": [list(pair) for pair in self.workload_params],
-        }
-
-    @property
-    def key(self) -> str:
-        return point_key(self.kind, self.spec())
+        return _workload_spec(self)
 
     def execute(self) -> Dict[str, object]:
         obs = _capture_obs(self)
         result = run_experiment(
             self.workload, self.scheme, config=self.config,
             operations=self.operations, seed=self.seed, obs=obs,
-            **_params_dict(self.workload_params))
+            **dict(self.workload_params))
         _write_trace(self, obs)
         return result.to_dict(include_raw=True)
 
@@ -155,7 +165,7 @@ class ExperimentPoint:
 
 
 @dataclass(frozen=True)
-class RunLengthPoint:
+class RunLengthPoint(_Point):
     """Cycle count of an uninterrupted run (places crash points)."""
 
     workload: str
@@ -168,18 +178,7 @@ class RunLengthPoint:
     kind = "run_length"
 
     def spec(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "config": config_fingerprint(self.config),
-            "operations": self.operations,
-            "seed": self.seed,
-            "workload_params": [list(pair) for pair in self.workload_params],
-        }
-
-    @property
-    def key(self) -> str:
-        return point_key(self.kind, self.spec())
+        return _workload_spec(self)
 
     def execute(self) -> Dict[str, object]:
         from .crash import measure_run_length
@@ -187,7 +186,7 @@ class RunLengthPoint:
         total = measure_run_length(
             self.workload, self.scheme, config=self.config,
             operations=self.operations, seed=self.seed,
-            **_params_dict(self.workload_params))
+            **dict(self.workload_params))
         return {"total_cycles": total}
 
     @staticmethod
@@ -196,7 +195,7 @@ class RunLengthPoint:
 
 
 @dataclass(frozen=True)
-class CrashPoint:
+class CrashPoint(_Point):
     """One crash-injection run checked by the atomicity oracle."""
 
     workload: str
@@ -214,22 +213,10 @@ class CrashPoint:
     kind = "crash"
 
     def spec(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "crash_cycle": self.crash_cycle,
-            # total_cycles is an *input* echoed into the payload, so it
-            # must be part of the key for the cache to stay truthful
-            "total_cycles": self.total_cycles,
-            "config": config_fingerprint(self.config),
-            "operations": self.operations,
-            "seed": self.seed,
-            "workload_params": [list(pair) for pair in self.workload_params],
-        }
-
-    @property
-    def key(self) -> str:
-        return point_key(self.kind, self.spec())
+        # total_cycles is an *input* echoed into the payload, so it
+        # must be part of the key for the cache to stay truthful
+        return _workload_spec(self, crash_cycle=self.crash_cycle,
+                              total_cycles=self.total_cycles)
 
     def execute(self) -> Dict[str, object]:
         from .crash import run_with_crash
@@ -239,7 +226,7 @@ class CrashPoint:
             self.workload, self.scheme, self.crash_cycle,
             config=self.config, operations=self.operations,
             seed=self.seed, total_cycles=self.total_cycles, obs=obs,
-            **_params_dict(self.workload_params))
+            **dict(self.workload_params))
         _write_trace(self, obs)
         return report.to_dict()
 
@@ -251,39 +238,13 @@ class CrashPoint:
 
 
 @dataclass(frozen=True)
-class ChaosPoint:
+class ChaosPoint(CrashPoint):
     """One crash run under fault injection (``config.faults`` carries
     the per-run derived fault seed)."""
 
-    workload: str
-    scheme: str
-    crash_cycle: int
-    total_cycles: int
-    config: MachineConfig
     operations: int = 40
-    seed: int = 42
-    workload_params: WorkloadParams = ()
-    #: trace capture (not part of the spec/cache key — see _capture_obs)
-    trace_dir: Optional[str] = None
-    trace_epoch: int = 0
 
     kind = "chaos"
-
-    def spec(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "crash_cycle": self.crash_cycle,
-            "total_cycles": self.total_cycles,
-            "config": config_fingerprint(self.config),
-            "operations": self.operations,
-            "seed": self.seed,
-            "workload_params": [list(pair) for pair in self.workload_params],
-        }
-
-    @property
-    def key(self) -> str:
-        return point_key(self.kind, self.spec())
 
     def execute(self) -> Dict[str, object]:
         from .chaos import run_chaos_crash
@@ -291,7 +252,7 @@ class ChaosPoint:
 
         traces = make_traces(self.workload, self.config.num_cores,
                              self.operations, seed=self.seed,
-                             **_params_dict(self.workload_params))
+                             **dict(self.workload_params))
         obs = _capture_obs(self)
         run = run_chaos_crash(self.workload, self.scheme,
                               self.crash_cycle, traces, self.config,
@@ -307,7 +268,7 @@ class ChaosPoint:
 
 
 @dataclass(frozen=True)
-class LitmusPoint:
+class LitmusPoint(_Point):
     """One litmus program × scheme, crash-checked at every cycle.
 
     The program rides in the spec as its canonical JSON string (the
@@ -331,10 +292,6 @@ class LitmusPoint:
             "config": config_fingerprint(self.config),
             "check_every": self.check_every,
         }
-
-    @property
-    def key(self) -> str:
-        return point_key(self.kind, self.spec())
 
     def execute(self) -> Dict[str, object]:
         from ..litmus.program import LitmusProgram
@@ -511,8 +468,9 @@ class ExperimentEngine:
     """Runs batches of experiment points, optionally in parallel and
     optionally memoized on disk.
 
-    ``jobs=1`` (the default) executes inline in submission order —
-    exactly what the serial code paths did.  ``jobs>1`` fans points out
+    ``jobs=1`` (the default) executes inline in submission order; an
+    ``ExperimentEngine()`` is what every sweep runs on when its caller
+    passes no engine.  ``jobs>1`` fans points out
     over a process pool; because results are keyed by point and merged
     in submission order, the output is identical either way (enforced
     by ``tests/test_parallel_engine.py``).

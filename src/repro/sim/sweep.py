@@ -20,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..common.config import MachineConfig, small_machine_config
 from ..common.types import SchemeName
-from .runner import SimulationResult, run_experiment
+from .parallel import ExperimentEngine, ExperimentPoint, make_params
+from .runner import SimulationResult
 from .validate import require_valid_config
 
 Configure = Callable[[MachineConfig, object], MachineConfig]
@@ -89,61 +90,41 @@ class Sweep:
 
     def run(self, workload: str, scheme: Union[str, SchemeName],
             base_config: Optional[MachineConfig] = None,
-            engine=None, trace_dir=None, trace_epoch: int = 0,
-            **run_kwargs) -> SweepOutcome:
-        """Run the sweep grid.
+            engine: Optional[ExperimentEngine] = None, trace_dir=None,
+            trace_epoch: int = 0, *, operations: int = 300,
+            seed: int = 42, **workload_params) -> SweepOutcome:
+        """Run the sweep grid: one experiment point per value, on
+        ``engine`` (by default an inline
+        :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
+        cache).  Every point's config is materialized and validated
+        **before** the first simulation starts, so a bad knob value
+        raises immediately instead of minutes into the grid.
 
-        ``engine`` is an optional
-        :class:`~repro.sim.parallel.ExperimentEngine`; without one the
-        points run inline exactly as they always have.  Either way,
-        every point's config is materialized and validated **before**
-        the first simulation starts, so a bad knob value raises
-        immediately instead of minutes into the grid.
-
-        ``trace_dir`` captures one Chrome trace per point (engine runs
-        only), named by the point's cache key; ``trace_epoch`` turns on
+        ``trace_dir`` captures one Chrome trace per point, named by the
+        point's cache key; ``trace_epoch`` turns on
         occupancy/queue-depth sampling every that-many cycles.
         """
-        if trace_dir is not None and engine is None:
-            raise ValueError("trace capture requires an engine "
-                             "(per-point trace files are keyed like "
-                             "cache entries)")
+        if workload_params.pop("traces", None) is not None:
+            raise ValueError("sweep points regenerate traces per point; "
+                             "pass seed/operations instead of traces")
+        # the sweep always passes a config, so num_cores has no effect
+        workload_params.pop("num_cores", None)
         base = base_config or small_machine_config()
         scheme_name = SchemeName.parse(scheme)
         configs = [self.configure(base, value) for value in self.values]
         for value, config in zip(self.values, configs):
             require_valid_config(config, context=f"sweep {self.name}={value!r}")
-        outcome = SweepOutcome(name=self.name, workload=workload,
-                               scheme=scheme_name.value)
-        if engine is not None:
-            if run_kwargs.get("traces") is not None:
-                raise ValueError(
-                    "engine-driven sweeps regenerate traces per point; "
-                    "pass seed/operations instead of traces")
-            from .parallel import ExperimentPoint, make_params
-
-            operations = run_kwargs.pop("operations", 300)
-            seed = run_kwargs.pop("seed", 42)
-            # run_experiment ignores num_cores once a config is given;
-            # mirror that here so engine/serial results agree
-            run_kwargs.pop("num_cores", None)
-            run_kwargs.pop("traces", None)
-            params = make_params(run_kwargs)
-            points = [ExperimentPoint(workload, scheme_name.value, config,
-                                      operations=operations, seed=seed,
-                                      workload_params=params,
-                                      trace_dir=trace_dir,
-                                      trace_epoch=trace_epoch)
-                      for config in configs]
-            results = engine.run(points)
-            outcome.points = [SweepPoint(value=value, result=result)
-                              for value, result in zip(self.values, results)]
-            return outcome
-        for value, config in zip(self.values, configs):
-            result = run_experiment(workload, scheme, config=config,
-                                    **run_kwargs)
-            outcome.points.append(SweepPoint(value=value, result=result))
-        return outcome
+        params = make_params(workload_params)
+        results = (engine or ExperimentEngine()).run([
+            ExperimentPoint(workload, scheme_name.value, config,
+                            operations=operations, seed=seed,
+                            workload_params=params, trace_dir=trace_dir,
+                            trace_epoch=trace_epoch)
+            for config in configs])
+        return SweepOutcome(
+            name=self.name, workload=workload, scheme=scheme_name.value,
+            points=[SweepPoint(value=value, result=result)
+                    for value, result in zip(self.values, results)])
 
 
 # -- ready-made sweeps -------------------------------------------------------

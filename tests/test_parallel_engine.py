@@ -323,19 +323,29 @@ class TestCrashAndChaosThroughEngine:
 
 
 class TestUpfrontValidation:
-    """A bad knob value must raise before any point simulates."""
+    """A bad knob value must raise before any point simulates, on the
+    default inline engine and on an explicit one alike."""
 
-    def test_chaos_bad_config_raises_before_running(self, monkeypatch):
+    @pytest.mark.parametrize("explicit_engine", [False, True],
+                             ids=["default-engine", "explicit-engine"])
+    @pytest.mark.parametrize("sweep, context", [
+        (lambda config, **kw: crash_sweep("sps", "txcache", config=config,
+                                          operations=15, **kw),
+         "crash sweep config"),
+        (lambda config, **kw: chaos_sweep(["sps"], config=config,
+                                          operations=15, **kw),
+         "chaos sweep config"),
+    ], ids=["crash", "chaos"])
+    def test_bad_config_raises_before_running(self, monkeypatch, sweep,
+                                              context, explicit_engine):
         executed = []
         monkeypatch.setattr(
-            "repro.sim.chaos.run_chaos_crash",
-            lambda *a, **k: executed.append(a))
-        monkeypatch.setattr(
-            "repro.sim.chaos.measure_run_length",
+            "repro.sim.parallel.execute_point",
             lambda *a, **k: executed.append(a))
         bad = replace(CONFIG, llc=replace(CONFIG.llc, size_bytes=1000))
-        with pytest.raises(ValueError, match="chaos sweep config"):
-            chaos_sweep(["sps"], config=bad, operations=15)
+        engine = ExperimentEngine(jobs=1) if explicit_engine else None
+        with pytest.raises(ValueError, match=context):
+            sweep(bad, engine=engine)
         assert executed == []
 
 

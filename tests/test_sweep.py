@@ -31,7 +31,7 @@ class TestUpfrontValidation:
 
     def test_bad_value_raises_before_any_point_runs(self, monkeypatch):
         executed = []
-        monkeypatch.setattr("repro.sim.sweep.run_experiment",
+        monkeypatch.setattr("repro.sim.parallel.execute_point",
                             lambda *a, **k: executed.append(a))
         # 1000 B / 64 B lines = 15 lines: not divisible into 16-way
         # sets, an error validate_config catches up front
