@@ -343,3 +343,61 @@ class TestEngineTraceCapture:
         assert validate_chrome_trace(json.loads(trace_path.read_text())) == []
         assert from_traced.to_dict(include_raw=True) == \
             from_plain.to_dict(include_raw=True)
+
+
+class TestTraceCaptureWithoutEngine:
+    """The sweeps capture per-point traces on their default engine too:
+    one ``<point.key>.trace.json`` per traced point, nothing else."""
+
+    @staticmethod
+    def assert_traced(trace_dir, points):
+        names = sorted(path.name for path in trace_dir.iterdir())
+        assert names == sorted(f"{point.key}.trace.json" for point in points)
+        for path in trace_dir.iterdir():
+            assert validate_chrome_trace(json.loads(path.read_text())) == []
+
+    def test_crash_sweep(self, tmp_path):
+        from repro.sim.crash import crash_sweep
+        from repro.sim.parallel import CrashPoint
+
+        config = small_machine_config(num_cores=1)
+        reports = crash_sweep(WORKLOAD, "txcache", fractions=(0.3, 0.7),
+                              config=config, operations=OPS, seed=SEED,
+                              trace_dir=str(tmp_path))
+        self.assert_traced(tmp_path, [
+            CrashPoint(WORKLOAD, "txcache", report.crash_cycle,
+                       report.total_cycles, config, operations=OPS,
+                       seed=SEED)
+            for report in reports])
+
+    def test_chaos_sweep(self, tmp_path):
+        from repro.sim.chaos import chaos_sweep
+        from repro.sim.parallel import ChaosPoint
+
+        config = small_machine_config(num_cores=1)
+        fault_config = FaultConfig(seed=5, nvm_write_fail_rate=1e-3)
+        report = chaos_sweep([WORKLOAD], fault_config=fault_config,
+                             fractions=(0.3, 0.7), config=config,
+                             operations=OPS, seed=SEED,
+                             trace_dir=str(tmp_path))
+        self.assert_traced(tmp_path, [
+            ChaosPoint(WORKLOAD, "txcache", run.crash_cycle,
+                       run.total_cycles,
+                       replace(config, faults=replace(
+                           fault_config, seed=fault_config.seed + index)),
+                       operations=OPS, seed=SEED)
+            for index, run in enumerate(report.runs)])
+
+    def test_sweep_run(self, tmp_path):
+        from repro.sim.parallel import ExperimentPoint
+        from repro.sim.sweep import tc_size_sweep
+
+        sweep = tc_size_sweep(sizes=(1024, 4096))
+        config = small_machine_config(num_cores=1)
+        sweep.run(WORKLOAD, "txcache", base_config=config,
+                  operations=OPS, seed=SEED, trace_dir=str(tmp_path))
+        self.assert_traced(tmp_path, [
+            ExperimentPoint(WORKLOAD, "txcache",
+                            sweep.configure(config, value),
+                            operations=OPS, seed=SEED)
+            for value in sweep.values])
