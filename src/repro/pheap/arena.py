@@ -113,22 +113,17 @@ class PersistentArena:
                    config: Optional[MachineConfig] = None) -> List:
         """Crash the recorded program at several points and check that
         recovery is atomic; returns the list of CrashReports."""
-        from ..sim.crash import run_with_crash
-        from ..sim.system import System
+        from ..sim.crash import measure_run_length, run_with_crash
 
         config = config or small_machine_config(num_cores=1)
         trace = self.trace()
-        # measure an uninterrupted run
-        probe = System(config, scheme)
-        probe.load_traces([trace])
-        probe.run()
-        total = probe.sim.now
-        reports = []
-        for fraction in fractions:
-            reports.append(run_with_crash(
-                self.name, scheme, max(1, int(total * fraction)),
-                config=config, total_cycles=total, traces=[trace]))
-        return reports
+        total = measure_run_length(self.name, scheme, config=config,
+                                   traces=[trace])
+        return [run_with_crash(self.name, scheme,
+                               max(1, int(total * fraction)),
+                               config=config, total_cycles=total,
+                               traces=[trace])
+                for fraction in fractions]
 
 
 class _ArenaTx:
