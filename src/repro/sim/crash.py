@@ -212,6 +212,9 @@ def crash_sweep(
     ``trace_dir`` writes one Chrome trace per crash point, named by the
     point's cache key; ``trace_epoch`` turns on occupancy sampling.
     """
+    if workload_params.pop("traces", None) is not None:
+        raise ValueError("crash sweep points regenerate traces per point; "
+                         "pass seed/operations instead of traces")
     config = config or small_machine_config(num_cores=num_cores)
     require_valid_config(config, context="crash sweep config")
     engine = engine or ExperimentEngine()

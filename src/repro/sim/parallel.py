@@ -110,8 +110,6 @@ class _Point:
     """The identity every point kind shares: its key is the digest of
     its kind and spec."""
 
-    kind = ""
-
     @property
     def key(self) -> str:
         return point_key(self.kind, self.spec())

@@ -310,6 +310,13 @@ class TestCrashAndChaosThroughEngine:
         assert [r.to_dict() for r in serial] == \
             [r.to_dict() for r in pooled]
 
+    def test_crash_sweep_rejects_prebuilt_traces(self):
+        from repro.sim.runner import make_traces
+
+        with pytest.raises(ValueError, match="traces"):
+            crash_sweep("sps", "txcache", operations=10,
+                        traces=make_traces("sps", 1, 10))
+
     def test_chaos_sweep_identical(self):
         fault = FaultConfig(nvm_write_fail_rate=1e-3, ack_loss_rate=1e-3)
         kwargs = dict(schemes=["txcache"], fault_config=fault,
