@@ -7,7 +7,6 @@ reports crash-to-restart latency — which is bounded by the (tiny) TC
 capacity: a key practical advantage over log-scan recovery.
 """
 
-from repro.common.types import is_home_line
 from repro.core.recovery import simulate_recovery
 from repro.sim.runner import make_traces
 from repro.sim.system import System
@@ -18,16 +17,7 @@ def crash_and_recover(until):
     system.load_traces(make_traces("sps", 2, 60, seed=23,
                                    array_elements=256))
     system.run(until=until)
-    crashed = {
-        line: version
-        for line, version in
-        system.memory.durable_state_at(system.sim.now).items()
-        if is_home_line(line)
-    }
-    return simulate_recovery(system.config, system.scheme.accelerator,
-                             system.scheme.overflow, crashed,
-                             system.sim.now,
-                             commit_cycle=system.scheme.commit_cycle)
+    return simulate_recovery(system.scheme, system.sim.now)
 
 
 def test_recovery_latency_bounded_by_tc_capacity(benchmark, save_output):

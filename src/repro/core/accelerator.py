@@ -299,16 +299,3 @@ class PersistentMemoryAccelerator:
     def busy(self) -> bool:
         """True while any TC still holds live (unacked) entries."""
         return any(tc.live_entries() for tc in self.tcs)
-
-    def recover(
-        self, durable_nvm: Dict[int, Optional[Version]]
-    ) -> Dict[int, Optional[Version]]:
-        """Crash recovery (§3, Multiversioning): replay the committed
-        entries buffered in the nonvolatile TCs, in FIFO order, on top
-        of the NVM image found after the crash.  Active (uncommitted)
-        entries are discarded."""
-        recovered = dict(durable_nvm)
-        for tc in self.tcs:
-            for entry in tc.committed_unacked():
-                recovered[entry.tag] = entry.version
-        return recovered

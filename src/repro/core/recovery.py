@@ -9,11 +9,18 @@ that procedure a first-class, *timed* simulation so recovery latency
 can be studied (an extension the paper leaves open):
 
 1. scan every core's TC array (one CAM access per entry),
-2. discard active entries, re-issue committed entries to the NVM
-   controller in FIFO order,
-3. for fall-back transactions whose commit record is durable, copy the
-   shadow region to the home addresses (one read + one write each),
-4. wait for all writes to drain — the machine may then restart.
+2. discard active entries, then walk the scheme's replay plan
+   (:meth:`~repro.persistence.TxCacheScheme.tc_replay_plan`) in commit
+   order: committed TC entries are re-issued to the NVM controller at
+   once; a fall-back transaction's lines are copied shadow → home, one
+   shadow read before each write,
+3. wait for all writes to drain — the machine may then restart.
+
+The walk is the untimed model's own
+:func:`~repro.persistence.recovery.replay`, run against the controller
+instead of a dict, so it keeps the same "a later-committed owner keeps
+its line" guard (a line the guard keeps costs no shadow read) and the
+recovered image equals ``scheme.durable_lines(crash_cycle)``.
 
 :func:`simulate_recovery` replays this on a *fresh* memory system
 seeded with the crashed NVM image, returning the recovered image and
@@ -23,15 +30,15 @@ the recovery latency in cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from ..common.config import MachineConfig
 from ..common.event import Simulator
 from ..common.stats import Stats
 from ..common.types import Version, is_home_line
 from ..memory.system import MemorySystem
-from .accelerator import PersistentMemoryAccelerator
-from .overflow import OverflowManager
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..persistence.txcache_scheme import TxCacheScheme
 
 
 @dataclass
@@ -46,23 +53,42 @@ class RecoveryResult:
     image: Dict[int, Optional[Version]] = field(default_factory=dict)
 
 
-def simulate_recovery(
-    config: MachineConfig,
-    accelerator: PersistentMemoryAccelerator,
-    overflow: Optional[OverflowManager],
-    crashed_nvm: Dict[int, Optional[Version]],
-    crash_cycle: int,
-    commit_cycle: Optional[Dict[int, int]] = None,
-) -> RecoveryResult:
+class _TimedImage(dict):
+    """The crashed image as the replay target: every write recovery
+    applies is also issued to the NVM controller at the procedure's
+    clock, after a shadow read when it copies a fall-back line."""
+
+    def __init__(self, crashed: Dict[int, Optional[Version]],
+                 sim: Simulator, memory: MemorySystem, start: int,
+                 read_cycles: int,
+                 is_fallback: Callable[[Optional[int]], bool]) -> None:
+        super().__init__(crashed)
+        self.sim = sim
+        self.memory = memory
+        self.now = start
+        self.read_cycles = read_cycles
+        self.is_fallback = is_fallback
+        self.replayed = 0
+        self.copied = 0
+
+    def __setitem__(self, line: int, version: Optional[Version]) -> None:
+        if self.is_fallback(version.tx_id):
+            self.now += self.read_cycles    # read the shadow copy
+            self.copied += 1
+        else:
+            self.replayed += 1
+        self.sim.schedule_at(self.now, self.memory.write, line, version)
+        super().__setitem__(line, version)
+
+
+def simulate_recovery(scheme: "TxCacheScheme",
+                      crash_cycle: int) -> RecoveryResult:
     """Replay the hardware recovery procedure with timing.
 
     Args:
-        config: machine configuration (controller timing comes from it).
-        accelerator: the crashed machine's accelerator — its TCs are
-            nonvolatile and are read in place.
-        overflow: the crashed machine's COW manager (None if unused).
-        crashed_nvm: NVM home-region image found after the crash
-            (line → version).
+        scheme: the crashed machine's txcache scheme — its TCs are
+            nonvolatile and are read in place; its NVM home image at
+            ``crash_cycle`` is the starting point.
         crash_cycle: the crash point; fall-back transactions count as
             committed iff their record was durable by then.
 
@@ -70,79 +96,44 @@ def simulate_recovery(
         A :class:`RecoveryResult` whose ``image`` is the recovered NVM
         contents and whose ``cycles`` is the simulated recovery time.
     """
+    # deferred: the persistence package imports this one's siblings
+    from ..persistence.recovery import replay
+
+    config = scheme.config
+    crashed = scheme.home_image_at(crash_cycle)
     sim = Simulator()
-    stats = Stats()
-    memory = MemorySystem(sim, config, stats)
-    for line, version in crashed_nvm.items():
+    memory = MemorySystem(sim, config, Stats())
+    for line, version in crashed.items():
         memory.poke(line, version)
         memory.durable_image.record(0, line, version)
 
+    # 1. scan each TC (one CAM read per live entry); active entries
+    #    are discarded.
+    tcs = scheme.accelerator.tcs
+    scanned = sum(len(tc.live_entries()) for tc in tcs)
+    discarded = sum(len(tc.active_entries()) for tc in tcs)
     tc_latency = config.txcache.latency_cycles(config.freq_ghz)
-    now = 0
-    scanned = replayed = discarded = 0
 
-    # 1-2. scan each TC; re-issue committed entries in FIFO order.
-    replay: List[Tuple[int, Dict[int, Optional[Version]]]] = []
-    for tc in accelerator.tcs:
-        for entry in tc.live_entries():
-            scanned += 1
-            now += tc_latency  # CAM read of the entry
-        by_tx: Dict[int, Dict[int, Optional[Version]]] = {}
-        for entry in tc.committed_unacked():
-            by_tx.setdefault(entry.tx_id, {})[entry.tag] = entry.version
-        discarded += len(tc.active_entries())
-        for tx_id, lines in by_tx.items():
-            replay.append((tx_id, lines))
+    # 2. issue the replay plan's writes in plan order.
+    target = _TimedImage(
+        crashed, sim, memory, start=scanned * tc_latency,
+        read_cycles=config.nvm.timing.read_cycles(config.freq_ghz,
+                                                  row_hit=False),
+        is_fallback=scheme.overflow.is_fallback)
+    replay(target, scheme.tc_replay_plan(crash_cycle), scheme.commit_cycle)
 
-    # Lines already owned by a later-committed transaction in the
-    # crashed image must not be rolled back by older replayed data
-    # (possible when a fall-back transaction's home copies and a later
-    # TC transaction race on one line).
-    commit_cycle = commit_cycle or {}
-
-    def committed_later(line: int, than_cycle: int) -> bool:
-        existing = crashed_nvm.get(line)
-        if existing is None or existing.tx_id is None:
-            return False
-        return commit_cycle.get(existing.tx_id, -1) > than_cycle
-
-    for tx_id, lines in sorted(replay, key=lambda item: item[0]):
-        when = commit_cycle.get(tx_id, crash_cycle)
-        for line, version in lines.items():
-            if committed_later(line, when):
-                continue
-            sim.schedule_at(now, memory.write, line, version)
-            replayed += 1
-
-    # 3. fall-back transactions with durable records: copy shadow → home
-    #    — with the same later-owner guard.
-
-    copied = 0
-    if overflow is not None:
-        read_cycles = config.nvm.timing.read_cycles(config.freq_ghz,
-                                                    row_hit=False)
-        for state in overflow.committed_at(crash_cycle):
-            for line, version in state.writes.items():
-                now += read_cycles          # read the shadow copy
-                if committed_later(line, state.record_durable_at):
-                    continue
-                sim.schedule_at(now, memory.write, line, version)
-                copied += 1
-
-    # 4. drain.
+    # 3. drain.
     sim.run()
-    end = max(sim.now, now)
-
     image = {
         line: version
         for line, version in memory.durable_image.final_state().items()
         if is_home_line(line)
     }
     return RecoveryResult(
-        cycles=end,
+        cycles=max(sim.now, target.now),
         entries_scanned=scanned,
-        entries_replayed=replayed,
+        entries_replayed=target.replayed,
         entries_discarded=discarded,
-        fallback_lines_copied=copied,
+        fallback_lines_copied=target.copied,
         image=image,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..common.types import Version, is_home_line
+from ..common.types import Version
 from ..persistence import register_scheme
 from ..persistence.base import PersistenceScheme, Resume
 
@@ -41,33 +41,16 @@ class CommitBeforeFlushScheme(PersistenceScheme):
 
     name = _SchemeTag(BROKEN_COMMIT)
 
-    def __init__(self, sim, config, stats, hierarchy, memory,
-                 tracer=None) -> None:
-        from ..obs.tracer import NULL_TRACER
-        super().__init__(sim, config, stats, hierarchy, memory,
-                         tracer=tracer if tracer is not None
-                         else NULL_TRACER)
-        self._commit_cycle: Dict[int, int] = {}
-
     def tx_end(self, core, op, resume: Resume) -> None:
         # the bug: durability claimed with the writes still volatile
         self.committed_tx.add(op.tx_id)
-        self._commit_cycle[op.tx_id] = self.sim.now
+        self.commit_cycle[op.tx_id] = self.sim.now
         resume()
-
-    def durably_committed(self, crash_cycle: int) -> set:
-        return {tx for tx, cycle in self._commit_cycle.items()
-                if cycle <= crash_cycle}
 
     def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
         # no recovery story at all: whatever write-backs happened to
         # reach the NVM home region before the crash
-        return {
-            line: version
-            for line, version in
-            self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
+        return self.home_image_at(crash_cycle)
 
 
 register_scheme(BROKEN_COMMIT, CommitBeforeFlushScheme)

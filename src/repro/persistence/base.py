@@ -21,6 +21,10 @@ drain, TC-full stall):
 Schemes also expose the recovery model: :meth:`durable_lines` answers
 "after a crash at cycle *t*, what line→version map does recovery
 produce?" — the contract checked by the crash-consistency tests.
+Recovering schemes build it from :meth:`home_image_at` with one of the
+two routines in :mod:`repro.persistence.recovery`, and record each
+transaction's durability point in :attr:`commit_cycle`, which the
+default :meth:`durably_committed` reads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from ..cache.hierarchy import CacheHierarchy
 from ..common.config import MachineConfig
 from ..common.event import Simulator
 from ..common.stats import Stats
-from ..common.types import SchemeName, Version
+from ..common.types import SchemeName, Version, is_home_line
 from ..cpu.trace import Trace
 from ..memory.system import MemorySystem
 from ..obs.tracer import NULL_TRACER, NullTracer
@@ -67,6 +71,9 @@ class PersistenceScheme:
         self.tracer = tracer
         #: transactions whose commit is complete from the scheme's view
         self.committed_tx: set = set()
+        #: tx -> cycle at which its commit became durable (recovery
+        #: treats it as committed from then on)
+        self.commit_cycle: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # trace preparation
@@ -121,10 +128,22 @@ class PersistenceScheme:
         that is exactly the paper's Fig. 2a failure case)."""
         return self.memory.durable_state_at(crash_cycle)
 
+    def home_image_at(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+        """The NVM home region as found after a crash at
+        ``crash_cycle`` (log and record lines filtered out) — the image
+        recovery starts from."""
+        return {
+            line: version
+            for line, version in self.memory.durable_state_at(crash_cycle).items()
+            if is_home_line(line)
+        }
+
     def durably_committed(self, crash_cycle: int) -> set:
         """Transaction ids recovery would consider committed after a
-        crash at ``crash_cycle``.  Optimal has no notion of recovery."""
-        return set()
+        crash at ``crash_cycle``: those whose :attr:`commit_cycle` is
+        not later.  Optimal records none."""
+        return {tx for tx, cycle in self.commit_cycle.items()
+                if cycle <= crash_cycle}
 
 
 class OptimalScheme(PersistenceScheme):

@@ -23,17 +23,19 @@ inside the cache hierarchy itself:
 
 Durability model: the NV-LLC guarantees that once a transaction's
 commit flush completes, its writes survive a crash.  Recovery discards
-pinned (uncommitted) lines.  We track the committed-version map at the
-scheme level; the mechanism (flush + pin) is simulated cycle-by-cycle.
+pinned (uncommitted) lines and replays the committed ones in commit
+order.  We track the committed-version map at the scheme level; the
+mechanism (flush + pin) is simulated cycle-by-cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from ..common.types import SchemeName, Version, is_home_line, line_addr
+from ..common.types import SchemeName, Version, line_addr
 from ..obs.tracer import NULL_TRACER
 from .base import PersistenceScheme, Resume, StoreIssue, StoreRetire
+from .recovery import replay
 
 
 class KilnScheme(PersistenceScheme):
@@ -56,12 +58,11 @@ class KilnScheme(PersistenceScheme):
         self._open_tx_lines: Dict[int, Set[int]] = {}
         #: program-order versions written by each open transaction
         self._open_tx_versions: Dict[int, Dict[int, Version]] = {}
-        #: cycle at which each transaction's commit flush completed
-        self.commit_cycle: Dict[int, int] = {}
         #: per-transaction committed line versions (NV-LLC durability)
         self._tx_committed_writes: Dict[int, Dict[int, Version]] = {}
-        #: commit order, for recovery replay
-        self._commit_order: List[int] = []
+        #: commit order (tx -> position), the recovery replay order;
+        #: ``commit_cycle`` holds when each commit flush completes
+        self._commit_order: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _pin_uncommitted(self, tx_id: Optional[int]) -> bool:
@@ -112,7 +113,7 @@ class KilnScheme(PersistenceScheme):
             self.stats.inc("commit_flush_lines", len(lines))
             self.stats.inc("commit_flush_cycles", flush_cycles)
         self.commit_cycle[tx_id] = done
-        self._commit_order.append(tx_id)
+        self._commit_order[tx_id] = len(self._commit_order)
         self.committed_tx.add(tx_id)
         # record the now-durable versions (they are in the NV-LLC);
         # taken from the program-order store record so a commit racing
@@ -135,22 +136,12 @@ class KilnScheme(PersistenceScheme):
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def durably_committed(self, crash_cycle: int) -> set:
-        return {tx for tx, cycle in self.commit_cycle.items()
-                if cycle <= crash_cycle}
-
     def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
         """NV-LLC recovery: the NVM image plus every committed line
-        still resident (durably) in the nonvolatile LLC; pinned
-        (uncommitted) lines are discarded."""
+        still resident (durably) in the nonvolatile LLC, replayed in
+        commit order; pinned (uncommitted) lines are discarded."""
         committed = self.durably_committed(crash_cycle)
-        recovered = {
-            line: version
-            for line, version in self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
-        for tx_id in self._commit_order:
-            if tx_id not in committed:
-                continue
-            recovered.update(self._tx_committed_writes.get(tx_id, {}))
-        return recovered
+        plan = [(tx, self._tx_committed_writes[tx])
+                for tx in self._commit_order if tx in committed]
+        return replay(self.home_image_at(crash_cycle), plan,
+                      self._commit_order)

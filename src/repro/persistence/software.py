@@ -15,15 +15,14 @@ undo-log protocol a library like Mnemosyne/NV-heaps executes:
 5. store + ``clwb`` + ``sfence`` a per-transaction commit record — the
    atomicity point.
 
-Recovery: transactions whose commit record is durable are complete
-(their data was flushed before the record); all others are rolled back
-from the undo log — any of their in-place writes that reached the NVM
-are restored to the pre-transaction value.  The undo values are
-captured at *runtime*, in the global (architectural) order the stores
-actually issue in: computing them per-core at trace-preparation time —
-the original implementation — silently assumed cores never write the
-same line, and on cross-core conflict programs (the litmus matrix)
-would roll a line back past another core's committed write.
+SP is the undo-log scheme with the whole transaction's log batched
+behind one fence, so it subclasses
+:class:`~repro.persistence.swtx.UndoLogScheme` and shares its log
+layout, clwb bookkeeping, runtime undo capture and recovery
+(transactions whose commit record is durable are complete; all others
+are rolled back from the undo log).  Only the instrumentation and the
+fence differ: an SP fence that waits is charged to the core's generic
+``fence`` stall, not to ``log_flush``.
 
 This is where the paper's SP costs come from: roughly 2x NVM write
 traffic (log + data + record) and serialized flush/fence stalls on the
@@ -32,173 +31,72 @@ critical path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..common.types import (
-    HOME_REGION_LIMIT,
-    SchemeName,
-    Version,
-    is_home_line,
-    is_persistent_addr,
-    line_addr,
-)
+from ..common.types import SchemeName, Version, line_addr
 from ..cpu.trace import OpType, Trace, TraceOp
-from ..obs.tracer import NULL_TRACER
-from .base import PersistenceScheme, Resume
-
-#: per-core undo-log regions (scheme metadata: above the home region)
-SP_LOG_BASE = HOME_REGION_LIMIT
-SP_LOG_STRIDE = 1 << 30          # per-core log spacing
-SP_LOG_WRAP = 1 << 20            # circular log size per core
-#: commit records, one line per transaction
-SP_RECORD_BASE = HOME_REGION_LIMIT + (1 << 35)
-
-#: ALU instructions charged per log() call (address/value marshalling)
-LOG_COMPUTE_COST = 2
-#: sequence-number space for injected log stores (disjoint from app stores)
-_LOG_SEQ_BASE = 1 << 20
+from .base import Resume
+from .swtx.base import LOG_COMPUTE_COST, LOG_SEQ_BASE, log_slots, record_addr
+from .swtx.undo import UndoLogScheme
 
 
-def sp_record_addr(tx_id: int) -> int:
-    return SP_RECORD_BASE + tx_id * 64
-
-
-def tx_of_record_line(line: int) -> Optional[int]:
-    if line < SP_RECORD_BASE:
-        return None
-    return (line - SP_RECORD_BASE) // 64
-
-
-class SoftwareScheme(PersistenceScheme):
+class SoftwareScheme(UndoLogScheme):
     """SP: write-ahead logging + clwb/sfence ordering in software."""
 
     name = SchemeName.SP
-
-    def __init__(self, sim, config, stats, hierarchy, memory,
-                 tracer=NULL_TRACER) -> None:
-        super().__init__(sim, config, stats, hierarchy, memory, tracer)
-        self._log_cursor: Dict[int, int] = {}   # per-trace log allocation
-        self._next_log_region = 0
-        # outstanding clwb writebacks per core, and fence waiters
-        self._outstanding: Dict[int, int] = {}
-        self._fence_waiters: Dict[int, List[Resume]] = {}
-        # recovery bookkeeping, captured at runtime in store-issue
-        # order: (tx, line, pre-store version) per in-place data store,
-        # plus the current architectural version per data line
-        self._undo_log: List[Tuple[int, int, Optional[Version]]] = []
-        self._current_version: Dict[int, Optional[Version]] = {}
-        # commit-record durability, observed at runtime
-        self.record_durable: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # trace instrumentation (the 'software instructions' of Fig. 2b)
     # ------------------------------------------------------------------
     def prepare_trace(self, trace: Trace) -> Trace:
-        region = self._next_log_region
-        self._next_log_region += 1
-        log_base = SP_LOG_BASE + region * SP_LOG_STRIDE
-        log_cursor = 0
-        out = Trace(name=f"{trace.name}+sp")
-        pending_tx: Optional[List[TraceOp]] = None
-        open_tx: Optional[int] = None
+        _region, log_base = self._claim_log_region()
+        slots = log_slots(log_base)
 
-        def emit_tx(tx_id: int, body: List[TraceOp]) -> None:
-            nonlocal log_cursor
+        def emit_tx(out: List[TraceOp], tx_id: int,
+                    body: List[TraceOp]) -> None:
             stores = [op for op in body
                       if op.op is OpType.STORE and op.persistent]
             writes: Dict[int, Version] = {}
-            out.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
             # 1. build + persist the undo log.  Each log record is
             # 16 B (address + 64-bit old value), packed four per line;
             # one clwb per touched log line.
             touched_log_lines: Dict[int, None] = {}
             for index, store in enumerate(stores):
-                data_line = line_addr(store.addr)
-                writes[data_line] = store.version
-                log_entry = log_base + (log_cursor % SP_LOG_WRAP)
-                log_cursor += 16
-                out.ops.append(TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                out.ops.append(TraceOp(
+                writes[line_addr(store.addr)] = store.version
+                log_entry = next(slots)
+                out.append(TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
+                out.append(TraceOp(
                     OpType.STORE, addr=log_entry, tx_id=tx_id,
-                    version=Version(tx_id, _LOG_SEQ_BASE + index)))
+                    version=Version(tx_id, LOG_SEQ_BASE + index)))
                 touched_log_lines[line_addr(log_entry)] = None
             for log_line in touched_log_lines:
-                out.ops.append(TraceOp(OpType.CLWB, addr=log_line, tx_id=tx_id))
+                out.append(TraceOp(OpType.CLWB, addr=log_line, tx_id=tx_id))
             if stores:
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
             # 2. original body
-            out.ops.extend(body)
+            out.extend(body)
             # 3. force data home, then the commit record
             if stores:
                 for data_line in writes:
-                    out.ops.append(TraceOp(OpType.CLWB, addr=data_line,
-                                           tx_id=tx_id))
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
-                record = sp_record_addr(tx_id)
-                out.ops.append(TraceOp(
+                    out.append(TraceOp(OpType.CLWB, addr=data_line,
+                                       tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                record = record_addr(tx_id)
+                out.append(TraceOp(
                     OpType.STORE, addr=record, tx_id=tx_id,
                     version=Version(tx_id, -1)))
-                out.ops.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
-            out.ops.append(TraceOp(OpType.TX_END, tx_id=tx_id))
+                out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
 
-        for op in trace.ops:
-            if op.op is OpType.TX_BEGIN:
-                open_tx = op.tx_id
-                pending_tx = []
-            elif op.op is OpType.TX_END:
-                emit_tx(open_tx, pending_tx)
-                open_tx = None
-                pending_tx = None
-            elif pending_tx is not None:
-                pending_tx.append(op)
-            else:
-                out.ops.append(op)
-        out.validate()
-        return out
+        return self._instrument(trace, "sp", emit_tx)
 
     # ------------------------------------------------------------------
-    # runtime: in-place data stores (undo capture)
+    # runtime: sfence
     # ------------------------------------------------------------------
-    def store(self, core, op, on_issue, on_retire) -> None:
-        # Record the pre-store architectural version in global issue
-        # order.  Log-region and commit-record stores are outside the
-        # home region and are not captured; the capture order matches
-        # the hierarchy's architectural write order because both are
-        # updated synchronously from this same event.
-        if op.persistent and is_home_line(op.addr):
-            data_line = line_addr(op.addr)
-            if op.tx_id is not None and op.version is not None:
-                self._undo_log.append(
-                    (op.tx_id, data_line,
-                     self._current_version.get(data_line)))
-            self._current_version[data_line] = op.version
-        super().store(core, op, on_issue, on_retire)
-
-    # ------------------------------------------------------------------
-    # runtime: clwb / sfence
-    # ------------------------------------------------------------------
-    def clwb(self, core, op, resume: Resume) -> None:
-        core_id = core.core_id
-        self._outstanding[core_id] = self._outstanding.get(core_id, 0) + 1
-        line = line_addr(op.addr)
-
-        def written_back(cycle: int) -> None:
-            tx_id = tx_of_record_line(line)
-            if tx_id is not None and tx_id not in self.record_durable:
-                self.record_durable[tx_id] = cycle
-                self.committed_tx.add(tx_id)
-            self._outstanding[core_id] -= 1
-            if self._outstanding[core_id] == 0:
-                waiters = self._fence_waiters.pop(core_id, [])
-                for waiter in waiters:
-                    waiter()
-
-        self.hierarchy.writeback_line(core_id, line, written_back)
-        resume()  # clwb itself is asynchronous; sfence orders it
-
     def sfence(self, core, op, resume: Resume) -> None:
-        if self._outstanding.get(core.core_id, 0) == 0:
+        core_id = core.core_id
+        if (not self._outstanding_log.get(core_id, 0)
+                and not self._outstanding_data.get(core_id, 0)):
             resume()
             return
         self.stats.inc("fence_waits")
@@ -209,50 +107,10 @@ class SoftwareScheme(PersistenceScheme):
             inner = resume
 
             def traced_resume() -> None:
-                self.tracer.complete("scheme", f"sp.core{core.core_id}",
+                self.tracer.complete("scheme", f"sp.core{core_id}",
                                      "fence.wait", start,
                                      self.sim.now - start)
                 inner()
 
             resume = traced_resume
-        self._fence_waiters.setdefault(core.core_id, []).append(resume)
-
-    def tx_end(self, core, op, resume: Resume) -> None:
-        # durability was established by the preceding record clwb+sfence
-        resume()
-
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-    def busy(self) -> bool:
-        return any(count for count in self._outstanding.values())
-
-    def durably_committed(self, crash_cycle: int) -> set:
-        return {tx for tx, cycle in self.record_durable.items()
-                if cycle <= crash_cycle}
-
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
-        """Undo-log recovery: roll back every in-place write of an
-        uncommitted transaction that reached the NVM.
-
-        The undo log is unwound newest-first across *all* cores, so a
-        chain of conflicting stores rolls back as a stack: restoring a
-        pre-value that itself belongs to an uncommitted transaction is
-        immediately undone by that transaction's own (earlier) entry.
-        """
-        committed = self.durably_committed(crash_cycle)
-        recovered = {
-            line: version
-            for line, version in self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
-        for tx_id, data_line, old_version in reversed(self._undo_log):
-            if tx_id in committed:
-                continue
-            found = recovered.get(data_line)
-            if found is not None and found.tx_id == tx_id:
-                if old_version is None:
-                    recovered.pop(data_line, None)
-                else:
-                    recovered[data_line] = old_version
-        return recovered
+        self._fence_waiters.setdefault(core_id, []).append(resume)

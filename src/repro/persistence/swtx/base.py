@@ -19,16 +19,21 @@ This base class centralizes what all three share:
   ``log_flush`` (the new swtx stall kind) instead of the generic
   ``fence``, so the Fig.-6-style breakdown separates "waiting for the
   log" from "waiting for data";
-* **commit-record durability** observed at runtime (the
-  ``record_durable`` map every scheme's :meth:`durably_committed` and
-  the litmus stepped runner read), and the shared **redo-replay
-  engine**: post-commit in-place writes with a bounded backlog window
-  whose back-pressure parks commits under ``log_replay``.
+* **commit-record durability** observed at runtime (the base
+  ``commit_cycle`` map that :meth:`durably_committed` reads), and the
+  shared **redo-replay engine**: post-commit in-place writes with a
+  bounded backlog window whose back-pressure parks commits under
+  ``log_replay``;
+* the **transaction rewrite loop** every ``prepare_trace`` runs
+  (:meth:`SwTxScheme._instrument`) and redo-style **recovery**
+  (record-durable write sets replayed in record order), which undo
+  logging overrides with a rollback.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ...common.types import (
     DRAM_LOG_BASE,
@@ -38,8 +43,13 @@ from ...common.types import (
     is_home_line,
     line_addr,
 )
+from ...cpu.trace import OpType, Trace, TraceOp
 from ...obs.tracer import NULL_TRACER
 from ..base import PersistenceScheme, Resume
+from ..recovery import replay
+
+#: emits one instrumented transaction body: (out ops, tx id, body ops)
+EmitTx = Callable[[List[TraceOp], int, List[TraceOp]], None]
 
 # -- NVM log layout (scheme metadata: above the application home region)
 #: per-core log windows; is_log_region() holds for everything below
@@ -69,6 +79,12 @@ LOG_COMPUTE_COST = 2
 #: sequence-number space for injected log stores (disjoint from app
 #: stores, whose per-tx sequence numbers start at 0)
 LOG_SEQ_BASE = 1 << 20
+
+
+def log_slots(base: int) -> Iterator[int]:
+    """Successive entry addresses of one circular log window."""
+    return (base + offset % LOG_WRAP
+            for offset in count(0, LOG_ENTRY_BYTES))
 
 
 def record_addr(tx_id: int) -> int:
@@ -135,9 +151,6 @@ class SwTxScheme(PersistenceScheme):
         self._outstanding_log: Dict[int, int] = {}
         self._outstanding_data: Dict[int, int] = {}
         self._fence_waiters: Dict[int, List[Resume]] = {}
-        #: commit-record durability (tx -> completion cycle), observed
-        #: at runtime; the recovery model keys on it
-        self.record_durable: Dict[int, int] = {}
         #: per-tx final write sets (home line -> version), accumulated
         #: at runtime in program order; complete by the time the tx's
         #: commit record can possibly become durable
@@ -156,6 +169,30 @@ class SwTxScheme(PersistenceScheme):
         self._next_log_region += 1
         return region, LOG_BASE + region * LOG_STRIDE
 
+    @staticmethod
+    def _instrument(trace: Trace, suffix: str, emit_tx: EmitTx) -> Trace:
+        """Rewrite every transaction of ``trace``: ``emit_tx`` appends
+        the instrumented body of each TX_BEGIN..TX_END group between a
+        fresh TX_BEGIN/TX_END pair; ops outside transactions pass
+        through unchanged."""
+        out = Trace(name=f"{trace.name}+{suffix}")
+        body: Optional[List[TraceOp]] = None
+        tx_id = None
+        for op in trace.ops:
+            if op.op is OpType.TX_BEGIN:
+                tx_id, body = op.tx_id, []
+            elif op.op is OpType.TX_END:
+                out.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
+                emit_tx(out.ops, tx_id, body)
+                out.ops.append(TraceOp(OpType.TX_END, tx_id=tx_id))
+                body = None
+            elif body is not None:
+                body.append(op)
+            else:
+                out.ops.append(op)
+        out.validate()
+        return out
+
     # ------------------------------------------------------------------
     # runtime: clwb / sfence ordering
     # ------------------------------------------------------------------
@@ -170,10 +207,9 @@ class SwTxScheme(PersistenceScheme):
 
         def written_back(cycle: int) -> None:
             tx_id = tx_of_record_line(line)
-            if tx_id is not None and tx_id not in self.record_durable:
-                self.record_durable[tx_id] = cycle
+            if tx_id is not None and tx_id not in self.commit_cycle:
+                self.commit_cycle[tx_id] = cycle
                 self.committed_tx.add(tx_id)
-                self._on_record_durable(tx_id, cycle)
             counters[core_id] -= 1
             self._maybe_release_fence(core_id)
 
@@ -200,9 +236,6 @@ class SwTxScheme(PersistenceScheme):
                 and not self._outstanding_data.get(core_id, 0)):
             for waiter in self._fence_waiters.pop(core_id, []):
                 waiter()
-
-    def _on_record_durable(self, tx_id: int, cycle: int) -> None:
-        """Hook: a transaction's commit record just became durable."""
 
     # ------------------------------------------------------------------
     # runtime: post-commit in-place replay (redo + hybrid)
@@ -248,14 +281,10 @@ class SwTxScheme(PersistenceScheme):
             or self._replay_waiters
         )
 
-    def durably_committed(self, crash_cycle: int) -> set:
-        return {tx for tx, cycle in self.record_durable.items()
-                if cycle <= crash_cycle}
-
-    def _redo_recovery(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
-        """Recovery shared by the redo-style schemes: start from the
-        home image the crash left behind, then replay the write set of
-        every durably-committed transaction in record-durability order.
+    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+        """Redo recovery (redo_log, hybrid_dram): start from the home
+        image the crash left behind, then replay the write set of every
+        durably-committed transaction in record-durability order.
 
         Per core, records become durable in program order (redo fences
         each record; hybrid chains its record mirrors), so the last
@@ -265,15 +294,7 @@ class SwTxScheme(PersistenceScheme):
         record-durable transaction (replay starts strictly after record
         durability), so it is always re-applied consistently.
         """
-        recovered = {
-            line: version
-            for line, version in self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
-        durable = sorted(
-            ((cycle, tx) for tx, cycle in self.record_durable.items()
-             if cycle <= crash_cycle))
-        for _cycle, tx_id in durable:
-            for home_line, version in self._write_sets.get(tx_id, {}).items():
-                recovered[home_line] = version
-        return recovered
+        durable = sorted((cycle, tx) for tx, cycle in self.commit_cycle.items()
+                         if cycle <= crash_cycle)
+        plan = [(tx, self._write_sets.get(tx, {})) for _cycle, tx in durable]
+        return replay(self.home_image_at(crash_cycle), plan, self.commit_cycle)

@@ -28,25 +28,25 @@ replayed; everything else ran only in DRAM and vanishes cleanly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ...common.types import SchemeName, Version, line_addr
+from ...common.types import DRAM_LOG_BASE, SchemeName, Version, line_addr
 from ...cpu.trace import OpType, Trace, TraceOp
+from ...obs.tracer import NULL_TRACER
 from .base import (
     DRAM_RECORD_BASE,
     LOG_COMPUTE_COST,
-    LOG_ENTRY_BYTES,
     LOG_SEQ_BASE,
-    LOG_WRAP,
+    LOG_STRIDE,
     SwTxScheme,
     home_of_shadow,
     is_dram_log_entry,
     is_shadow,
+    log_slots,
     mirror_addr,
     record_addr,
     shadow_addr,
 )
-from ...common.types import DRAM_LOG_BASE
 
 
 def dram_record_addr(tx_id: int) -> int:
@@ -62,10 +62,8 @@ class HybridDramScheme(SwTxScheme):
     MIRROR_WINDOW = 16
 
     def __init__(self, sim, config, stats, hierarchy, memory,
-                 tracer=None) -> None:
-        from ...obs.tracer import NULL_TRACER
-        super().__init__(sim, config, stats, hierarchy, memory,
-                         tracer if tracer is not None else NULL_TRACER)
+                 tracer=NULL_TRACER) -> None:
+        super().__init__(sim, config, stats, hierarchy, memory, tracer)
         #: home lines whose newest value lives in the DRAM shadow;
         #: loads redirect there permanently (reads at DRAM speed are
         #: the point of the decoupling)
@@ -84,55 +82,34 @@ class HybridDramScheme(SwTxScheme):
     # trace instrumentation
     # ------------------------------------------------------------------
     def prepare_trace(self, trace: Trace) -> Trace:
-        _region, _nvm_base = self._claim_log_region()
-        log_base = DRAM_LOG_BASE + _region * (1 << 30)
-        log_cursor = 0
-        out = Trace(name=f"{trace.name}+hybrid")
-        pending: Optional[List[TraceOp]] = None
-        open_tx: Optional[int] = None
+        region, _nvm_base = self._claim_log_region()
+        slots = log_slots(DRAM_LOG_BASE + region * LOG_STRIDE)
 
-        def emit_tx(tx_id: int, body: List[TraceOp]) -> None:
-            nonlocal log_cursor
-            out.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
+        def emit_tx(out: List[TraceOp], tx_id: int,
+                    body: List[TraceOp]) -> None:
             index = 0
             for op in body:
                 if op.op is OpType.STORE and op.persistent:
                     # redo entry into the DRAM log + redirected
                     # in-place write into the DRAM shadow; no clwb, no
                     # sfence — durability is the mirror engine's job
-                    log_entry = log_base + (log_cursor % LOG_WRAP)
-                    log_cursor += LOG_ENTRY_BYTES
-                    out.ops.append(
+                    out.append(
                         TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                    out.ops.append(TraceOp(
-                        OpType.STORE, addr=log_entry, tx_id=tx_id,
+                    out.append(TraceOp(
+                        OpType.STORE, addr=next(slots), tx_id=tx_id,
                         version=Version(tx_id, LOG_SEQ_BASE + index)))
-                    out.ops.append(TraceOp(
+                    out.append(TraceOp(
                         OpType.STORE, addr=shadow_addr(line_addr(op.addr)),
                         tx_id=tx_id, version=op.version))
                     index += 1
                 else:
-                    out.ops.append(op)
+                    out.append(op)
             if index:
-                out.ops.append(TraceOp(
+                out.append(TraceOp(
                     OpType.STORE, addr=dram_record_addr(tx_id), tx_id=tx_id,
                     version=Version(tx_id, -1)))
-            out.ops.append(TraceOp(OpType.TX_END, tx_id=tx_id))
 
-        for op in trace.ops:
-            if op.op is OpType.TX_BEGIN:
-                open_tx = op.tx_id
-                pending = []
-            elif op.op is OpType.TX_END:
-                emit_tx(open_tx, pending)
-                open_tx = None
-                pending = None
-            elif pending is not None:
-                pending.append(op)
-            else:
-                out.ops.append(op)
-        out.validate()
-        return out
+        return self._instrument(trace, "hybrid", emit_tx)
 
     # ------------------------------------------------------------------
     # runtime: stores (log appends, shadow writes, mirror engine)
@@ -233,8 +210,8 @@ class HybridDramScheme(SwTxScheme):
         tx_id = self._record_chain[core_id][0]
 
         def record_durable(request, cycle: int) -> None:
-            if tx_id not in self.record_durable:
-                self.record_durable[tx_id] = cycle
+            if tx_id not in self.commit_cycle:
+                self.commit_cycle[tx_id] = cycle
                 self.committed_tx.add(tx_id)
             chain = self._record_chain[core_id]
             chain.pop(0)
@@ -257,6 +234,3 @@ class HybridDramScheme(SwTxScheme):
             or any(self._record_chain.values())
             or self._epoch_waiters
         )
-
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
-        return self._redo_recovery(crash_cycle)

@@ -23,16 +23,16 @@ transactional load and a replay backlog that can back-pressure commits
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ...common.types import SchemeName, Version, line_addr
 from ...cpu.trace import OpType, Trace, TraceOp
+from ...obs.tracer import NULL_TRACER
 from .base import (
     LOG_COMPUTE_COST,
-    LOG_ENTRY_BYTES,
     LOG_SEQ_BASE,
-    LOG_WRAP,
     SwTxScheme,
+    log_slots,
     record_addr,
 )
 
@@ -43,10 +43,8 @@ class RedoLogScheme(SwTxScheme):
     name = SchemeName.REDO_LOG
 
     def __init__(self, sim, config, stats, hierarchy, memory,
-                 tracer=None) -> None:
-        from ...obs.tracer import NULL_TRACER
-        super().__init__(sim, config, stats, hierarchy, memory,
-                         tracer if tracer is not None else NULL_TRACER)
+                 tracer=NULL_TRACER) -> None:
+        super().__init__(sim, config, stats, hierarchy, memory, tracer)
         #: prepare-time map from an injected log store's (tx, seq) to
         #: the home write it stands for — the runtime uses it to grow
         #: the write set in program order as log stores issue
@@ -58,60 +56,41 @@ class RedoLogScheme(SwTxScheme):
     # ------------------------------------------------------------------
     def prepare_trace(self, trace: Trace) -> Trace:
         _region, log_base = self._claim_log_region()
-        log_cursor = 0
-        out = Trace(name=f"{trace.name}+redo")
-        pending: Optional[List[TraceOp]] = None
-        open_tx: Optional[int] = None
+        slots = log_slots(log_base)
 
-        def emit_tx(tx_id: int, body: List[TraceOp]) -> None:
-            nonlocal log_cursor
-            out.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
+        def emit_tx(out: List[TraceOp], tx_id: int,
+                    body: List[TraceOp]) -> None:
             touched_log_lines: Dict[int, None] = {}
             index = 0
             for op in body:
                 if op.op is OpType.STORE and op.persistent:
                     # replace the in-place write with a redo-log append
-                    log_entry = log_base + (log_cursor % LOG_WRAP)
-                    log_cursor += LOG_ENTRY_BYTES
+                    log_entry = next(slots)
                     seq = LOG_SEQ_BASE + index
                     self._log_targets[(tx_id, seq)] = (
                         line_addr(op.addr), op.version)
-                    out.ops.append(
+                    out.append(
                         TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                    out.ops.append(TraceOp(
+                    out.append(TraceOp(
                         OpType.STORE, addr=log_entry, tx_id=tx_id,
                         version=Version(tx_id, seq)))
                     touched_log_lines[line_addr(log_entry)] = None
                     index += 1
                 else:
-                    out.ops.append(op)
+                    out.append(op)
             if touched_log_lines:
                 for log_line in touched_log_lines:
-                    out.ops.append(TraceOp(OpType.CLWB, addr=log_line,
-                                           tx_id=tx_id))
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OpType.CLWB, addr=log_line,
+                                       tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
                 record = record_addr(tx_id)
-                out.ops.append(TraceOp(
+                out.append(TraceOp(
                     OpType.STORE, addr=record, tx_id=tx_id,
                     version=Version(tx_id, -1)))
-                out.ops.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
-            out.ops.append(TraceOp(OpType.TX_END, tx_id=tx_id))
+                out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
 
-        for op in trace.ops:
-            if op.op is OpType.TX_BEGIN:
-                open_tx = op.tx_id
-                pending = []
-            elif op.op is OpType.TX_END:
-                emit_tx(open_tx, pending)
-                open_tx = None
-                pending = None
-            elif pending is not None:
-                pending.append(op)
-            else:
-                out.ops.append(op)
-        out.validate()
-        return out
+        return self._instrument(trace, "redo", emit_tx)
 
     # ------------------------------------------------------------------
     # runtime
@@ -162,9 +141,3 @@ class RedoLogScheme(SwTxScheme):
             resume()
 
         self._with_replay_window(core, commit)
-
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
-        return self._redo_recovery(crash_cycle)

@@ -18,9 +18,10 @@ line, one data line, a record and a head write per N=1 transaction.
 The differential invariants pin this down: undo fences >= redo fences
 and undo NVM write traffic >= redo's.
 
-Recovery is SP's, shared semantics: committed = durable commit record;
-every in-place write of an uncommitted transaction found in the NVM is
-rolled back to its logged pre-value, newest-first across cores.
+Recovery (shared with SP, which subclasses this scheme): committed =
+durable commit record; every in-place write of an uncommitted
+transaction found in the NVM is rolled back to its logged pre-value,
+newest-first across cores (:func:`~repro.persistence.recovery.rollback`).
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ...common.types import SchemeName, Version, is_home_line, line_addr
 from ...cpu.trace import OpType, Trace, TraceOp
+from ...obs.tracer import NULL_TRACER
+from ..recovery import rollback
 from .base import (
     LOG_COMPUTE_COST,
-    LOG_ENTRY_BYTES,
     LOG_SEQ_BASE,
-    LOG_WRAP,
     SwTxScheme,
     head_addr,
+    log_slots,
     record_addr,
 )
 
@@ -46,13 +48,15 @@ class UndoLogScheme(SwTxScheme):
     name = SchemeName.UNDO_LOG
 
     def __init__(self, sim, config, stats, hierarchy, memory,
-                 tracer=None) -> None:
-        from ...obs.tracer import NULL_TRACER
-        super().__init__(sim, config, stats, hierarchy, memory,
-                         tracer if tracer is not None else NULL_TRACER)
+                 tracer=NULL_TRACER) -> None:
+        super().__init__(sim, config, stats, hierarchy, memory, tracer)
         # recovery bookkeeping, captured at runtime in store-issue
-        # order (same contract as SP: capture order == architectural
-        # write order because both update synchronously here)
+        # order: (tx, line, pre-store version) per in-place data store,
+        # plus the current architectural version per data line.  The
+        # capture order matches the hierarchy's architectural write
+        # order because both update synchronously from the same event;
+        # capturing per core at trace-preparation time would roll a
+        # line back past another core's committed write.
         self._undo_log: List[Tuple[int, int, Optional[Version]]] = []
         self._current_version: Dict[int, Optional[Version]] = {}
 
@@ -61,14 +65,10 @@ class UndoLogScheme(SwTxScheme):
     # ------------------------------------------------------------------
     def prepare_trace(self, trace: Trace) -> Trace:
         region, log_base = self._claim_log_region()
-        log_cursor = 0
-        out = Trace(name=f"{trace.name}+undo")
-        pending: Optional[List[TraceOp]] = None
-        open_tx: Optional[int] = None
+        slots = log_slots(log_base)
 
-        def emit_tx(tx_id: int, body: List[TraceOp]) -> None:
-            nonlocal log_cursor
-            out.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
+        def emit_tx(out: List[TraceOp], tx_id: int,
+                    body: List[TraceOp]) -> None:
             index = 0
             writes: Dict[int, None] = {}
             for op in body:
@@ -76,60 +76,47 @@ class UndoLogScheme(SwTxScheme):
                     # log the old value and make it durable *before*
                     # the in-place write — one full ordering point per
                     # store, the protocol's defining cost
-                    log_entry = log_base + (log_cursor % LOG_WRAP)
-                    log_cursor += LOG_ENTRY_BYTES
-                    out.ops.append(
+                    log_entry = next(slots)
+                    out.append(
                         TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                    out.ops.append(TraceOp(
+                    out.append(TraceOp(
                         OpType.STORE, addr=log_entry, tx_id=tx_id,
                         version=Version(tx_id, LOG_SEQ_BASE + index)))
-                    out.ops.append(TraceOp(
+                    out.append(TraceOp(
                         OpType.CLWB, addr=line_addr(log_entry), tx_id=tx_id))
-                    out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
                     writes[line_addr(op.addr)] = None
                     index += 1
-                out.ops.append(op)
+                out.append(op)
             if writes:
                 # data durable, then the commit record (atomicity
                 # point), then truncate the log: the head store is
                 # flushed lazily — the next transaction's first fence
                 # orders it
                 for data_line in writes:
-                    out.ops.append(TraceOp(OpType.CLWB, addr=data_line,
-                                           tx_id=tx_id))
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OpType.CLWB, addr=data_line,
+                                       tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
                 record = record_addr(tx_id)
-                out.ops.append(TraceOp(
+                out.append(TraceOp(
                     OpType.STORE, addr=record, tx_id=tx_id,
                     version=Version(tx_id, -1)))
-                out.ops.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
-                out.ops.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
+                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
                 head = head_addr(region)
-                out.ops.append(TraceOp(
+                out.append(TraceOp(
                     OpType.STORE, addr=head, tx_id=tx_id,
                     version=Version(tx_id, -2)))
-                out.ops.append(TraceOp(OpType.CLWB, addr=head, tx_id=tx_id))
-            out.ops.append(TraceOp(OpType.TX_END, tx_id=tx_id))
+                out.append(TraceOp(OpType.CLWB, addr=head, tx_id=tx_id))
 
-        for op in trace.ops:
-            if op.op is OpType.TX_BEGIN:
-                open_tx = op.tx_id
-                pending = []
-            elif op.op is OpType.TX_END:
-                emit_tx(open_tx, pending)
-                open_tx = None
-                pending = None
-            elif pending is not None:
-                pending.append(op)
-            else:
-                out.ops.append(op)
-        out.validate()
-        return out
+        return self._instrument(trace, "undo", emit_tx)
 
     # ------------------------------------------------------------------
     # runtime: in-place data stores (undo capture)
     # ------------------------------------------------------------------
     def store(self, core, op, on_issue, on_retire) -> None:
+        # log-region and commit-record stores are outside the home
+        # region and are not captured
         if op.persistent and is_home_line(op.addr):
             data_line = line_addr(op.addr)
             if op.tx_id is not None and op.version is not None:
@@ -151,19 +138,5 @@ class UndoLogScheme(SwTxScheme):
         """Undo recovery: roll back every in-place write of an
         uncommitted transaction that reached the NVM, newest-first
         across all cores (conflicting chains unwind as a stack)."""
-        committed = self.durably_committed(crash_cycle)
-        recovered = {
-            line: version
-            for line, version in self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
-        for tx_id, data_line, old_version in reversed(self._undo_log):
-            if tx_id in committed:
-                continue
-            found = recovered.get(data_line)
-            if found is not None and found.tx_id == tx_id:
-                if old_version is None:
-                    recovered.pop(data_line, None)
-                else:
-                    recovered[data_line] = old_version
-        return recovered
+        return rollback(self.home_image_at(crash_cycle), self._undo_log,
+                        self.durably_committed(crash_cycle))

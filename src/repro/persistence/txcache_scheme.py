@@ -17,18 +17,22 @@ Wiring (paper §3, "Persistent Memory Accelerator Working Flow"):
 
 Recovery: committed-but-unacked entries in the (nonvolatile) TCs are
 replayed onto the NVM image; active entries are discarded; fallback
-transactions apply iff their commit record is durable.
+transactions apply iff their commit record is durable.  Both come from
+one :meth:`TxCacheScheme.tc_replay_plan`, which the untimed model
+(:meth:`TxCacheScheme.durable_lines`) and the timed procedure
+(:func:`repro.core.recovery.simulate_recovery`) apply alike.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..common.types import SchemeName, Version, is_home_line, line_addr
+from ..common.types import SchemeName, Version
 from ..core.accelerator import PersistentMemoryAccelerator
 from ..core.overflow import OverflowManager
 from ..obs.tracer import NULL_TRACER
 from .base import PersistenceScheme, Resume, StoreIssue, StoreRetire
+from .recovery import PlanItem, replay
 
 
 class TxCacheScheme(PersistenceScheme):
@@ -45,11 +49,9 @@ class TxCacheScheme(PersistenceScheme):
         self.accelerator.uncorrectable_handler = self._on_uncorrectable
         hierarchy.drop_persistent_evictions = True
         hierarchy.llc_probe = self._probe
-        #: commit-request arrival cycle per transaction (the durability
-        #: point: the TC array is nonvolatile)
-        self.commit_cycle: Dict[int, int] = {}
-        #: home lines written per transaction, for ordered recovery
-        self._tx_writes: Dict[int, Dict[int, Version]] = {}
+        # commit_cycle holds each transaction's commit-request arrival
+        # (the durability point: the TC array is nonvolatile), or for a
+        # fall-back transaction the cycle its commit record was durable
 
     # ------------------------------------------------------------------
     # LLC miss probe
@@ -89,7 +91,6 @@ class TxCacheScheme(PersistenceScheme):
             on_issue(1)
             return
         tx_id = core.mode_tx
-        self._tx_writes.setdefault(tx_id, {})[line_addr(op.addr)] = op.version
         if self.overflow.active_fallback_for(core.core_id) == tx_id:
             self.overflow.write(core.core_id, tx_id, op.addr, op.version)
             on_issue(1)
@@ -220,47 +221,31 @@ class TxCacheScheme(PersistenceScheme):
     def busy(self) -> bool:
         return self.accelerator.busy() or self.overflow.busy()
 
-    def durably_committed(self, crash_cycle: int) -> set:
-        committed = {tx for tx, cycle in self.commit_cycle.items()
-                     if cycle <= crash_cycle
-                     and not self.overflow.is_fallback(tx)}
-        committed.update(
-            state.tx_id for state in self.overflow.committed_at(crash_cycle))
-        return committed
+    def tc_replay_plan(self, crash_cycle: int) -> List[PlanItem]:
+        """What recovery writes home after a crash at ``crash_cycle``:
+        the committed-but-unacked entries of every (nonvolatile) TC and
+        the fall-back transactions whose commit record was durable,
+        one write set per transaction, in commit order."""
+        plan: List[PlanItem] = []
+        for tc in self.accelerator.tcs:
+            by_tx: Dict[int, Dict[int, Optional[Version]]] = {}
+            for entry in tc.committed_unacked():
+                by_tx.setdefault(entry.tx_id, {})[entry.tag] = entry.version
+            plan.extend(by_tx.items())
+        plan.extend((state.tx_id, state.writes)
+                    for state in self.overflow.committed_at(crash_cycle))
+        plan.sort(key=lambda item: self.commit_cycle[item[0]])
+        return plan
 
     def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
         """Recovery output after a crash at ``crash_cycle``.
 
         The simulation must be paused at (or after all activity up to)
         the crash cycle: the NVM image is replayed from its timeline,
-        while the nonvolatile TC contents are read in place."""
-        recovered = {
-            line: version
-            for line, version in self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
-        # Apply recovered transactions in commit order so conflicting
-        # lines end up with the newest committed version — and never
-        # overwrite durable data that a *later*-committed transaction
-        # already put in place (a fall-back transaction's pending home
-        # copies can be older than a subsequent TC write to the line).
-        replay: List[Tuple[int, Dict[int, Optional[Version]]]] = []
-        for tc in self.accelerator.tcs:
-            by_tx: Dict[int, Dict[int, Optional[Version]]] = {}
-            for entry in tc.committed_unacked():
-                by_tx.setdefault(entry.tx_id, {})[entry.tag] = entry.version
-            for tx_id, lines in by_tx.items():
-                replay.append((self.commit_cycle.get(tx_id, 0), lines))
-        for state in self.overflow.committed_at(crash_cycle):
-            replay.append((state.record_durable_at, dict(state.writes)))
-
-        def commit_of(version: Optional[Version]) -> int:
-            if version is None or version.tx_id is None:
-                return -1
-            return self.commit_cycle.get(version.tx_id, -1)
-
-        for cycle, lines in sorted(replay, key=lambda item: item[0]):
-            for line, version in lines.items():
-                if commit_of(recovered.get(line)) <= cycle:
-                    recovered[line] = version
-        return recovered
+        while the nonvolatile TC contents are read in place.  Replay
+        ranks by commit cycle, so a line a *later*-committed
+        transaction already put in place keeps it (a fall-back
+        transaction's pending home copies can be older than a
+        subsequent TC write to the line)."""
+        return replay(self.home_image_at(crash_cycle),
+                      self.tc_replay_plan(crash_cycle), self.commit_cycle)

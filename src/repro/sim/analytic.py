@@ -76,7 +76,7 @@ def predict_overhead_cycles(trace: Trace, config: MachineConfig,
                   .KilnScheme.NV_LLC_LATENCY_FACTOR))
         return profile.transactions * profile.lines_per_tx * flush
     if scheme is SchemeName.SP:
-        from ..persistence.software import LOG_COMPUTE_COST
+        from ..persistence.swtx.base import LOG_COMPUTE_COST
 
         # three serialized fence round-trips to the NVM array per tx
         fences = 3 * nvm_write

@@ -9,6 +9,8 @@ from repro.common.types import NVM_BASE, Version
 from repro.core.accelerator import PersistentMemoryAccelerator
 from repro.core.overflow import OverflowManager, record_addr, shadow_addr
 from repro.memory.system import MemorySystem
+from repro.persistence.recovery import replay
+from repro.sim.system import System
 
 
 def build(num_cores=2, tc_entries=None):
@@ -121,12 +123,15 @@ class TestProbe:
 
 class TestRecovery:
     def test_recover_replays_committed_entries(self):
-        sim, stats, memory, accel = build()
+        scheme = System.build("txcache", num_cores=2).scheme
+        accel = scheme.accelerator
         accel.cpu_write(0, 1, line(0), Version(1, 0))
         accel.cpu_write(0, 1, line(1), Version(1, 1))
         accel.cpu_commit(0, 1)
+        scheme.commit_cycle[1] = 0
         accel.cpu_write(0, 2, line(2), Version(2, 0))  # never committed
-        recovered = accel.recover({line(9): Version(0, 0)})
+        recovered = replay({line(9): Version(0, 0)},
+                           scheme.tc_replay_plan(0), scheme.commit_cycle)
         assert recovered[line(0)] == Version(1, 0)
         assert recovered[line(1)] == Version(1, 1)
         assert line(2) not in recovered

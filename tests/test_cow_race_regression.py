@@ -68,19 +68,9 @@ class TestCowRace:
                 assert recovered[LINE] == Version(2, 0), fraction
 
     def test_timed_recovery_procedure_agrees(self, finished_system):
-        from repro.common.types import is_home_line
         from repro.core.recovery import simulate_recovery
 
         system = finished_system
-        crashed = {
-            line: version
-            for line, version in
-            system.memory.durable_state_at(system.sim.now).items()
-            if is_home_line(line)
-        }
-        result = simulate_recovery(
-            system.config, system.scheme.accelerator,
-            system.scheme.overflow, crashed, system.sim.now,
-            commit_cycle=system.scheme.commit_cycle)
+        result = simulate_recovery(system.scheme, system.sim.now)
         assert result.image[LINE] == Version(2, 0)
         assert result.image == system.scheme.durable_lines(system.sim.now)

@@ -5,6 +5,8 @@ import pytest
 from repro.common.config import small_machine_config
 from repro.common.types import NVM_BASE, Version
 from repro.core.recovery import simulate_recovery
+from repro.litmus import iter_crash_states
+from repro.litmus.generator import default_suite
 from repro.sim.crash import check_recovery, measure_run_length
 from repro.sim.runner import make_traces
 from repro.sim.system import System
@@ -20,16 +22,7 @@ def crashed_txcache_system(operations=20, until=400, num_cores=1, **params):
 
 
 def recover(system):
-    scheme = system.scheme
-    crashed = {
-        line: version
-        for line, version in system.memory.durable_state_at(system.sim.now).items()
-    }
-    from repro.common.types import is_home_line
-    crashed = {l: v for l, v in crashed.items() if is_home_line(l)}
-    return simulate_recovery(system.config, scheme.accelerator,
-                             scheme.overflow, crashed, system.sim.now,
-                             commit_cycle=scheme.commit_cycle)
+    return simulate_recovery(system.scheme, system.sim.now)
 
 
 class TestSimulateRecovery:
@@ -38,6 +31,19 @@ class TestSimulateRecovery:
         result = recover(system)
         model = system.scheme.durable_lines(system.sim.now)
         assert result.image == model
+
+    @pytest.mark.parametrize("program", default_suite(0),
+                             ids=lambda program: program.name)
+    def test_timed_recovery_equals_model_at_every_crash_state(self, program):
+        """Both consume one replay plan, so they agree at every state
+        the litmus matrix checks — including the ones where two
+        committed transactions wait in the TCs for the same line."""
+        system = System(small_machine_config(num_cores=program.num_cores),
+                        "txcache")
+        system.load_traces(program.to_traces())
+        for cycle, _committed, model in iter_crash_states(system):
+            assert simulate_recovery(system.scheme, cycle).image == model, \
+                cycle
 
     def test_recovered_image_is_crash_consistent(self):
         system, traces = crashed_txcache_system()

@@ -5,11 +5,9 @@ import pytest
 from repro.common.config import small_machine_config
 from repro.common.types import NVM_BASE, SchemeName, Version
 from repro.cpu.trace import OpType, Trace, TraceBuilder, TraceOp
-from repro.persistence.software import (
-    SP_LOG_BASE,
-    SoftwareScheme,
-    sp_record_addr,
-)
+from repro.persistence.software import SoftwareScheme
+from repro.persistence.swtx.base import LOG_BASE as SP_LOG_BASE
+from repro.persistence.swtx.base import record_addr as sp_record_addr
 from repro.sim.runner import make_traces, run_experiment
 from repro.sim.system import System
 
