@@ -74,10 +74,11 @@ def replay(
     roll the line back.  Owners without a rank (non-transactional
     writes, transactions that never committed) rank lowest.
     """
+    owner_of, rank_of = image.get, rank.get   # hot: every crash state
     for tx_id, writes in plan:
         mine = rank[tx_id]
         for line, version in writes.items():
-            owner = image.get(line)
-            if owner is None or rank.get(owner.tx_id, -1) <= mine:
+            owner = owner_of(line)
+            if owner is None or rank_of(owner.tx_id, -1) <= mine:
                 image[line] = version
     return image
