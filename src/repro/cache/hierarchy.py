@@ -108,9 +108,6 @@ class CacheHierarchy:
         # program-order architectural version per stored line (updated
         # synchronously at store issue; authoritative for clwb)
         self._arch_version: Dict[int, Optional[Version]] = {}
-        # newest version already sent toward memory per line (clwb or
-        # write-back) — lets clwb skip lines that are already durable
-        self._sent_version: Dict[int, Optional[Version]] = {}
 
     # ------------------------------------------------------------------
     # public access path
@@ -391,7 +388,6 @@ class CacheHierarchy:
         if self.tracer.enabled:
             self.tracer.instant("cache", "llc", "writeback",
                                 self.sim.now, line=line)
-        self._sent_version[line] = newest
         self.memory.write(line, newest, source="llc.writeback")
 
     # ------------------------------------------------------------------
@@ -491,7 +487,6 @@ class CacheHierarchy:
         if self.tracer.enabled:
             self.tracer.instant("cache", "llc", "clwb.writeback",
                                 self.sim.now, line=line, core=core_id)
-        self._sent_version[line] = newest
         self.memory.write(line, newest,
                           on_complete=lambda req, cycle: on_complete(cycle),
                           source="clwb")

@@ -66,15 +66,3 @@ class CacheLevel:
 
     def invalidate(self, line: int) -> Optional[CacheLine]:
         return self.array.invalidate(line)
-
-    @property
-    def accesses(self) -> float:
-        return self.stats.counter("access")
-
-    @property
-    def misses(self) -> float:
-        return self.stats.counter("miss")
-
-    def miss_rate(self) -> float:
-        accesses = self.accesses
-        return self.misses / accesses if accesses else 0.0

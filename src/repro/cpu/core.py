@@ -218,9 +218,6 @@ class Core:
                                      f"stall.{reason}", issued + 1, stall)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, op: TraceOp) -> None:
-        self._handlers[op.kind](op)
-
     # -- loads ---------------------------------------------------------
     def _do_load(self, op: TraceOp) -> None:
         self._cur_issued = self.cycle

@@ -161,10 +161,6 @@ class BankArray:
         _bank, row = self.map_address(addr)
         return row
 
-    def is_row_hit(self, addr: int) -> bool:
-        bank, row = self.map_address(addr)
-        return self.banks[bank].open_row == row
-
     @property
     def row_hits(self) -> int:
         return sum(b.row_hits for b in self.banks)

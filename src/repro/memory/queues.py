@@ -12,7 +12,7 @@ total latency.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional
+from typing import Deque, Iterable, Iterator, Optional
 
 from ..common.types import MemRequest
 
@@ -122,9 +122,3 @@ class RequestQueue:
             if request.line == line:
                 return request
         return None
-
-    def find_all_line(self, line: int) -> List[MemRequest]:
-        """All queued requests for ``line``, oldest first."""
-        hits = [r for r in self.entries if r.line == line]
-        hits.extend(r for r in self._backlog if r.line == line)
-        return hits

@@ -117,16 +117,8 @@ def mirror_addr(dram_log_addr: int) -> int:
     return MIRROR_BASE + (line_addr(dram_log_addr) - DRAM_LOG_BASE)
 
 
-def is_nvm_log_entry(addr: int) -> bool:
-    return LOG_BASE <= addr < HEAD_BASE
-
-
 def is_dram_log_entry(addr: int) -> bool:
     return DRAM_LOG_BASE <= addr < DRAM_LOG_LIMIT
-
-
-def is_dram_record(addr: int) -> bool:
-    return DRAM_RECORD_BASE <= addr < DRAM_RECORD_LIMIT
 
 
 def is_shadow(addr: int) -> bool:

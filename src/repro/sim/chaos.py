@@ -4,14 +4,15 @@ The crash tests (:mod:`repro.sim.crash`) prove failure atomicity under
 *clean* power cuts on *perfect* hardware.  The chaos harness removes
 the second assumption: it sweeps fault-injection configurations
 (stochastic NVM write failures, lost/delayed/duplicated acks, TC bit
-flips) × crash fractions × schemes × workloads, runs every combination
-through the same legal-persist-set oracle as the crash and litmus
-harnesses (:func:`~repro.sim.crash.crash_and_check`, built on
-:mod:`repro.litmus.oracle`), and aggregates the resilience
-machinery's activity — retries,
-remaps, ack timeouts/reissues, ECC corrections, COW degradations — so
-a sweep shows not only *that* every run recovered consistently but
-*what it cost*.
+flips) × crash fractions × schemes × workloads.  A chaos sweep is a
+crash sweep over faulty configs: every point is one
+:func:`~repro.sim.crash.run_with_crash` on a machine config whose
+``faults`` field carries the rates, checked by the same
+legal-persist-set oracle as the crash and litmus harnesses
+(:mod:`repro.litmus.oracle`).  The report aggregates each run's
+``fault_stats`` — retries, remaps, ack timeouts/reissues, ECC
+corrections, COW degradations — so a sweep shows not only *that*
+every run recovered consistently but *what it cost*.
 
 Determinism: the injector's per-site streams derive from
 ``FaultConfig.seed``, so a chaos sweep is exactly reproducible.
@@ -24,72 +25,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName
-from ..cpu.trace import Trace
-from .crash import crash_and_check
+from .crash import CrashReport
 from .parallel import ChaosPoint, ExperimentEngine, RunLengthPoint
-from .system import System
 from .validate import require_valid_config
-
-#: stats counters surfaced per run: (report key, counter name)
-FAULT_COUNTERS = (
-    ("nvm_write_retries", "mem.nvm.write.retries"),
-    ("nvm_write_remaps", "mem.nvm.write.remaps"),
-    ("acks_dropped", "mem.nvm.ack.dropped"),
-    ("acks_delayed", "mem.nvm.ack.delayed"),
-    ("acks_duplicated", "mem.nvm.ack.duplicated"),
-    ("ack_timeouts", "tc.ack.timeouts"),
-    ("ack_reissues", "tc.ack.reissues"),
-    ("unmatched_acks", None),   # summed across per-core TC scopes
-    ("ecc_corrected", None),    # summed across per-core TC scopes
-    ("ecc_uncorrectable", None),
-    ("ecc_refills", "tc.ecc.refills"),
-    ("ecc_fallbacks", "scheme.txcache.ecc_fallbacks"),
-    ("degraded_fallbacks", "scheme.txcache.degraded_fallbacks"),
-)
-
-
-@dataclass
-class ChaosRun:
-    """Outcome of one (workload, scheme, fault config, crash point)."""
-
-    workload: str
-    scheme: SchemeName
-    crash_cycle: int
-    total_cycles: int
-    committed: int
-    recovered_lines: int
-    violations: List[str]
-    fault_stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (for the parallel engine's cache)."""
-        return {
-            "workload": self.workload,
-            "scheme": self.scheme.value,
-            "crash_cycle": self.crash_cycle,
-            "total_cycles": self.total_cycles,
-            "committed": self.committed,
-            "recovered_lines": self.recovered_lines,
-            "violations": list(self.violations),
-            "fault_stats": dict(self.fault_stats),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChaosRun":
-        return cls(
-            workload=str(data["workload"]),
-            scheme=SchemeName.parse(data["scheme"]),
-            crash_cycle=int(data["crash_cycle"]),
-            total_cycles=int(data["total_cycles"]),
-            committed=int(data["committed"]),
-            recovered_lines=int(data["recovered_lines"]),
-            violations=list(data["violations"]),
-            fault_stats=dict(data["fault_stats"]),
-        )
 
 
 @dataclass
@@ -97,7 +35,7 @@ class ChaosReport:
     """Aggregate of a chaos sweep."""
 
     fault_config: FaultConfig
-    runs: List[ChaosRun] = field(default_factory=list)
+    runs: List[CrashReport] = field(default_factory=list)
 
     @property
     def total_runs(self) -> int:
@@ -148,52 +86,10 @@ class ChaosReport:
             lines.append(
                 f"  {run.workload:<10} {run.scheme.value:<8} "
                 f"@ {run.crash_cycle:>8}/{run.total_cycles:<8} "
-                f"{run.committed:>4} tx {run.recovered_lines:>5} lines "
+                f"{len(run.committed):>4} tx {run.recovered_lines:>5} lines "
                 f"-> {status}")
             lines.extend(f"      {v}" for v in run.violations[:3])
         return "\n".join(lines)
-
-
-def _collect_fault_stats(system: System) -> Dict[str, float]:
-    stats = system.stats
-    out: Dict[str, float] = {}
-    for key, counter in FAULT_COUNTERS:
-        if counter is not None:
-            out[key] = stats.counter(counter)
-    num_cores = system.config.num_cores
-    out["unmatched_acks"] = sum(
-        stats.counter(f"tc.{i}.ack.unmatched") for i in range(num_cores))
-    out["ecc_corrected"] = sum(
-        stats.counter(f"tc.{i}.ecc.corrected") for i in range(num_cores))
-    out["ecc_uncorrectable"] = sum(
-        stats.counter(f"tc.{i}.ecc.uncorrectable") for i in range(num_cores))
-    return out
-
-
-def run_chaos_crash(
-    workload: str,
-    scheme: Union[str, SchemeName],
-    crash_cycle: int,
-    traces: Sequence[Trace],
-    config: MachineConfig,
-    total_cycles: Optional[int] = None,
-    obs=None,
-) -> ChaosRun:
-    """One crash run under fault injection, checked for atomicity."""
-    system = System(config, scheme, obs=obs)
-    system.load_traces(traces)
-    committed, recovered, violations = crash_and_check(
-        system, traces, crash_cycle)
-    return ChaosRun(
-        workload=workload,
-        scheme=SchemeName.parse(scheme),
-        crash_cycle=crash_cycle,
-        total_cycles=total_cycles or crash_cycle,
-        committed=len(committed),
-        recovered_lines=len(recovered),
-        violations=violations,
-        fault_stats=_collect_fault_stats(system),
-    )
 
 
 def chaos_sweep(

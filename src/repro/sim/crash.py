@@ -10,7 +10,12 @@ program order (write-order control, paper §2).
 :func:`run_with_crash` builds a fresh system, pauses the event loop at
 the crash cycle, asks the scheme's recovery model for the recovered
 image and the durably-committed set, and checks both against the
-scheme-independent expectation derived from the workload traces.
+scheme-independent expectation derived from the workload traces.  The
+machine config's ``faults`` field decides whether the hardware is
+perfect or lossy, so the same call is one point of a crash sweep on a
+clean config and one point of a chaos sweep (:mod:`repro.sim.chaos`)
+on a faulty one; either way the report carries the resilience
+machinery's counters (all 0 on a clean run).
 
 The expectation machinery itself lives in :mod:`repro.litmus.oracle`
 (the legal-persist-set oracle): :func:`check_recovery` is membership in
@@ -65,12 +70,39 @@ def crash_and_check(system: System, traces: Sequence[Trace],
     crash finds it), query the scheme's recovery model in place, and
     check the recovered image against the legal persist set.  Returns
     ``(committed, recovered, violations)`` — the one crash/recover/check
-    sequence both the crash and chaos harnesses (and the litmus
-    stepping runner, in spirit) are built on."""
+    sequence :func:`run_with_crash` (and the litmus stepping runner,
+    in spirit) is built on."""
     system.run(until=crash_cycle)
     committed = system.scheme.durably_committed(crash_cycle)
     recovered = system.scheme.durable_lines(crash_cycle)
     return committed, recovered, check_recovery(traces, recovered, committed)
+
+
+#: stats counters surfaced per crash run: (report key, counter name);
+#: a ``{}`` in the name is the core id, summed over the per-core TCs
+FAULT_COUNTERS = (
+    ("nvm_write_retries", "mem.nvm.write.retries"),
+    ("nvm_write_remaps", "mem.nvm.write.remaps"),
+    ("acks_dropped", "mem.nvm.ack.dropped"),
+    ("acks_delayed", "mem.nvm.ack.delayed"),
+    ("acks_duplicated", "mem.nvm.ack.duplicated"),
+    ("ack_timeouts", "tc.ack.timeouts"),
+    ("ack_reissues", "tc.ack.reissues"),
+    ("ecc_refills", "tc.ecc.refills"),
+    ("ecc_fallbacks", "scheme.txcache.ecc_fallbacks"),
+    ("degraded_fallbacks", "scheme.txcache.degraded_fallbacks"),
+    ("unmatched_acks", "tc.{}.ack.unmatched"),
+    ("ecc_corrected", "tc.{}.ecc.corrected"),
+    ("ecc_uncorrectable", "tc.{}.ecc.uncorrectable"),
+)
+
+
+def _collect_fault_stats(system: System) -> Dict[str, float]:
+    counter = system.stats.counter
+    cores = range(system.config.num_cores)
+    return {key: (sum(counter(name.format(i)) for i in cores)
+                  if "{}" in name else counter(name))
+            for key, name in FAULT_COUNTERS}
 
 
 @dataclass
@@ -85,6 +117,8 @@ class CrashReport:
     program_committed: int = 0  # TX_ENDs retired before the crash
     recovered_lines: int = 0
     violations: List[str] = field(default_factory=list)
+    #: resilience counters keyed as in FAULT_COUNTERS
+    fault_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def consistent(self) -> bool:
@@ -102,6 +136,7 @@ class CrashReport:
             "program_committed": self.program_committed,
             "recovered_lines": self.recovered_lines,
             "violations": list(self.violations),
+            "fault_stats": dict(self.fault_stats),
         }
 
     @classmethod
@@ -115,6 +150,7 @@ class CrashReport:
             program_committed=int(data["program_committed"]),
             recovered_lines=int(data["recovered_lines"]),
             violations=list(data["violations"]),
+            fault_stats=dict(data["fault_stats"]),
         )
 
 
@@ -160,8 +196,9 @@ def run_with_crash(
     The system is paused exactly at the crash cycle, so volatile state
     (caches, queues) is as a real crash would find it, and the scheme's
     nonvolatile structures (NVM image, TC contents, logs) are read in
-    place by its recovery model.  ``obs`` optionally captures a trace
-    of the run up to the crash.
+    place by its recovery model.  ``config.faults`` turns on fault
+    injection; ``obs`` optionally captures a trace of the run up to
+    the crash.
     """
     config = config or small_machine_config(num_cores=num_cores)
     system = System(config, scheme, obs=obs)
@@ -182,6 +219,7 @@ def run_with_crash(
         program_committed=program_committed,
         recovered_lines=len(recovered),
         violations=violations,
+        fault_stats=_collect_fault_stats(system),
     )
 
 

@@ -33,10 +33,6 @@ class Memory:
     def write(self, addr: int) -> None:
         self._builder.store(addr)
 
-    def write_range(self, addr: int, num_words: int) -> None:
-        for index in range(num_words):
-            self._builder.store(addr + index * WORD)
-
     def compute(self, count: int = 1) -> None:
         self._builder.compute(count)
 

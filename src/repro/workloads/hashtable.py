@@ -96,7 +96,3 @@ class HashtableWorkload(Workload):
             else:
                 key = self._next_key + self.rng.randrange(1000)
             self.search(key)
-
-    def lookup_expected(self, key: int) -> Optional[int]:
-        """Functional oracle for tests (no trace side effects)."""
-        return self.contents.get(key)

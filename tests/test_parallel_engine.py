@@ -8,7 +8,9 @@ serial path, the pooled path, and a cold/warm cache cycle and require
 exact agreement every time.
 """
 
+import hashlib
 import json
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -22,7 +24,7 @@ from repro.common.config import (
 )
 from repro.common.types import SchemeName
 from repro.litmus.generator import message_passing
-from repro.sim.chaos import ChaosRun, chaos_sweep
+from repro.sim.chaos import chaos_sweep
 from repro.sim.crash import CrashReport, crash_sweep, run_with_crash
 from repro.sim.parallel import (
     ChaosPoint,
@@ -30,6 +32,7 @@ from repro.sim.parallel import (
     ExperimentEngine,
     ExperimentPoint,
     LitmusPoint,
+    CACHE_SCHEMA_VERSION,
     ResultCache,
     RunLengthPoint,
     point_key,
@@ -38,6 +41,7 @@ from repro.sim.runner import run_experiment
 from repro.sim.sweep import tc_size_sweep
 
 CONFIG = small_machine_config(num_cores=1)
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_figures.json"
 
 
 def result_dicts(results):
@@ -114,6 +118,19 @@ class TestPointKeys:
             assert list(point.spec().items()) == list(spec.items())
             assert point.key == point_key(kind, spec)
 
+    def test_schema_version_tracks_golden_figures(self):
+        """The golden figures freeze the timing model.  Regenerating
+        them means cached payloads computed before the change are
+        stale, and only a bump of CACHE_SCHEMA_VERSION changes every
+        cache key — so the pair is pinned together."""
+        digest = hashlib.sha256(GOLDEN_PATH.read_bytes()).hexdigest()
+        assert (CACHE_SCHEMA_VERSION, digest) == (
+            2,
+            "a9fe8412ee9aefd584a386c3b5dda919108d1ba1056a8b7cbcb953036f829c72",
+        ), ("tests/data/golden_figures.json changed: the timing model "
+            "moved, so bump CACHE_SCHEMA_VERSION in repro/sim/parallel.py "
+            "and re-pin (version, sha256) here")
+
     def test_config_fingerprint_covers_every_knob(self):
         base = small_machine_config()
         assert config_fingerprint(base) == config_fingerprint(
@@ -147,7 +164,28 @@ class TestRoundTrips:
         report = chaos_sweep(["sps"], fractions=[0.5], operations=15)
         run = report.runs[0]
         data = json.loads(json.dumps(run.to_dict()))
-        assert ChaosRun.from_dict(data).to_dict() == run.to_dict()
+        assert CrashReport.from_dict(data).to_dict() == run.to_dict()
+
+
+class TestChaosIsCrash:
+    """A chaos point is a crash point whose config carries fault
+    rates: one harness, one payload shape."""
+
+    FAULTY = replace(CONFIG, faults=FaultConfig(
+        seed=5, nvm_write_fail_rate=1e-2, ack_loss_rate=1e-2,
+        tc_bit_flip_rate=1e-3))
+
+    def test_chaos_point_equals_crash_point_on_faulty_config(self):
+        spec = ("hashtable", "txcache", 18924, 37848, self.FAULTY)
+        chaos = ChaosPoint(*spec).execute()
+        assert chaos == CrashPoint(*spec, operations=40).execute()
+        assert any(chaos["fault_stats"].values())
+
+    def test_clean_crash_run_has_zero_fault_stats(self):
+        report = run_with_crash("sps", "txcache", 2000, config=CONFIG,
+                                operations=15)
+        assert report.fault_stats
+        assert all(value == 0 for value in report.fault_stats.values())
 
 
 class TestResultCache:
