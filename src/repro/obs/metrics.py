@@ -80,11 +80,25 @@ def stats_to_prometheus(stats: Stats, namespace: str = "repro",
             ``{"node": "node0"}``).
         gauges: name → current value, rendered as gauge families
             (sanitized and namespaced like everything else).
+
+    Raises:
+        ValueError: two names render as the same sample name (e.g.
+            ``a.b`` and ``a_b``), which no scraper could tell apart.
     """
     labels = labels or {}
     lines: List[str] = []
+    owners: Dict[str, str] = {}
 
-    def family(name: str, kind: str, help_text: str) -> str:
+    def family(name: str, kind: str, help_text: str, source: str) -> str:
+        samples = [name]
+        if kind == "histogram":
+            samples += [name + suffix
+                        for suffix in ("_bucket", "_sum", "_count")]
+        for sample in samples:
+            if sample in owners:
+                raise ValueError("names %r and %r both render as %s"
+                                 % (owners[sample], source, sample))
+        owners.update(dict.fromkeys(samples, source))
         lines.append("# HELP %s %s" % (name, help_text))
         lines.append("# TYPE %s %s" % (name, kind))
         return name
@@ -97,19 +111,19 @@ def stats_to_prometheus(stats: Stats, namespace: str = "repro",
             continue
         metric = family("%s_%s_total" % (namespace,
                                          sanitize_metric_name(name)),
-                        "counter", "Stats counter %s" % name)
+                        "counter", "Stats counter %s" % name, name)
         lines.append("%s%s %s" % (metric, _render_labels(labels),
                                   _format_value(value)))
 
     for name, gauge_value in sorted((gauges or {}).items()):
         metric = family("%s_%s" % (namespace, sanitize_metric_name(name)),
-                        "gauge", "Gauge %s" % name)
+                        "gauge", "Gauge %s" % name, name)
         lines.append("%s%s %s" % (metric, _render_labels(labels),
                                   _format_value(gauge_value)))
 
     for name, histogram in stats.histograms().items():
         metric = family("%s_%s" % (namespace, sanitize_metric_name(name)),
-                        "histogram", "Stats histogram %s" % name)
+                        "histogram", "Stats histogram %s" % name, name)
         buckets = histogram.buckets()
         cumulative = 0
         for bucket in sorted(buckets):

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.common.stats import Histogram, Stats
@@ -31,6 +31,18 @@ def registries(draw):
 
 
 registry_strategy = st.composite(registries)()
+
+
+def render(stats, **kwargs):
+    """Render a drawn registry, rejecting the draw when two of its
+    names render as one sample name (``TestRenderer`` pins that the
+    renderer refuses those)."""
+    try:
+        return stats_to_prometheus(stats, **kwargs)
+    except ValueError as exc:
+        if "both render as" not in str(exc):
+            raise
+        reject()
 
 
 class TestSanitize:
@@ -102,6 +114,22 @@ class TestRenderer:
         (_name, labels, _value) = families["repro_x_total"]["samples"][0]
         assert labels["path"] == 'a"b\\c\nd'
 
+    def test_names_rendering_alike_are_refused(self):
+        """Duplicate families would be unparsable; the renderer names
+        both clashing sources instead of emitting them."""
+        for counters, hists, gauges in (
+                (["a0.", "a0_"], [], {}),           # same counter family
+                ([], ["lat.ms", "lat_ms"], {}),     # same histogram family
+                (["x"], ["x.total"], {}),           # counter vs histogram
+                ([], ["lat"], {"lat_count": 1})):   # gauge vs hist sample
+            stats = Stats()
+            for name in counters:
+                stats.inc(name)
+            for name in hists:
+                stats.hist(name, 1.0)
+            with pytest.raises(ValueError, match="both render as"):
+                stats_to_prometheus(stats, gauges=gauges)
+
     def test_content_type_constant(self):
         assert "version=0.0.4" in PROMETHEUS_CONTENT_TYPE
 
@@ -168,7 +196,7 @@ class TestRoundTrip:
     @given(registry_strategy)
     @settings(max_examples=60, deadline=None)
     def test_rendered_text_parses_back_exactly(self, stats):
-        text = stats_to_prometheus(stats, labels={"node": "n0"})
+        text = render(stats, labels={"node": "n0"})
         if not text:
             return
         families = parse_prometheus(text)
@@ -196,7 +224,7 @@ class TestRoundTrip:
         """Per-bucket counts are recoverable from the cumulative
         series: de-accumulating the parsed buckets gives back exactly
         Histogram.buckets()."""
-        text = stats_to_prometheus(stats)
+        text = render(stats)
         if not text:
             return
         families = parse_prometheus(text)
