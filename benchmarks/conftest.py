@@ -4,11 +4,11 @@ The paper's Figs. 6-10 all come from one set of experiment runs, so the
 benches share two session-scoped grids:
 
 * ``paper_grid`` — the eviction-pressure regime (32 KB scaled LLC):
-  Figs. 6, 7, 9 and the TC-stall text claim.  Under pressure every
+  Figs. 6, 7, 9, 10 and the TC-stall text claim.  Under pressure every
   scheme's NVM write traffic is in steady state, which Fig. 9 needs.
 * ``pressure_grid`` — the reuse regime (128 KB scaled LLC, footprints
-  just at capacity): Figs. 8 and 10, which need LLC hits to exist so
-  miss-rate and load-latency deltas are observable.
+  just at capacity): Fig. 8, which needs LLC hits to exist so
+  miss-rate deltas are observable.
 
 Set ``REPRO_BENCH_OPS`` to change the per-core operation count (default
 300; larger runs sharpen steady-state numbers at linear cost).

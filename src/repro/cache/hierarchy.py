@@ -440,6 +440,12 @@ class CacheHierarchy:
     def blocked_until(self) -> int:
         return self._blocked_until
 
+    def arch_version(self, line: int) -> Optional[Version]:
+        """Version of the last store issued to ``line`` in program
+        order (None if it was never stored to).  Set synchronously at
+        store issue, before the store reaches any cache array."""
+        return self._arch_version.get(line)
+
     def newest_version(self, core_id: int, line: int) -> Optional[Version]:
         """Architecturally newest version, searching L1→L2→LLC→memory."""
         line = line_addr(line)

@@ -6,6 +6,7 @@ from typing import Optional
 
 from ..common.config import CacheLevelConfig
 from ..common.stats import ScopedStats
+from ..common.types import CACHE_LINE_SIZE
 from .line import CacheArray, CacheLine
 
 
@@ -14,7 +15,7 @@ class CacheLevel:
 
     __slots__ = ("name", "config", "stats", "latency", "array",
                  "_inc", "_k_access", "_k_miss", "_k_hit",
-                 "_sets", "_line_size", "_num_sets")
+                 "_sets", "_num_sets")
 
     def __init__(
         self,
@@ -26,7 +27,7 @@ class CacheLevel:
         self.config = config
         self.stats = stats
         self.latency = config.latency_cycles(freq_ghz)
-        self.array = CacheArray(config.num_sets, config.assoc, config.line_size)
+        self.array = CacheArray(config.num_sets, config.assoc, CACHE_LINE_SIZE)
         # every cache access records 2 counters; resolve the registry
         # keys once instead of formatting them per lookup
         self._inc = stats.base.inc
@@ -36,7 +37,6 @@ class CacheLevel:
         # access() is the hottest cache call: keep direct references to
         # the array internals so a timed lookup is one dict probe
         self._sets = self.array._sets
-        self._line_size = config.line_size
         self._num_sets = config.num_sets
 
     def access(self, line: int) -> Optional[CacheLine]:
@@ -47,7 +47,7 @@ class CacheLevel:
         """
         inc = self._inc
         inc(self._k_access)
-        entry = self._sets[(line // self._line_size) % self._num_sets].get(line)
+        entry = self._sets[(line // CACHE_LINE_SIZE) % self._num_sets].get(line)
         if entry is None:
             inc(self._k_miss)
             return None

@@ -38,25 +38,24 @@ class CacheLevelConfig:
     size_bytes: int
     assoc: int
     latency_ns: float
-    shared: bool = False
-    line_size: int = CACHE_LINE_SIZE
+
+    def __post_init__(self) -> None:
+        if (self.assoc < 1 or self.num_lines < self.assoc
+                or self.num_lines % self.assoc):
+            raise ValueError(
+                f"{self.name}: {self.num_lines} lines not divisible into "
+                f"{self.assoc}-way sets")
 
     def latency_cycles(self, freq_ghz: float) -> int:
         return ns_to_cycles(self.latency_ns, freq_ghz)
 
     @property
     def num_lines(self) -> int:
-        return self.size_bytes // self.line_size
+        return self.size_bytes // CACHE_LINE_SIZE
 
     @property
     def num_sets(self) -> int:
-        sets, rem = divmod(self.num_lines, self.assoc)
-        if rem or sets == 0:
-            raise ValueError(
-                f"{self.name}: {self.num_lines} lines not divisible into "
-                f"{self.assoc}-way sets"
-            )
-        return sets
+        return self.num_lines // self.assoc
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class TxCacheConfig:
     size_bytes: int = 4096          # 4 KB per core
     latency_ns: float = 1.5         # STT-RAM CAM access
     overflow_threshold: float = 0.9  # trigger fall-back when 90 % full
-    line_size: int = CACHE_LINE_SIZE
     #: merge a write into an existing *active* entry of the same
     #: transaction and line (CAM match) instead of appending a duplicate.
     #: Ablation bench test_ablation_coalescing compares both settings.
@@ -88,10 +86,23 @@ class TxCacheConfig:
             raise ValueError(
                 "txcache.overflow_threshold must satisfy 0 < t <= 1, "
                 f"got {self.overflow_threshold}")
+        if self.num_entries < 1:
+            raise ValueError(
+                f"txcache.size_bytes must hold one {CACHE_LINE_SIZE} B "
+                f"line, got {self.size_bytes}")
+        if self.organization not in ("cam_fifo", "set_assoc"):
+            raise ValueError(
+                "txcache.organization must be 'cam_fifo' or 'set_assoc', "
+                f"got {self.organization!r}")
+        if self.organization == "set_assoc" and (
+                self.assoc < 1 or self.num_entries % self.assoc):
+            raise ValueError(
+                f"txcache: {self.num_entries} entries not divisible into "
+                f"{self.assoc}-way sets")
 
     @property
     def num_entries(self) -> int:
-        return self.size_bytes // self.line_size
+        return self.size_bytes // CACHE_LINE_SIZE
 
     def latency_cycles(self, freq_ghz: float) -> int:
         return ns_to_cycles(self.latency_ns, freq_ghz)
@@ -139,27 +150,22 @@ class MemCtrlConfig:
     read_queue_entries: int = 8
     write_queue_entries: int = 64
     write_drain_threshold: float = 0.8
-    #: cycles between scheduler decisions (command bus rate)
-    scheduler_period_cycles: int = 2
     #: bank-interleave granularity: "line" (bank:column mapping —
     #: adjacent lines hit adjacent banks, maximizing parallelism for
     #: small footprints) or "row" (row:bank — a whole row buffer is
     #: contiguous in one bank, maximizing locality for streams)
     interleave: str = "line"
-    #: banks reserved for scheme log regions (WAL entries, commit
-    #: records, DRAM log windows — see
-    #: :func:`repro.common.types.is_log_region`).  0 (the default)
-    #: keeps the historic unified map bit-identical; with N > 0 the
-    #: last N banks serve only log traffic and the rest only data, so
-    #: log writes contend with data writes for queues and channels but
-    #: never steal a data bank's row buffer.
-    log_banks: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.log_banks < self.num_banks:
+        if self.interleave not in ("line", "row"):
             raise ValueError(
-                f"{self.name}: log_banks must satisfy 0 <= n < "
-                f"{self.num_banks} banks, got {self.log_banks}")
+                f"{self.name}.interleave must be 'line' or 'row', "
+                f"got {self.interleave!r}")
+        for name in ("read_queue_entries", "write_queue_entries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(
+                    f"{self.name}.{name} must be >= 1, got {value}")
 
     @property
     def num_banks(self) -> int:
@@ -258,15 +264,14 @@ class CoreConfig:
     issue_width: int = 4
     hide_cycles: int = 16
     store_buffer_entries: int = 32
-    #: background store-buffer drain throughput (cycles per store)
-    store_drain_cycles: int = 2
-    #: maximum overlapped outstanding loads (memory-level parallelism)
-    mlp: int = 4
 
     def __post_init__(self) -> None:
         if self.freq_ghz <= 0:
             raise ValueError(
                 f"core.freq_ghz must be > 0, got {self.freq_ghz}")
+        if self.issue_width < 1:
+            raise ValueError(
+                f"core.issue_width must be >= 1, got {self.issue_width}")
 
 
 @dataclass(frozen=True)
@@ -283,8 +288,7 @@ class MachineConfig:
     )
     llc: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig(
-            "llc", 64 * 1024 * 1024, 16, 10.0, shared=True
-        )
+            "llc", 64 * 1024 * 1024, 16, 10.0)
     )
     txcache: TxCacheConfig = field(default_factory=TxCacheConfig)
     nvm: MemCtrlConfig = field(
@@ -305,6 +309,11 @@ class MachineConfig:
     #: fault-injection model; all-zero rates (the default) are a strict
     #: no-op — see :class:`FaultConfig`
     faults: FaultConfig = field(default_factory=FaultConfig)
+
+    def __post_init__(self) -> None:
+        if self.num_cores < 1:
+            raise ValueError(
+                f"num_cores must be >= 1, got {self.num_cores}")
 
     @property
     def freq_ghz(self) -> float:

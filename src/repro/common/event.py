@@ -67,7 +67,6 @@ class Simulator:
         #: only the kernel writes it
         self.now: int = 0
         self._seq: int = 0
-        self._running = False
         self._on_advance: Optional[Callable[[int], None]] = None
 
     def set_advance_hook(self, hook: Optional[Callable[[int], None]]) -> None:

@@ -45,8 +45,7 @@ HOME_REGION_LIMIT = NVM_BASE + (1 << 36)
 
 #: DRAM-resident log regions (the hybrid DRAM-logged scheme's write-set
 #: log) live at [DRAM_LOG_BASE, NVM_BASE); ordinary volatile heaps stay
-#: below.  Like the NVM metadata split, this lets the memory model give
-#: log traffic its own banks (see ``MemCtrlConfig.log_banks``).
+#: below.
 DRAM_LOG_BASE = 1 << 38
 
 
@@ -58,14 +57,6 @@ def is_persistent_addr(addr: int) -> bool:
 def is_home_line(addr: int) -> bool:
     """True for application persistent-heap lines (not scheme metadata)."""
     return NVM_BASE <= addr < HOME_REGION_LIMIT
-
-
-def is_log_region(addr: int) -> bool:
-    """True for scheme log/metadata addresses in either space: the NVM
-    region above the application home limit (WAL entries, commit
-    records, mirrors) and the DRAM log window.  Controllers with
-    ``log_banks`` reserved steer these to the dedicated log banks."""
-    return addr >= HOME_REGION_LIMIT or DRAM_LOG_BASE <= addr < NVM_BASE
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,11 @@ class PersistentMemoryAccelerator:
             self.tcs = [
                 SetAssocTransactionBuffer(
                     config.txcache, stats.scoped(f"tc.{i}"),
-                    seq_source=next_seq, assoc=config.txcache.assoc,
-                    tracer=tracer, track=f"tc{i}", clock=self._clock)
+                    seq_source=next_seq, tracer=tracer, track=f"tc{i}",
+                    clock=self._clock)
                 for i in range(config.num_cores)
             ]
-        elif config.txcache.organization == "cam_fifo":
+        else:
             self.tcs = [
                 TransactionCache(config.txcache, stats.scoped(f"tc.{i}"),
                                  seq_source=next_seq,
@@ -85,9 +85,6 @@ class PersistentMemoryAccelerator:
                                  clock=self._clock)
                 for i in range(config.num_cores)
             ]
-        else:
-            raise ValueError(
-                f"unknown TC organization {config.txcache.organization!r}")
         # CPUs stalled on a full TC, per core: resume callbacks
         self._space_waiters: Dict[int, List[Callable[[], None]]] = {
             i: [] for i in range(config.num_cores)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..common.config import TxCacheConfig
 from ..common.stats import ScopedStats
-from ..common.types import Version, line_addr
+from ..common.types import CACHE_LINE_SIZE, Version, line_addr
 from ..obs.tracer import NULL_TRACER, NullTracer
 from .txcache import TxEntry, TxState
 
@@ -38,7 +38,6 @@ class SetAssocTransactionBuffer:
 
     def __init__(self, config: TxCacheConfig, stats: ScopedStats,
                  seq_source: Optional[Callable[[], int]] = None,
-                 assoc: int = 4,
                  tracer: NullTracer = NULL_TRACER, track: str = "tc",
                  clock: Optional[Callable[[], int]] = None) -> None:
         self.config = config
@@ -49,11 +48,8 @@ class SetAssocTransactionBuffer:
         self._track = track
         self._clock = clock or (lambda: 0)
         self.capacity = config.num_entries
-        if self.capacity % assoc:
-            raise ValueError(
-                f"{self.capacity} entries not divisible into {assoc}-way sets")
-        self.assoc = assoc
-        self.num_sets = self.capacity // assoc
+        self.assoc = config.assoc
+        self.num_sets = self.capacity // config.assoc
         self._sets: List[List[TxEntry]] = [[] for _ in range(self.num_sets)]
         self._seq_source = seq_source
         self._local_seq = 0
@@ -61,7 +57,7 @@ class SetAssocTransactionBuffer:
 
     # ------------------------------------------------------------------
     def _set_index(self, tag: int) -> int:
-        return (tag // self.config.line_size) % self.num_sets
+        return (tag // CACHE_LINE_SIZE) % self.num_sets
 
     def _next_seq(self) -> int:
         if self._seq_source is not None:

@@ -46,7 +46,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..common.config import MachineConfig, TxCacheConfig
 from ..common.stats import ScopedStats
-from ..common.types import Version, line_addr
+from ..common.types import CACHE_LINE_SIZE, Version, line_addr
 from ..obs.tracer import NULL_TRACER, NullTracer
 
 
@@ -95,8 +95,6 @@ class TransactionCache:
         self.config = config
         self.stats = stats
         self.capacity = config.num_entries
-        if self.capacity < 1:
-            raise ValueError("transaction cache must hold at least one line")
         self._ring: Deque[TxEntry] = deque()
         self._head_seq = 0  # total insertions (head pointer position)
         self._tail_seq = 0  # total reclamations (tail pointer position)
@@ -374,7 +372,7 @@ def hardware_overhead(config: MachineConfig) -> Dict[str, Dict[str, str]]:
     """
     entries = config.txcache.num_entries
     txid_bits = max(1, math.ceil(math.log2(max(2, entries))))
-    line_bits = config.txcache.line_size * 8
+    line_bits = CACHE_LINE_SIZE * 8
     return {
         "CPU TxID/Mode register": {
             "type": "flip-flops", "size": f"{txid_bits} bits"},

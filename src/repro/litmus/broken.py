@@ -43,7 +43,6 @@ class CommitBeforeFlushScheme(PersistenceScheme):
 
     def tx_end(self, core, op, resume: Resume) -> None:
         # the bug: durability claimed with the writes still volatile
-        self.committed_tx.add(op.tx_id)
         self.commit_cycle[op.tx_id] = self.sim.now
         resume()
 

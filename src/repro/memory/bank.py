@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..common.config import MemCtrlConfig
-from ..common.types import NVM_BASE, is_log_region
+from ..common.types import NVM_BASE
 
 
 class Bank:
@@ -98,15 +98,6 @@ class BankArray:
         self._lines_per_row = max(1, self._row_size // self.LINE_STRIPE)
         self._num_banks = config.num_banks
         self._interleave = config.interleave
-        if self._interleave not in ("line", "row"):
-            raise ValueError(f"unknown interleave {self._interleave!r}")
-        # dedicated log banks: addresses in a scheme log region map to
-        # the trailing ``log_banks`` banks, everything else to the
-        # leading data banks.  log_banks == 0 reproduces the historic
-        # unified map exactly (the partition arithmetic degenerates to
-        # ``line % num_banks`` with base 0).
-        self._log_banks = config.log_banks
-        self._data_banks = self._num_banks - self._log_banks
         from ..common.types import ns_to_cycles
 
         interval = 0
@@ -124,24 +115,18 @@ class BankArray:
         """Map a byte address to (bank index, row index).
 
         NVM addresses are rebased so the bank map is dense in both
-        spaces.  With ``log_banks`` reserved, log-region addresses
-        stripe over the trailing log banks and data addresses over the
-        leading data banks; with 0 (the default) the partition is the
-        whole array and the map is the historic unified one."""
-        if self._log_banks and is_log_region(addr):
-            base, size = self._data_banks, self._log_banks
-        else:
-            base, size = 0, self._data_banks
+        spaces."""
         if addr >= NVM_BASE:
             addr -= NVM_BASE
+        num_banks = self._num_banks
         if self._interleave == "line":
             line = addr // self.LINE_STRIPE
-            bank = base + line % size
-            row = (line // size) // self._lines_per_row
+            bank = line % num_banks
+            row = (line // num_banks) // self._lines_per_row
         else:  # "row": whole row buffers contiguous per bank
             row_global = addr // self._row_size
-            bank = base + row_global % size
-            row = row_global // size
+            bank = row_global % num_banks
+            row = row_global // num_banks
         return bank, row
 
     def locate(self, addr: int) -> "Tuple[Bank, int]":

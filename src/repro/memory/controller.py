@@ -100,6 +100,8 @@ class MemoryController:
 
     #: extra cycles for serving a read out of the write queue
     FORWARD_LATENCY = 4
+    #: cycles between scheduler decisions (command bus rate)
+    SCHEDULER_PERIOD = 2
     #: anti-starvation: a write is serviced ahead of reads if none was
     #: serviced in this many cycles (read-first must not let a steady
     #: read stream starve the write queue — acknowledgments would stop)
@@ -135,7 +137,7 @@ class MemoryController:
         self._tick_at: Optional[int] = None
         self._inflight = 0
         self._last_write_service = 0
-        self._last_grant = -config.scheduler_period_cycles
+        self._last_grant = -self.SCHEDULER_PERIOD
         # Hot-path precomputation: bank timings (pure functions of the
         # frozen config) and fully-qualified stat keys are resolved once
         # here instead of per event.
@@ -144,7 +146,6 @@ class MemoryController:
         self._write_miss_cycles = timing.write_cycles(freq_ghz, row_hit=False)
         self._read_hit_cycles = timing.read_cycles(freq_ghz, row_hit=True)
         self._read_miss_cycles = timing.read_cycles(freq_ghz, row_hit=False)
-        self._period = config.scheduler_period_cycles
         self._drain_high = config.write_drain_threshold
         self._drain_low = self._drain_high / 2
         base = stats.base
@@ -208,9 +209,9 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _kick(self, at_time: int) -> None:
         """Ensure a scheduler tick is pending no later than ``at_time``,
-        but not within ``scheduler_period_cycles`` of the last grant."""
+        but not within ``SCHEDULER_PERIOD`` of the last grant."""
         at_time = max(at_time, self.sim.now,
-                      self._last_grant + self._period)
+                      self._last_grant + self.SCHEDULER_PERIOD)
         if self._tick_at is not None and self._tick_at <= at_time:
             return
         self._tick_at = at_time
@@ -284,7 +285,7 @@ class MemoryController:
         self._last_grant = now
         self._service(chosen)
         if read_queue.entries or write_queue.entries:
-            at_time = now + self._period
+            at_time = now + self.SCHEDULER_PERIOD
             self._tick_at = at_time
             self.sim.schedule_at(at_time, self._tick)
 

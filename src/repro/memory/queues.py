@@ -31,8 +31,6 @@ class RequestQueue:
                  "total_backlogged")
 
     def __init__(self, name: str, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"{name}: capacity must be >= 1")
         self.name = name
         self.capacity = capacity
         self.entries: Deque[MemRequest] = deque()

@@ -69,8 +69,6 @@ class PersistenceScheme:
         self.hierarchy = hierarchy
         self.memory = memory
         self.tracer = tracer
-        #: transactions whose commit is complete from the scheme's view
-        self.committed_tx: set = set()
         #: tx -> cycle at which its commit became durable (recovery
         #: treats it as committed from then on)
         self.commit_cycle: Dict[int, int] = {}
@@ -104,7 +102,6 @@ class PersistenceScheme:
         resume()
 
     def tx_end(self, core: "Core", op, resume: Resume) -> None:
-        self.committed_tx.add(op.tx_id)
         resume()
 
     def clwb(self, core: "Core", op, resume: Resume) -> None:

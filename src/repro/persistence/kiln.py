@@ -114,7 +114,6 @@ class KilnScheme(PersistenceScheme):
             self.stats.inc("commit_flush_cycles", flush_cycles)
         self.commit_cycle[tx_id] = done
         self._commit_order[tx_id] = len(self._commit_order)
-        self.committed_tx.add(tx_id)
         # record the now-durable versions (they are in the NV-LLC);
         # taken from the program-order store record so a commit racing
         # an outstanding store-miss fill still captures the right data

@@ -10,10 +10,7 @@ This base class centralizes what all three share:
 
 * the **log address layout** — per-core NVM log windows, per-tx commit
   record lines and per-core truncation-head lines above the application
-  home region, plus the DRAM-side log window the hybrid scheme uses.
-  All of it satisfies :func:`~repro.common.types.is_log_region`, so a
-  memory controller with ``log_banks`` reserved steers it to the
-  dedicated log banks;
+  home region, plus the DRAM-side log window the hybrid scheme uses;
 * **clwb/sfence ordering** with *split* outstanding-writeback counts:
   an sfence that waits on log-line writebacks attributes its stall to
   ``log_flush`` (the new swtx stall kind) instead of the generic
@@ -52,7 +49,7 @@ from ..recovery import replay
 EmitTx = Callable[[List[TraceOp], int, List[TraceOp]], None]
 
 # -- NVM log layout (scheme metadata: above the application home region)
-#: per-core log windows; is_log_region() holds for everything below
+#: per-core log windows
 LOG_BASE = HOME_REGION_LIMIT
 LOG_STRIDE = 1 << 30         # per-core log spacing
 LOG_WRAP = 1 << 20           # circular log size per core
@@ -201,7 +198,6 @@ class SwTxScheme(PersistenceScheme):
             tx_id = tx_of_record_line(line)
             if tx_id is not None and tx_id not in self.commit_cycle:
                 self.commit_cycle[tx_id] = cycle
-                self.committed_tx.add(tx_id)
             counters[core_id] -= 1
             self._maybe_release_fence(core_id)
 

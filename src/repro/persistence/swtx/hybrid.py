@@ -212,7 +212,6 @@ class HybridDramScheme(SwTxScheme):
         def record_durable(request, cycle: int) -> None:
             if tx_id not in self.commit_cycle:
                 self.commit_cycle[tx_id] = cycle
-                self.committed_tx.add(tx_id)
             chain = self._record_chain[core_id]
             chain.pop(0)
             self._replay(tx_id, self._write_sets.get(tx_id, {}))

@@ -51,14 +51,12 @@ class UndoLogScheme(SwTxScheme):
                  tracer=NULL_TRACER) -> None:
         super().__init__(sim, config, stats, hierarchy, memory, tracer)
         # recovery bookkeeping, captured at runtime in store-issue
-        # order: (tx, line, pre-store version) per in-place data store,
-        # plus the current architectural version per data line.  The
-        # capture order matches the hierarchy's architectural write
-        # order because both update synchronously from the same event;
-        # capturing per core at trace-preparation time would roll a
-        # line back past another core's committed write.
+        # order: (tx, line, pre-store version) per in-place data store.
+        # The pre-store version is the hierarchy's architectural
+        # version, read just before this store updates it; capturing
+        # per core at trace-preparation time would roll a line back
+        # past another core's committed write.
         self._undo_log: List[Tuple[int, int, Optional[Version]]] = []
-        self._current_version: Dict[int, Optional[Version]] = {}
 
     # ------------------------------------------------------------------
     # trace instrumentation
@@ -117,13 +115,11 @@ class UndoLogScheme(SwTxScheme):
     def store(self, core, op, on_issue, on_retire) -> None:
         # log-region and commit-record stores are outside the home
         # region and are not captured
-        if op.persistent and is_home_line(op.addr):
+        if (op.persistent and is_home_line(op.addr)
+                and op.tx_id is not None and op.version is not None):
             data_line = line_addr(op.addr)
-            if op.tx_id is not None and op.version is not None:
-                self._undo_log.append(
-                    (op.tx_id, data_line,
-                     self._current_version.get(data_line)))
-            self._current_version[data_line] = op.version
+            self._undo_log.append(
+                (op.tx_id, data_line, self.hierarchy.arch_version(data_line)))
         super().store(core, op, on_issue, on_retire)
 
     def tx_end(self, core, op, resume) -> None:

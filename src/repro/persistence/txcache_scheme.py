@@ -197,12 +197,10 @@ class TxCacheScheme(PersistenceScheme):
                                          start, self.sim.now - start,
                                          tx=tx_id)
                     self.commit_cycle[tx_id] = self.sim.now
-                    self.committed_tx.add(tx_id)
                     resume()
             else:
                 def committed() -> None:
                     self.commit_cycle[tx_id] = self.sim.now
-                    self.committed_tx.add(tx_id)
                     resume()
 
             self.overflow.commit(core.core_id, tx_id, committed)
@@ -212,7 +210,6 @@ class TxCacheScheme(PersistenceScheme):
             self.tracer.instant("scheme", "txcache", "commit.msg",
                                 self.sim.now, core=core.core_id, tx=tx_id)
         self.commit_cycle[tx_id] = self.sim.now
-        self.committed_tx.add(tx_id)
         resume()
 
     # ------------------------------------------------------------------

@@ -42,10 +42,10 @@ for a served request and vice versa.
 
 ``config.overrides`` is a partial nested dict in the shape of
 :func:`repro.common.config.config_to_dict`; it is deep-merged onto the
-chosen preset and re-validated with the same
-:func:`~repro.sim.validate.require_valid_config` gate the grid runners
-use, so a bad knob is a 400 at the front door rather than a crashed
-worker.  Unknown keys anywhere are errors, never silently dropped.
+chosen preset and rebuilt through the config dataclasses, each of
+which rejects its own bad values at construction, so a bad knob is a
+400 at the front door rather than a crashed worker.  Unknown keys
+anywhere are errors, never silently dropped.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from ..common.config import (
 from ..common.types import SchemeName
 from ..persistence import scheme_names
 from ..sim.parallel import POINT_KINDS, make_params
-from ..sim.validate import require_valid_config
 from ..workloads import WORKLOADS
 
 #: presets a request may name in its config block
@@ -139,10 +138,6 @@ def build_config(data: Optional[Mapping]) -> MachineConfig:
             config = config_from_dict(merged)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
-    try:
-        require_valid_config(config, context="request config")
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
     return config
 
 

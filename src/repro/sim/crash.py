@@ -40,7 +40,6 @@ from .parallel import (CrashPoint, ExperimentEngine, RunLengthPoint,
                        make_params)
 from .runner import make_traces
 from .system import System
-from .validate import require_valid_config
 
 
 def expected_image(traces: Sequence[Trace],
@@ -245,7 +244,6 @@ def crash_sweep(
     :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
     cache).  Every point regenerates its deterministic traces from the
     seed, so a pooled sweep reports exactly what an inline one does.
-    The config is validated before the first point simulates.
 
     ``trace_dir`` writes one Chrome trace per crash point, named by the
     point's cache key; ``trace_epoch`` turns on occupancy sampling.
@@ -254,7 +252,6 @@ def crash_sweep(
         raise ValueError("crash sweep points regenerate traces per point; "
                          "pass seed/operations instead of traces")
     config = config or small_machine_config(num_cores=num_cores)
-    require_valid_config(config, context="crash sweep config")
     engine = engine or ExperimentEngine()
     scheme_value = SchemeName.parse(scheme).value
     params = make_params(workload_params)

@@ -22,7 +22,6 @@ from ..common.config import MachineConfig, small_machine_config
 from ..common.types import SchemeName
 from .parallel import ExperimentEngine, ExperimentPoint, make_params
 from .runner import SimulationResult
-from .validate import require_valid_config
 
 Configure = Callable[[MachineConfig, object], MachineConfig]
 
@@ -96,9 +95,10 @@ class Sweep:
         """Run the sweep grid: one experiment point per value, on
         ``engine`` (by default an inline
         :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
-        cache).  Every point's config is materialized and validated
-        **before** the first simulation starts, so a bad knob value
-        raises immediately instead of minutes into the grid.
+        cache).  Every point's config is built **before** the first
+        simulation starts, so a bad knob value raises immediately
+        (prefixed ``sweep NAME=value:``) instead of minutes into the
+        grid.
 
         ``trace_dir`` captures one Chrome trace per point, named by the
         point's cache key; ``trace_epoch`` turns on
@@ -111,9 +111,13 @@ class Sweep:
         workload_params.pop("num_cores", None)
         base = base_config or small_machine_config()
         scheme_name = SchemeName.parse(scheme)
-        configs = [self.configure(base, value) for value in self.values]
-        for value, config in zip(self.values, configs):
-            require_valid_config(config, context=f"sweep {self.name}={value!r}")
+        configs = []
+        for value in self.values:
+            try:
+                configs.append(self.configure(base, value))
+            except ValueError as exc:
+                raise ValueError(
+                    f"sweep {self.name}={value!r}: {exc}") from exc
         params = make_params(workload_params)
         results = (engine or ExperimentEngine()).run([
             ExperimentPoint(workload, scheme_name.value, config,

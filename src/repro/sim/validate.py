@@ -39,22 +39,11 @@ class ValidationReport:
 
 
 def validate_config(config: MachineConfig) -> ValidationReport:
-    """Sanity-check a machine configuration."""
-    report = ValidationReport()
-    # geometry must divide into sets (raises inside num_sets otherwise)
-    for level_name in ("l1", "l2", "llc"):
-        level = getattr(config, level_name)
-        try:
-            level.num_sets
-        except ValueError as exc:
-            report.errors.append(str(exc))
-    if config.num_cores < 1:
-        report.errors.append("num_cores must be >= 1")
-    if config.txcache.num_entries < 1:
-        report.errors.append("transaction cache smaller than one line")
-    if not 0 < config.txcache.overflow_threshold <= 1:
-        report.errors.append("overflow_threshold must be in (0, 1]")
+    """Warn about a machine configuration that builds but is suspect.
 
+    Unusable values never get this far: each config dataclass rejects
+    them in its ``__post_init__``."""
+    report = ValidationReport()
     total_l2 = config.l2.size_bytes * config.num_cores
     if config.llc.size_bytes < total_l2:
         report.warnings.append(
@@ -69,23 +58,6 @@ def validate_config(config: MachineConfig) -> ValidationReport:
             "aggregate TC issue window exceeds the NVM write queue: "
             "commit bursts can force drain mode and block reads")
     return report
-
-
-def require_valid_config(config: MachineConfig,
-                         context: str = "") -> MachineConfig:
-    """Raise ``ValueError`` when a config has validation *errors*
-    (warnings pass).
-
-    Grid runners (:class:`~repro.sim.sweep.Sweep`,
-    :func:`~repro.sim.chaos.chaos_sweep`) call this on every
-    materialized point config **before** the first simulation runs, so
-    a bad knob value fails in milliseconds instead of minutes into the
-    grid."""
-    report = validate_config(config)
-    if not report.ok:
-        prefix = f"{context}: " if context else ""
-        raise ValueError(prefix + "; ".join(report.errors))
-    return config
 
 
 def validate_traces(config: MachineConfig,

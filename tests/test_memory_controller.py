@@ -144,8 +144,9 @@ class TestRequestQueue:
         assert q.occupancy == pytest.approx(0.5)
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RequestQueue("q", 0)
+        for name in ("read_queue_entries", "write_queue_entries"):
+            with pytest.raises(ValueError, match=name):
+                nvm_config(**{name: 0})
 
 
 class TestControllerReads:

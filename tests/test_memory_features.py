@@ -83,8 +83,7 @@ class TestInterleave:
 
     def test_unknown_interleave_rejected(self):
         with pytest.raises(ValueError, match="interleave"):
-            BankArray(replace(paper_machine_config().nvm,
-                              interleave="hash"))
+            replace(paper_machine_config().nvm, interleave="hash")
 
     def test_row_interleave_serializes_small_footprints(self):
         """The calibration finding, pinned as a test: under row

@@ -173,7 +173,7 @@ class TestWakeSources:
         assert first_at == 1  # eligible the cycle after arrival
         assert second_at == first_done == done[0]  # the bank frees
         # grant, the period re-arm that finds the bank busy, the wake
-        assert ticks == [1, 1 + config.scheduler_period_cycles, done[0]]
+        assert ticks == [1, 1 + MemoryController.SCHEDULER_PERIOD, done[0]]
 
     def test_at_most_one_grant_per_scheduler_period(self):
         # three writes (free banks) arrive on the cycle of a grant,
@@ -187,7 +187,7 @@ class TestWakeSources:
             sim.schedule_at(1, ctrl.enqueue, write(NVM_BASE + i * 64))
         sim.run()
         cycles = [cycle for _request, cycle, _done in grants]
-        period = config.scheduler_period_cycles
+        period = MemoryController.SCHEDULER_PERIOD
         assert cycles == [1 + k * period for k in range(4)]
 
 

@@ -152,13 +152,34 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_request(bad)
 
-    def test_invalid_config_values_are_protocol_errors(self):
-        # an override that passes construction but fails validation
-        # (LLC geometry that does not divide into sets)
+    @pytest.mark.parametrize("overrides", [
+        {"llc": {"size_bytes": 1000}},
+        {"txcache": {"organization": "foo"}},
+        {"nvm": {"interleave": "hash"}},
+        {"txcache": {"organization": "set_assoc", "assoc": 3}},
+        {"core": {"issue_width": 0}},
+        {"nvm": {"read_queue_entries": 0}},
+    ], ids=["llc-sets", "tc-organization", "interleave", "tc-set-assoc",
+            "issue-width", "read-queue"])
+    def test_invalid_config_values_are_protocol_errors(self, overrides):
+        # every value the config types reject is a 400 at parse time,
+        # never a point that fails inside a worker
         with pytest.raises(ProtocolError):
             parse_request({
                 "workload": "sps", "scheme": "txcache",
-                "config": {"overrides": {"llc": {"size_bytes": 1000}}},
+                "config": {"overrides": overrides},
+            })
+
+    @pytest.mark.parametrize("overrides", [
+        {"core": {"mlp": 4}},
+        {"nvm": {"log_banks": 4}},
+        {"l1": {"line_size": 64}},
+    ], ids=["core.mlp", "nvm.log_banks", "l1.line_size"])
+    def test_removed_knobs_are_unknown_keys(self, overrides):
+        with pytest.raises(ProtocolError, match="unknown key"):
+            parse_request({
+                "workload": "sps", "scheme": "txcache",
+                "config": {"overrides": overrides},
             })
 
 

@@ -12,9 +12,9 @@ from repro.core.txcache import TxState
 
 
 def make(entries=16, assoc=4, coalesce=True):
-    config = TxCacheConfig(size_bytes=entries * 64, coalesce_writes=coalesce)
-    return SetAssocTransactionBuffer(config, Stats().scoped("tc"),
-                                     assoc=assoc)
+    config = TxCacheConfig(size_bytes=entries * 64, coalesce_writes=coalesce,
+                           organization="set_assoc", assoc=assoc)
+    return SetAssocTransactionBuffer(config, Stats().scoped("tc"))
 
 
 def line(i):
@@ -123,9 +123,6 @@ class TestEndToEnd:
             assert report.consistent, report.violations[:3]
 
     def test_unknown_organization_rejected(self):
-        from repro.sim.system import System
         base = small_machine_config(num_cores=1)
-        config = replace(base, txcache=replace(base.txcache,
-                                               organization="weird"))
         with pytest.raises(ValueError, match="organization"):
-            System(config, "txcache")
+            replace(base.txcache, organization="weird")

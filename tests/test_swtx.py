@@ -4,16 +4,14 @@ Covers the three first-class software competitors (undo-log, redo-log,
 hybrid DRAM-logged): trace instrumentation shapes, the differential
 invariants the design space implies (fence counts, NVM write
 amplification, cycle ordering against OPT/TC), stall attribution with
-the new ``log_*`` kinds, the dedicated log-bank address map, and
-every-cycle crash recovery through the litmus oracle.
+the new ``log_*`` kinds, the bank map log lines share with home lines,
+and every-cycle crash recovery through the litmus oracle.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.common.config import small_machine_config
-from repro.common.types import NVM_BASE, SchemeName, is_home_line, is_log_region
+from repro.common.types import NVM_BASE, SchemeName, is_home_line
 from repro.cpu.trace import OpType
 from repro.litmus import message_passing, overlapping_tx
 from repro.litmus.runner import run_litmus
@@ -75,8 +73,8 @@ class TestPrepareTrace:
         # every in-place store is preceded (somewhere earlier in the
         # trace) by a log store; the log lives in the log region
         log_stores = [op for op in prepared.ops
-                      if op.op is OpType.STORE
-                      and is_log_region(op.addr)]
+                      if op.op is OpType.STORE and op.persistent
+                      and not is_home_line(op.addr)]
         assert len(log_stores) >= sum(counts.values())
         assert all(op.addr >= LOG_BASE for op in log_stores)
         # the original home stores survive in place
@@ -200,27 +198,11 @@ class TestDifferentialInvariants:
                        for kind in LOG_STALL_KINDS), scheme
 
 
-class TestLogBankPartition:
-    def _ctrl(self, log_banks: int):
-        nvm = small_machine_config().nvm
-        return replace(nvm, log_banks=log_banks)
-
-    def test_partition_separates_log_and_data_banks(self):
-        array = BankArray(self._ctrl(log_banks=4))
-        num_banks = self._ctrl(0).num_banks
-        data_banks = num_banks - 4
-        for i in range(64):
-            bank, _row = array.map_address(NVM_BASE + i * 64)
-            assert 0 <= bank < data_banks
-        for addr in (LOG_BASE, LOG_BASE + 64, RECORD_BASE,
-                     LOG_BASE + 17 * 64):
-            bank, _row = array.map_address(addr)
-            assert data_banks <= bank < num_banks, hex(addr)
-
-    def test_zero_log_banks_is_the_historic_unified_map(self):
-        """log_banks=0 must reproduce ``line % num_banks`` exactly for
-        home *and* log addresses — the golden-snapshot guarantee."""
-        config = self._ctrl(log_banks=0)
+class TestUnifiedBankMap:
+    def test_log_addresses_share_the_unified_map(self):
+        """Home and log addresses alike map to ``line % num_banks`` —
+        the golden-snapshot guarantee."""
+        config = small_machine_config().nvm
         array = BankArray(config)
         lines_per_row = max(1, config.timing.row_size_bytes // 64)
         for addr in [NVM_BASE + i * 64 for i in range(40)] + [
@@ -229,20 +211,6 @@ class TestLogBankPartition:
             expected = (line % config.num_banks,
                         (line // config.num_banks) // lines_per_row)
             assert array.map_address(addr) == expected, hex(addr)
-
-    def test_log_banks_bounds_validated(self):
-        with pytest.raises(ValueError):
-            self._ctrl(log_banks=small_machine_config().nvm.num_banks)
-        with pytest.raises(ValueError):
-            self._ctrl(log_banks=-1)
-
-    @pytest.mark.parametrize("scheme", SWTX_SCHEMES)
-    def test_runs_complete_with_dedicated_log_banks(self, scheme):
-        base = small_machine_config(num_cores=1)
-        config = replace(base, nvm=replace(base.nvm, log_banks=4))
-        result = run_experiment("sps", SchemeName.parse(scheme),
-                                config=config, operations=15, seed=3)
-        assert result.transactions > 0
 
 
 @pytest.mark.parametrize("scheme", SWTX_SCHEMES)

@@ -1,5 +1,7 @@
 """Unit tests for shared value types and machine configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (
@@ -81,7 +83,6 @@ class TestPaperConfig:
         assert cfg.l1.size_bytes == 32 * 1024 and cfg.l1.assoc == 4
         assert cfg.l2.size_bytes == 256 * 1024 and cfg.l2.assoc == 8
         assert cfg.llc.size_bytes == 64 * 1024 * 1024 and cfg.llc.assoc == 16
-        assert cfg.llc.shared and not cfg.l1.shared
 
     def test_table2_latencies_in_cycles(self):
         cfg = paper_machine_config()
@@ -172,6 +173,31 @@ class TestConfigValidation:
         assert cfg.faults == FaultConfig()
         assert not cfg.faults.enabled
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda c: c.scaled_llc(1000),
+         "llc: 15 lines not divisible into 16-way sets"),
+        (lambda c: replace(c, num_cores=0), "num_cores"),
+        (lambda c: replace(c.txcache, size_bytes=32), "txcache.size_bytes"),
+        (lambda c: replace(c.txcache, organization="foo"), "organization"),
+        (lambda c: replace(c.txcache, organization="set_assoc", assoc=3),
+         "64 entries not divisible into 3-way sets"),
+        (lambda c: replace(c.nvm, interleave="hash"), "nvm.interleave"),
+        (lambda c: replace(c.nvm, read_queue_entries=0),
+         "nvm.read_queue_entries"),
+        (lambda c: replace(c.dram, write_queue_entries=0),
+         "dram.write_queue_entries"),
+        (lambda c: replace(c.core, issue_width=0), "issue_width"),
+    ], ids=["llc-sets", "num-cores", "tc-below-one-line",
+            "tc-organization", "tc-set-assoc", "interleave", "read-queue",
+            "write-queue", "issue-width"])
+    def test_invalid_machine_rejected_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(small_machine_config())
+
+    def test_assoc_only_checked_for_set_assoc_tc(self):
+        base = small_machine_config()
+        assert replace(base.txcache, assoc=3).organization == "cam_fifo"
+
 
 class TestCacheLevelConfig:
     def test_sets_computed(self):
@@ -180,9 +206,8 @@ class TestCacheLevelConfig:
         assert cfg.num_sets == 128
 
     def test_bad_geometry_rejected(self):
-        cfg = CacheLevelConfig("bad", 100 * 64, 3, 1.0)
         with pytest.raises(ValueError):
-            _ = cfg.num_sets
+            CacheLevelConfig("bad", 100 * 64, 3, 1.0)
 
 
 class TestScaledConfigs:

@@ -4,11 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common.config import (
-    CacheLevelConfig,
-    paper_machine_config,
-    small_machine_config,
-)
+from repro.common.config import paper_machine_config, small_machine_config
 from repro.common.types import NVM_BASE
 from repro.cpu.trace import Trace, TraceBuilder, TraceOp, OpType
 from repro.sim.validate import validate_config, validate_setup, validate_traces
@@ -29,12 +25,6 @@ class TestValidateConfig:
         report = validate_config(config)
         assert report.ok
         assert any("sum of private L2s" in w for w in report.warnings)
-
-    def test_bad_geometry_is_an_error(self):
-        config = replace(small_machine_config(),
-                         l1=CacheLevelConfig("l1", 100 * 64, 3, 0.5))
-        report = validate_config(config)
-        assert not report.ok
 
     def test_bad_overflow_threshold(self):
         # now rejected at construction time (config validation), before
