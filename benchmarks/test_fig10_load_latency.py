@@ -9,11 +9,10 @@ commits block a hierarchy that is actually being reused — reproduces
 the paper's >2x magnitude.
 """
 
-from dataclasses import replace
-
 from repro.common.config import small_machine_config
 from repro.common.types import SchemeName
-from repro.sim.report import figure10_load_latency, format_figure
+from repro.sim.report import (REUSE_LLC_BYTES, figure10_load_latency,
+                              format_figure)
 from repro.sim.runner import run_comparison
 
 
@@ -35,9 +34,8 @@ def test_fig10_normalized_load_latency(paper_grid, benchmark, save_output):
         assert row[SchemeName.KILN] > row[SchemeName.TXCACHE], workload
 
     def kiln_latency_stress():
-        config = small_machine_config(num_cores=4)
-        config = replace(config,
-                         llc=replace(config.llc, size_bytes=128 * 1024))
+        config = small_machine_config(num_cores=4).scaled_llc(
+            REUSE_LLC_BYTES)
         return run_comparison(
             "synthetic", schemes=("kiln", "txcache", "optimal"),
             config=config, operations=250, stores_per_tx=20,

@@ -12,16 +12,15 @@ a write-intense synthetic workload whose transactions pin a large
 fraction of an at-capacity LLC — the regime the paper's 6 % comes from.
 """
 
-from dataclasses import replace
-
 from repro.common.config import small_machine_config
 from repro.common.types import SchemeName
-from repro.sim.report import figure8_llc_miss_rate, format_figure
+from repro.sim.report import (REUSE_LLC_BYTES, figure8_llc_miss_rate,
+                              format_figure)
 from repro.sim.runner import run_comparison
 
 
-def test_fig8_normalized_llc_miss_rate(pressure_grid, benchmark, save_output):
-    rows = figure8_llc_miss_rate(pressure_grid)
+def test_fig8_normalized_llc_miss_rate(reuse_grid, benchmark, save_output):
+    rows = figure8_llc_miss_rate(reuse_grid)
     text = format_figure("Figure 8: LLC miss rate, normalized to Optimal",
                          rows)
     print("\n" + text)
@@ -34,9 +33,8 @@ def test_fig8_normalized_llc_miss_rate(pressure_grid, benchmark, save_output):
     assert gmean[SchemeName.KILN] > 0.95
 
     def kiln_stress():
-        config = small_machine_config(num_cores=4)
-        config = replace(config,
-                         llc=replace(config.llc, size_bytes=128 * 1024))
+        config = small_machine_config(num_cores=4).scaled_llc(
+            REUSE_LLC_BYTES)
         return run_comparison(
             "synthetic", schemes=("kiln", "txcache", "optimal"),
             config=config, operations=250, stores_per_tx=20,

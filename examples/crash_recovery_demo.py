@@ -16,7 +16,7 @@ runs the ``graph`` workload (adjacency-list edge inserts) under:
 Run:  python examples/crash_recovery_demo.py
 """
 
-from repro.sim.crash import measure_run_length, run_with_crash
+from repro.sim.crash import crash_sweep
 
 FRACTIONS = (0.25, 0.5, 0.75)
 PARAMS = dict(operations=60, seed=11, num_cores=1, vertices=4096)
@@ -34,12 +34,8 @@ def describe(report) -> str:
 def main() -> None:
     for scheme in ("optimal", "txcache"):
         print(f"\n=== scheme: {scheme} ===")
-        total = measure_run_length("graph", scheme, **PARAMS)
         any_torn = False
-        for fraction in FRACTIONS:
-            report = run_with_crash("graph", scheme,
-                                    int(total * fraction),
-                                    total_cycles=total, **PARAMS)
+        for report in crash_sweep("graph", scheme, FRACTIONS, **PARAMS):
             print(describe(report))
             if not report.consistent:
                 any_torn = True

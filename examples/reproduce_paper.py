@@ -16,26 +16,16 @@ import time
 
 from repro.common.config import paper_machine_config, small_machine_config
 from repro.sim.report import (
+    FIGURES,
+    REUSE_LLC_BYTES,
     figure6_ipc,
-    figure7_throughput,
-    figure8_llc_miss_rate,
-    figure9_write_traffic,
-    figure10_load_latency,
     format_figure,
     format_table1,
     format_table2,
     format_table3,
 )
-from repro.sim.runner import run_comparison
+from repro.sim.runner import SCHEME_ORDER, run_grid
 from repro.workloads import PAPER_WORKLOADS
-
-#: figures computed on the eviction-pressure grid (32 KB scaled LLC)
-MAIN_FIGURES = (
-    ("Figure 6: Performance improvements (IPC)", figure6_ipc),
-    ("Figure 7: Performance improvements (Throughput)", figure7_throughput),
-    ("Figure 9: NVM write traffic", figure9_write_traffic),
-    ("Figure 10: Persistent load latency", figure10_load_latency),
-)
 
 
 def main(argv=None) -> int:
@@ -55,37 +45,25 @@ def main(argv=None) -> int:
     print(format_table3())
     print()
 
+    # Figs. 6, 7, 9 and 10 run on the 32 KB scaled LLC (eviction
+    # pressure); Fig. 8 needs LLC reuse to exist, so it runs on a
+    # 128 KB LLC where the workloads sit at capacity (DESIGN.md).
     config = small_machine_config(num_cores=4)
-    print(f"Running {len(PAPER_WORKLOADS)} workloads x 4 schemes at "
-          f"{operations} operations/core on the scaled machine...")
-    grid = {}
+    print(f"Running {len(PAPER_WORKLOADS)} workloads x 4 schemes x 2 LLC "
+          f"regimes at {operations} operations/core on the scaled "
+          "machine...")
     started = time.time()
-    for workload in PAPER_WORKLOADS:
-        t0 = time.time()
-        grid[workload] = run_comparison(workload, operations=operations,
-                                        config=config)
-        print(f"  {workload:<10} done in {time.time() - t0:5.1f}s")
-
-    # Fig. 8 needs LLC reuse to exist, so it runs on a 128 KB LLC where
-    # the workloads sit at capacity instead of thrashing (DESIGN.md).
-    pressure_config = config.scaled_llc(128 * 1024)
-    print("re-running the grid at 128 KB LLC for Figure 8...")
-    pressure_grid = {}
-    for workload in PAPER_WORKLOADS:
-        pressure_grid[workload] = run_comparison(
-            workload, operations=operations, config=pressure_config)
+    grids = dict(zip(("pressure", "reuse"), run_grid(
+        PAPER_WORKLOADS, SCHEME_ORDER,
+        [config, config.scaled_llc(REUSE_LLC_BYTES)],
+        operations=operations)))
     print(f"total simulation time: {time.time() - started:.1f}s\n")
 
-    for title, figure in MAIN_FIGURES:
-        print(format_figure(f"{title}, normalized to Optimal",
-                            figure(grid)))
+    for caption, figure, regime in FIGURES:
+        print(format_figure(caption, figure(grids[regime])))
         print()
-    print(format_figure("Figure 8: LLC miss rate, normalized to Optimal "
-                        "(128 KB LLC reuse regime)",
-                        figure8_llc_miss_rate(pressure_grid)))
-    print()
 
-    gmean_ipc = figure6_ipc(grid)["gmean"]
+    gmean_ipc = figure6_ipc(grids["pressure"])["gmean"]
     print("Paper's headline averages vs this reproduction (IPC, "
           "normalized to Optimal):")
     paper = {"sp": 0.477, "txcache": 0.985, "kiln": 0.878}

@@ -59,19 +59,15 @@ from .common.config import paper_machine_config, small_machine_config
 from .common.types import SchemeName
 from .sim.crash import crash_sweep
 from .sim.report import (
-    SCHEME_ORDER,
-    figure6_ipc,
-    figure7_throughput,
-    figure8_llc_miss_rate,
-    figure9_write_traffic,
-    figure10_load_latency,
+    FIGURES,
+    REUSE_LLC_BYTES,
     format_figure,
     format_stall_breakdown,
     format_table1,
     format_table2,
     format_table3,
 )
-from .sim.runner import run_comparison, run_experiment
+from .sim.runner import SCHEME_ORDER, run_comparison, run_experiment, run_grid
 from .sim.sweep import llc_size_sweep, nvm_write_latency_sweep, tc_size_sweep
 from .workloads import PAPER_WORKLOADS, WORKLOADS, create_workload
 
@@ -507,52 +503,27 @@ def cmd_compare(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .sim.parallel import ExperimentPoint
-    from .sim.runner import ALL_SCHEMES
-
     engine = _engine_from_args(args)
+    schemes = list(SCHEME_ORDER)
     if args.schemes:
-        schemes = []
-        for name in args.schemes:
-            scheme = SchemeName.parse(name)
-            if scheme not in schemes:
-                schemes.append(scheme)
-        if SchemeName.OPTIMAL not in schemes:
-            # every figure normalizes to Optimal, so the baseline rides
-            # along even when not asked for (its column still renders)
-            schemes.append(SchemeName.OPTIMAL)
-    else:
-        schemes = list(ALL_SCHEMES)
+        # every figure normalizes to Optimal, so the baseline rides
+        # along even when not asked for (its column still renders)
+        schemes = list(dict.fromkeys(
+            [SchemeName.parse(name) for name in args.schemes]
+            + [SchemeName.OPTIMAL]))
     config = small_machine_config(num_cores=args.cores)
-    pressure = config.scaled_llc(128 * 1024)
-    points = [
-        ExperimentPoint(workload, scheme.value, grid_config,
-                        operations=args.operations, seed=args.seed,
-                        trace_dir=args.trace, trace_epoch=args.epoch)
-        for grid_config in (config, pressure)
-        for workload in PAPER_WORKLOADS
-        for scheme in schemes
-    ]
-    print(f"running {len(points)} experiment points "
-          f"(jobs={engine.jobs})...", file=sys.stderr)
-    results = iter(engine.run(points))
-    grid = {workload: {scheme: next(results) for scheme in schemes}
-            for workload in PAPER_WORKLOADS}
-    pressure_grid = {workload: {scheme: next(results)
-                                for scheme in schemes}
-                     for workload in PAPER_WORKLOADS}
+    configs = [config, config.scaled_llc(REUSE_LLC_BYTES)]
+    print(f"running {len(configs) * len(PAPER_WORKLOADS) * len(schemes)} "
+          f"experiment points (jobs={engine.jobs})...", file=sys.stderr)
+    grids = dict(zip(("pressure", "reuse"), run_grid(
+        PAPER_WORKLOADS, schemes, configs, operations=args.operations,
+        seed=args.seed, engine=engine, trace_dir=args.trace,
+        trace_epoch=args.epoch)))
     print(engine.summary(), file=sys.stderr)
-    for title, figure, source in (
-            ("Figure 6: IPC", figure6_ipc, grid),
-            ("Figure 7: Throughput", figure7_throughput, grid),
-            ("Figure 8: LLC miss rate", figure8_llc_miss_rate, pressure_grid),
-            ("Figure 9: NVM write traffic", figure9_write_traffic, grid),
-            ("Figure 10: Persistent load latency", figure10_load_latency,
-             grid)):
-        print(format_figure(f"{title}, normalized to Optimal",
-                            figure(source), schemes=schemes))
+    for caption, figure, regime in FIGURES:
+        print(format_figure(caption, figure(grids[regime]), schemes=schemes))
         print()
-    print(format_stall_breakdown(grid, schemes=schemes))
+    print(format_stall_breakdown(grids["pressure"], schemes=schemes))
     if args.trace:
         print(f"per-point traces in {args.trace}/", file=sys.stderr)
     return 0

@@ -1,28 +1,28 @@
 """Formatting of the paper's tables and figures from simulation results.
 
-Each ``figure*_rows`` function turns ``{workload: {scheme: result}}``
+Each ``figureN_*`` function turns ``{workload: {scheme: result}}``
 into the normalized numbers the corresponding paper figure plots;
 :func:`format_figure` renders them as the ASCII table the benchmark
-harness prints.  Normalization is always to the *Optimal* scheme, as in
+harness prints, and :data:`FIGURES` names each figure's caption and
+LLC regime.  Normalization is always to the *Optimal* scheme, as in
 the paper ("normalized to the Optimal case").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 from ..common.config import MachineConfig, table2_rows
 from ..common.types import SchemeName
 from ..core.txcache import hardware_overhead
 from ..workloads import workload_table
-from .runner import SimulationResult
+from .runner import SCHEME_ORDER, ResultGrid, SimulationResult
 
-#: column order used by the paper's bar charts
-SCHEME_ORDER = (SchemeName.SP, SchemeName.TXCACHE,
-                SchemeName.KILN, SchemeName.OPTIMAL)
+#: LLC of the reuse regime: footprints sit at capacity, so LLC hits
+#: exist and Fig. 8's miss-rate deltas show (DESIGN.md)
+REUSE_LLC_BYTES = 128 * 1024
 
-ResultGrid = Mapping[str, Mapping[SchemeName, SimulationResult]]
 Metric = Callable[[SimulationResult], float]
 
 
@@ -33,8 +33,8 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def normalized_rows(results: ResultGrid, metric: Metric,
-                    higher_is_better: bool = True) -> Dict[str, Dict[SchemeName, float]]:
+def normalized_rows(results: ResultGrid,
+                    metric: Metric) -> Dict[str, Dict[SchemeName, float]]:
     """Per-workload metric values normalized to Optimal's value."""
     rows: Dict[str, Dict[SchemeName, float]] = {}
     for workload, by_scheme in results.items():
@@ -76,16 +76,14 @@ def figure7_throughput(results: ResultGrid) -> Dict[str, Dict[SchemeName, float]
 
 def figure8_llc_miss_rate(results: ResultGrid) -> Dict[str, Dict[SchemeName, float]]:
     """Fig. 8: LLC miss rate normalized to Optimal."""
-    rows = normalized_rows(results, lambda r: r.llc_miss_rate,
-                           higher_is_better=False)
+    rows = normalized_rows(results, lambda r: r.llc_miss_rate)
     add_mean_row(rows)
     return rows
 
 
 def figure9_write_traffic(results: ResultGrid) -> Dict[str, Dict[SchemeName, float]]:
     """Fig. 9: NVM write traffic (lines) normalized to Optimal."""
-    rows = normalized_rows(results, lambda r: r.nvm_write_lines,
-                           higher_is_better=False)
+    rows = normalized_rows(results, lambda r: r.nvm_write_lines)
     add_mean_row(rows)
     return rows
 
@@ -93,10 +91,25 @@ def figure9_write_traffic(results: ResultGrid) -> Dict[str, Dict[SchemeName, flo
 def figure10_load_latency(results: ResultGrid) -> Dict[str, Dict[SchemeName, float]]:
     """Fig. 10: persistent load latency (at/below the LLC) normalized
     to Optimal."""
-    rows = normalized_rows(results, lambda r: r.persist_llc_load_latency,
-                           higher_is_better=False)
+    rows = normalized_rows(results, lambda r: r.persist_llc_load_latency)
     add_mean_row(rows)
     return rows
+
+
+#: (caption, rows function, regime) per paper figure: "pressure" is the
+#: base 32 KB scaled LLC, "reuse" the same machine at REUSE_LLC_BYTES
+FIGURES = (
+    ("Figure 6: Performance improvements (IPC), normalized to Optimal",
+     figure6_ipc, "pressure"),
+    ("Figure 7: Performance improvements (Throughput), normalized to "
+     "Optimal", figure7_throughput, "pressure"),
+    ("Figure 8: LLC miss rate, normalized to Optimal",
+     figure8_llc_miss_rate, "reuse"),
+    ("Figure 9: NVM write traffic, normalized to Optimal",
+     figure9_write_traffic, "pressure"),
+    ("Figure 10: Persistent load latency, normalized to Optimal",
+     figure10_load_latency, "pressure"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +169,6 @@ def format_stall_breakdown(results: ResultGrid,
             lines.append(f"{workload:<12}{scheme.value:<{name_width}}"
                          f"{total:>10.0f}{per_cycle:>10.3f}{cells}")
     lines.append("=" * len(header))
-    return "\n".join(lines)
-
-
-def format_bars(title: str,
-                rows: Mapping[str, Mapping[SchemeName, float]],
-                schemes: Sequence[SchemeName] = SCHEME_ORDER,
-                width: int = 40) -> str:
-    """Render normalized numbers as horizontal ASCII bars — the
-    closest terminal equivalent of the paper's bar charts."""
-    peak = max((value for row in rows.values() for value in row.values()),
-               default=1.0)
-    scale = width / peak if peak else 0
-    lines = [title, "=" * (width + 26)]
-    for workload, row in rows.items():
-        lines.append(f"{workload}:")
-        for scheme in schemes:
-            value = row.get(scheme)
-            if value is None:
-                continue
-            bar = "#" * max(1, int(round(value * scale))) if value > 0 else ""
-            lines.append(f"  {scheme.value:<8} |{bar:<{width}}| {value:.3f}")
-    lines.append("=" * (width + 26))
     return "\n".join(lines)
 
 

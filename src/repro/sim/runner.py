@@ -5,7 +5,7 @@ load latency)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..common.config import MachineConfig, small_machine_config
 from ..common.types import SchemeName
@@ -15,9 +15,9 @@ from ..obs.stalls import LOG_STALL_KINDS, STALL_KINDS
 from ..workloads import create_workload
 from .system import System
 
-#: the scheme order the paper's figures use
-ALL_SCHEMES = (SchemeName.SP, SchemeName.TXCACHE,
-               SchemeName.KILN, SchemeName.OPTIMAL)
+#: the scheme order (and bar-chart column order) of the paper's figures
+SCHEME_ORDER = (SchemeName.SP, SchemeName.TXCACHE,
+                SchemeName.KILN, SchemeName.OPTIMAL)
 
 
 @dataclass
@@ -121,6 +121,9 @@ class SimulationResult:
             stall_cycles=dict(data.get("stall_cycles", {})),
             raw_stats=dict(data.get("raw_stats", {})),
         )
+
+
+ResultGrid = Mapping[str, Mapping[SchemeName, SimulationResult]]
 
 
 def collect_result(system: System, workload: str = "") -> SimulationResult:
@@ -247,23 +250,56 @@ def run_experiment(
     return collect_result(system, workload=workload)
 
 
+def run_grid(
+    workloads: Sequence[str],
+    schemes: Sequence[Union[str, SchemeName]],
+    configs: Sequence[MachineConfig],
+    *,
+    operations: int = 300,
+    seed: int = 42,
+    engine=None,
+    trace_dir=None,
+    trace_epoch: int = 0,
+    **workload_params,
+) -> List[ResultGrid]:
+    """Run every (config, workload, scheme) point in one batch on
+    ``engine`` (default: an inline, uncached
+    :class:`~repro.sim.parallel.ExperimentEngine`); returns one
+    ``{workload: {scheme: result}}`` grid per config, in order.  Every
+    point regenerates its traces from the seed, so all schemes of a
+    workload run on identical traces.  ``trace_dir``/``trace_epoch``
+    capture one Chrome trace per point, named by its cache key."""
+    from .parallel import ExperimentEngine, ExperimentPoint, make_params
+
+    if workload_params.pop("traces", None) is not None:
+        raise ValueError("grid points regenerate traces per point; "
+                         "pass seed/operations instead of traces")
+    names = [SchemeName.parse(scheme) for scheme in schemes]
+    params = make_params(workload_params)
+    results = iter((engine or ExperimentEngine()).run([
+        ExperimentPoint(workload, name.value, config,
+                        operations=operations, seed=seed,
+                        workload_params=params, trace_dir=trace_dir,
+                        trace_epoch=trace_epoch)
+        for config in configs
+        for workload in workloads
+        for name in names]))
+    return [{workload: {name: next(results) for name in names}
+             for workload in workloads}
+            for _config in configs]
+
+
 def run_comparison(
     workload: str,
-    schemes: Sequence[Union[str, SchemeName]] = ALL_SCHEMES,
-    **kwargs,
+    schemes: Sequence[Union[str, SchemeName]] = SCHEME_ORDER,
+    *,
+    config: Optional[MachineConfig] = None,
+    num_cores: int = 4,
+    operations: int = 300,
+    seed: int = 42,
+    **workload_params,
 ) -> Dict[SchemeName, SimulationResult]:
     """Run one workload under several schemes on identical traces."""
-    results: Dict[SchemeName, SimulationResult] = {}
-    num_cores = kwargs.pop("num_cores", 4)
-    config = kwargs.pop("config", None) or small_machine_config(num_cores=num_cores)
-    operations = kwargs.pop("operations", 300)
-    seed = kwargs.pop("seed", 42)
-    traces = kwargs.pop("traces", None)
-    if traces is None:
-        traces = make_traces(workload, config.num_cores, operations,
-                             seed=seed, **kwargs)
-    for scheme in schemes:
-        name = SchemeName.parse(scheme)
-        results[name] = run_experiment(
-            workload, name, config=config, traces=traces)
-    return results
+    config = config or small_machine_config(num_cores=num_cores)
+    return run_grid([workload], schemes, [config], operations=operations,
+                    seed=seed, **workload_params)[0][workload]

@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..common.config import MachineConfig, small_machine_config
 from ..common.types import SchemeName
-from .parallel import ExperimentEngine, ExperimentPoint, make_params
-from .runner import SimulationResult
+from .parallel import ExperimentEngine
+from .runner import SimulationResult, run_grid
 
 Configure = Callable[[MachineConfig, object], MachineConfig]
 
@@ -104,9 +104,6 @@ class Sweep:
         point's cache key; ``trace_epoch`` turns on
         occupancy/queue-depth sampling every that-many cycles.
         """
-        if workload_params.pop("traces", None) is not None:
-            raise ValueError("sweep points regenerate traces per point; "
-                             "pass seed/operations instead of traces")
         # the sweep always passes a config, so num_cores has no effect
         workload_params.pop("num_cores", None)
         base = base_config or small_machine_config()
@@ -118,17 +115,15 @@ class Sweep:
             except ValueError as exc:
                 raise ValueError(
                     f"sweep {self.name}={value!r}: {exc}") from exc
-        params = make_params(workload_params)
-        results = (engine or ExperimentEngine()).run([
-            ExperimentPoint(workload, scheme_name.value, config,
-                            operations=operations, seed=seed,
-                            workload_params=params, trace_dir=trace_dir,
-                            trace_epoch=trace_epoch)
-            for config in configs])
+        grids = run_grid([workload], [scheme_name], configs,
+                         operations=operations, seed=seed, engine=engine,
+                         trace_dir=trace_dir, trace_epoch=trace_epoch,
+                         **workload_params)
         return SweepOutcome(
             name=self.name, workload=workload, scheme=scheme_name.value,
-            points=[SweepPoint(value=value, result=result)
-                    for value, result in zip(self.values, results)])
+            points=[SweepPoint(value=value,
+                               result=grid[workload][scheme_name])
+                    for value, grid in zip(self.values, grids)])
 
 
 # -- ready-made sweeps -------------------------------------------------------

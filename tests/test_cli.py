@@ -87,6 +87,34 @@ class TestCompare:
             assert scheme in out
 
 
+class TestFigures:
+    CAPTIONS = (
+        "Figure 6: Performance improvements (IPC), normalized to Optimal",
+        "Figure 7: Performance improvements (Throughput), normalized to "
+        "Optimal",
+        "Figure 8: LLC miss rate, normalized to Optimal",
+        "Figure 9: NVM write traffic, normalized to Optimal",
+        "Figure 10: Persistent load latency, normalized to Optimal",
+    )
+
+    def test_figures_render_and_jobs_do_not_change_them(self, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            code = main(["figures", "--cores", "1", "--operations", "5",
+                         "--schemes", "kiln", "--jobs", jobs])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        out = outs[0]
+        for caption in self.CAPTIONS:
+            assert caption + "\n" in out
+        assert "Stall-cycle breakdown" in out
+        # every figure normalizes to Optimal, so its column rides along
+        header = next(line for line in out.splitlines()
+                      if line.startswith("workload"))
+        assert header.split() == ["workload", "kiln", "optimal"]
+        assert outs[1] == out
+
+
 class TestCrash:
     def test_crash_consistent_scheme_exits_zero(self, capsys):
         code = main(["crash", "sps", "txcache", "--operations", "15",

@@ -68,7 +68,8 @@ def grid():
     for workload, name in GRID:
         config = configs[name]
         traces = make_traces(workload, 1, OPS, seed=SEED)
-        results = run_comparison(workload, config=config, traces=traces)
+        results = run_comparison(workload, config=config, operations=OPS,
+                                 seed=SEED)
         out[(workload, name)] = (config, traces[0], results)
     return out
 

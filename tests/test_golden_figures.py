@@ -23,10 +23,9 @@ import pathlib
 
 import pytest
 
-from dataclasses import replace
-
 from repro.common.config import small_machine_config
 from repro.sim.parallel import ExperimentEngine, ExperimentPoint
+from repro.sim.report import REUSE_LLC_BYTES
 from repro.sim.runner import run_experiment
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_figures.json"
@@ -38,20 +37,19 @@ def _base_config():
     return small_machine_config(num_cores=2)
 
 
-def _pressure_config():
-    base = _base_config()
-    return replace(base, llc=replace(base.llc, size_bytes=128 * 1024))
+def _reuse_config():
+    return _base_config().scaled_llc(REUSE_LLC_BYTES)
 
 
 #: figure → (workload, scheme, config factory).  One representative
-#: pair per figure, in the LLC regime that figure is rendered from
-#: (32 KB eviction-pressure for 6/7/9, 128 KB reuse for 8/10).
+#: pair per figure: 32 KB eviction pressure for 6/7/9, 128 KB reuse for
+#: 8 and for 10 (the regime of Fig. 10's stress variant).
 FIGURE_PAIRS = {
     "fig6_throughput": ("sps", "txcache", _base_config),
     "fig7_persist_latency": ("hashtable", "sp", _base_config),
-    "fig8_llc_miss_rate": ("btree", "txcache", _pressure_config),
+    "fig8_llc_miss_rate": ("btree", "txcache", _reuse_config),
     "fig9_nvm_writes": ("rbtree", "kiln", _base_config),
-    "fig10_load_latency": ("graph", "txcache", _pressure_config),
+    "fig10_load_latency": ("graph", "txcache", _reuse_config),
     # software-transaction competitor columns (repro.persistence.swtx):
     # one representative point per scheme on the same grid
     "swtx_undo_throughput": ("hashtable", "undo_log", _base_config),

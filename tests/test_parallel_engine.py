@@ -37,7 +37,13 @@ from repro.sim.parallel import (
     RunLengthPoint,
     point_key,
 )
-from repro.sim.runner import run_experiment
+from repro.sim.runner import (
+    SCHEME_ORDER,
+    make_traces,
+    run_comparison,
+    run_experiment,
+    run_grid,
+)
 from repro.sim.sweep import tc_size_sweep
 
 CONFIG = small_machine_config(num_cores=1)
@@ -330,13 +336,54 @@ class TestSweepThroughEngine:
         assert serial.to_json() == engine.to_json()
 
     def test_engine_rejects_prebuilt_traces(self):
-        from repro.sim.runner import make_traces
-
         traces = make_traces("sps", 1, 10)
         with pytest.raises(ValueError, match="traces"):
             tc_size_sweep(sizes=(4096,)).run(
                 "sps", "txcache", traces=traces,
                 engine=ExperimentEngine(jobs=1))
+
+
+class TestGridThroughEngine:
+    #: two machines whose results must differ, so a grid returned in the
+    #: wrong config order cannot match its direct runs
+    CONFIGS = (CONFIG, small_machine_config(num_cores=2))
+    WORKLOADS = ("sps", "hashtable")
+    SCHEMES = (SchemeName.TXCACHE, SchemeName.OPTIMAL)
+
+    def test_one_batch_returns_a_grid_per_config_in_order(self):
+        engine = ExperimentEngine()
+        grids = run_grid(self.WORKLOADS, self.SCHEMES, self.CONFIGS,
+                         operations=10, engine=engine)
+        assert engine.stats.summary("engine.batch.seconds").count == 1
+        assert engine.stats.counter("engine.points") == \
+            len(self.CONFIGS) * len(self.WORKLOADS) * len(self.SCHEMES)
+        assert len(grids) == len(self.CONFIGS)
+        for config, grid in zip(self.CONFIGS, grids):
+            assert list(grid) == list(self.WORKLOADS)
+            for workload, by_scheme in grid.items():
+                assert list(by_scheme) == list(self.SCHEMES)
+                for scheme, result in by_scheme.items():
+                    direct = run_experiment(workload, scheme, config=config,
+                                            operations=10)
+                    assert result.to_dict(include_raw=True) == \
+                        direct.to_dict(include_raw=True)
+        assert grids[0]["sps"][SchemeName.OPTIMAL].instructions != \
+            grids[1]["sps"][SchemeName.OPTIMAL].instructions
+
+    def test_run_comparison_equals_one_trace_set_per_scheme_loop(self):
+        """The serial loop ``run_comparison`` used to be: one shared
+        ``make_traces`` result run under every scheme."""
+        config = small_machine_config(num_cores=2)
+        traces = make_traces("hashtable", 2, 20, seed=3)
+        reference = {scheme: run_experiment("hashtable", scheme,
+                                            config=config, traces=traces)
+                     for scheme in SCHEME_ORDER}
+        results = run_comparison("hashtable", config=config, operations=20,
+                                 seed=3)
+        assert list(results) == list(reference)
+        for scheme, result in results.items():
+            assert result.to_dict(include_raw=True) == \
+                reference[scheme].to_dict(include_raw=True)
 
 
 class TestCrashAndChaosThroughEngine:
@@ -349,8 +396,6 @@ class TestCrashAndChaosThroughEngine:
             [r.to_dict() for r in pooled]
 
     def test_crash_sweep_rejects_prebuilt_traces(self):
-        from repro.sim.runner import make_traces
-
         with pytest.raises(ValueError, match="traces"):
             crash_sweep("sps", "txcache", operations=10,
                         traces=make_traces("sps", 1, 10))

@@ -7,7 +7,6 @@ from repro.common.types import SchemeName
 from repro.sim.report import (
     SCHEME_ORDER,
     add_mean_row,
-    format_bars,
     format_figure,
     format_table1,
     format_table2,
@@ -93,15 +92,6 @@ class TestFormatting:
         assert "wl_a" in text and "wl_b" in text
         for scheme in SCHEME_ORDER:
             assert scheme.value in text
-
-    def test_format_bars_scales_to_peak(self):
-        rows = {"wl": {SchemeName.OPTIMAL: 1.0, SchemeName.SP: 2.0}}
-        text = format_bars("Bars", rows, schemes=(SchemeName.SP,
-                                                  SchemeName.OPTIMAL))
-        sp_line = next(l for l in text.splitlines() if "sp" in l)
-        opt_line = next(l for l in text.splitlines() if "optimal" in l)
-        assert sp_line.count("#") > opt_line.count("#")
-        assert "2.000" in sp_line
 
     def test_tables_render(self):
         config = paper_machine_config()
