@@ -40,7 +40,7 @@ Commands
 Grid-shaped commands (``sweep``, ``figures``, ``crash``, ``chaos``)
 accept ``--jobs N`` to fan independent experiment points out over a
 process pool and ``--cache-dir DIR`` to memoize finished points on
-disk (``--no-cache`` bypasses a configured cache).  Parallel and
+disk (omit it to re-simulate every point).  Parallel and
 cached runs produce byte-identical output to serial ones; the engine
 prints a ``hits=``/``executed=`` summary to stderr.  They also accept
 ``--trace DIR`` to capture one Chrome trace per experiment point
@@ -71,21 +71,12 @@ from .sim.runner import SCHEME_ORDER, run_comparison, run_experiment, run_grid
 from .sim.sweep import llc_size_sweep, nvm_write_latency_sweep, tc_size_sweep
 from .workloads import PAPER_WORKLOADS, WORKLOADS, create_workload
 
-# importing BROKEN_COMMIT loads repro.litmus.broken, whose import-time
-# register_scheme() puts "broken_commit" into the scheme registry the
-# choice lists below are generated from
-from .litmus import BROKEN_COMMIT  # noqa: E402  (registration side effect)
-from .persistence import scheme_names
-
-#: every currently registered scheme name — enum members plus
-#: register_scheme() extras; a newly registered scheme appears in all
-#: CLI choice lists and error messages without manual edits
-SCHEME_CHOICES = scheme_names()
+#: every scheme name, negative controls included
+SCHEME_CHOICES = [scheme.value for scheme in SchemeName]
 
 #: litmus sweeps persistence schemes (optimal promises nothing, so
-#: checking it is meaningless) plus registered extras such as the
-#: intentionally broken reference
-LITMUS_SCHEME_CHOICES = [name for name in scheme_names()
+#: checking it is meaningless), the intentionally broken ones included
+LITMUS_SCHEME_CHOICES = [name for name in SCHEME_CHOICES
                          if name != SchemeName.OPTIMAL.value]
 
 
@@ -126,8 +117,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="directory for the on-disk result cache; "
                              "already-computed points are skipped")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="neither read nor write --cache-dir")
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -142,8 +131,7 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 def _engine_from_args(args):
     from .sim.parallel import ExperimentEngine
 
-    return ExperimentEngine(jobs=args.jobs, cache_dir=args.cache_dir,
-                            use_cache=not args.no_cache)
+    return ExperimentEngine(jobs=args.jobs, cache_dir=args.cache_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_args(figures_parser)
     figures_parser.add_argument(
         "--schemes", nargs="+",
-        choices=[scheme.value for scheme in SchemeName],
+        choices=SCHEME_CHOICES,
         default=None,
         help="schemes to grid (default: the paper's sp txcache kiln "
              "optimal; optimal is always included as the "
@@ -256,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=["sp", "kiln", "txcache"],
         help=f"schemes to sweep, any of: "
              f"{', '.join(LITMUS_SCHEME_CHOICES)} "
-             f"({BROKEN_COMMIT} is the intentionally buggy reference "
-             f"scheme; it should fail)")
+             f"({SchemeName.BROKEN_COMMIT.value} is the intentionally "
+             f"buggy reference scheme; it should fail)")
     litmus_parser.add_argument("--check-every", type=int, default=1,
                                help="crash-check stride in cycles "
                                     "(default 1 = every cycle)")

@@ -157,9 +157,10 @@ class MemRequest:
 
 class SchemeName(enum.Enum):
     """The four persistence mechanisms compared in the paper (§5.1),
-    plus the software-transaction competitor schemes of
+    the software-transaction competitor schemes of
     :mod:`repro.persistence.swtx` (per arXiv:1804.00701 and
-    arXiv:1903.06226)."""
+    arXiv:1903.06226), and the deliberately broken negative controls
+    listed in :data:`NEGATIVE_CONTROLS`."""
 
     OPTIMAL = "optimal"   # native execution, no persistence guarantee
     SP = "sp"             # software WAL + flush/fence ordering
@@ -168,12 +169,18 @@ class SchemeName(enum.Enum):
     UNDO_LOG = "undo_log"         # per-store undo WAL, fence-per-entry
     REDO_LOG = "redo_log"         # DRAM write set + redo WAL, 2 fences/tx
     HYBRID_DRAM = "hybrid_dram"   # DRAM log mirrored to NVM, epoch fence
+    BROKEN_COMMIT = "broken_commit"  # commit claimed before any flush
 
     @staticmethod
     def parse(name: "str | SchemeName") -> "SchemeName":
         if isinstance(name, SchemeName):
             return name
         return SchemeName(name.lower())
+
+
+#: schemes that exist to be caught by the atomicity oracle: every
+#: in-process entry point runs them, the service refuses them
+NEGATIVE_CONTROLS = frozenset({SchemeName.BROKEN_COMMIT})
 
 
 def ns_to_cycles(ns: float, freq_ghz: float) -> int:

@@ -8,10 +8,10 @@ ROADMAP's litmus item calls for (see docs/litmus.md).
 The program/generator/oracle layers import only trace and type
 primitives, so :mod:`repro.sim.crash` can build its recovery check on
 the oracle without an import cycle; the simulation-facing pieces
-(runner, minimizer, broken scheme) load lazily on first attribute
-access.
+(runner, minimizer) load lazily on first attribute access.
 """
 
+from ..common.types import SchemeName
 from .generator import (CLASSIC_SHAPES, default_suite, message_passing,
                         overlapping_tx, private_chain, random_program,
                         shared_counter, store_buffering)
@@ -20,18 +20,18 @@ from .oracle import (TxSummary, check_membership, expected_image_from_summaries,
                      prefix_violations, tx_summaries)
 from .program import LitmusOp, LitmusProgram, line_address
 
+#: the negative control's scheme name, as litmus results spell it
+BROKEN_COMMIT = SchemeName.BROKEN_COMMIT.value
+
 _LAZY = {
     "run_litmus": "runner",
     "run_litmus_matrix": "runner",
     "iter_crash_states": "runner",
     "LitmusResult": "runner",
     "LitmusMatrixReport": "runner",
-    "scheme_label": "runner",
     "minimize_program": "minimize",
     "minimize_violation": "minimize",
     "reduction_candidates": "minimize",
-    "CommitBeforeFlushScheme": "broken",
-    "BROKEN_COMMIT": "broken",
 }
 
 
@@ -47,6 +47,7 @@ def __getattr__(name):
 
 
 __all__ = [
+    "BROKEN_COMMIT",
     "CLASSIC_SHAPES",
     "LitmusOp",
     "LitmusProgram",

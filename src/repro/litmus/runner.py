@@ -26,17 +26,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName, Version
 from ..sim.system import System
-from . import broken  # noqa: F401  (registers the broken_commit scheme)
 from .oracle import check_membership, tx_summaries
 from .program import LitmusProgram
 
 #: per-result cap on recorded violating crash points (a broken scheme
 #: violates at thousands of cycles; the report needs the shape, not all)
 MAX_VIOLATION_RECORDS = 25
-
-
-def scheme_label(scheme: Union[str, SchemeName]) -> str:
-    return scheme.value if isinstance(scheme, SchemeName) else str(scheme)
 
 
 @dataclass
@@ -139,7 +134,7 @@ def run_litmus(
     result = LitmusResult(
         program=program.name,
         fingerprint=program.fingerprint,
-        scheme=scheme_label(scheme),
+        scheme=SchemeName.parse(scheme).value,
         total_cycles=0,
         crash_cycles=0,
         states_checked=0,
@@ -254,7 +249,7 @@ def run_litmus_matrix(
     points = [
         LitmusPoint(
             program=program.canonical_json(),
-            scheme=scheme_label(scheme),
+            scheme=SchemeName.parse(scheme).value,
             config=config_for(program, index),
             check_every=check_every,
         )

@@ -1,98 +1,24 @@
-"""The four persistence mechanisms compared in the paper (§5.1).
+"""The four persistence mechanisms compared in the paper (§5.1), the
+software-transaction competitors, and the negative controls.
 
-Beyond the paper's four, extra schemes (deliberately broken validator
-targets, experimental prototypes) can be registered by plain string
-name via :func:`register_scheme`; :func:`create_scheme` consults that
-registry before the :class:`~repro.common.types.SchemeName` enum, so
-registered names work everywhere a scheme name string is accepted.
+:data:`_SCHEMES` maps every :class:`~repro.common.types.SchemeName`
+member to its class; each name is written once, on its class.
 """
 
-from typing import Dict, List, Type, Union
+from typing import Union
 
 from ..common.types import SchemeName
 from .base import OptimalScheme, PersistenceScheme
+from .broken import CommitBeforeFlushScheme
 from .kiln import KilnScheme
 from .software import SoftwareScheme
 from .swtx import HybridDramScheme, RedoLogScheme, UndoLogScheme
 from .txcache_scheme import TxCacheScheme
 
-_SCHEMES = {
-    SchemeName.OPTIMAL: OptimalScheme,
-    SchemeName.SP: SoftwareScheme,
-    SchemeName.KILN: KilnScheme,
-    SchemeName.TXCACHE: TxCacheScheme,
-    SchemeName.UNDO_LOG: UndoLogScheme,
-    SchemeName.REDO_LOG: RedoLogScheme,
-    SchemeName.HYBRID_DRAM: HybridDramScheme,
-}
-
-#: string-named schemes outside the paper's enum (see register_scheme)
-EXTRA_SCHEMES: Dict[str, Type[PersistenceScheme]] = {}
-
-
-class _SchemeRegistry:
-    """Live name→class view over the enum schemes and EXTRA_SCHEMES.
-
-    A mapping (not a frozen dict) so schemes registered *after* import
-    — the litmus broken-scheme validator targets, test prototypes —
-    appear without any cache invalidation.  CLI choice lists and serve
-    error messages read their valid names from here, so a new scheme
-    is advertised everywhere by the single act of registering it.
-    """
-
-    def __contains__(self, name: object) -> bool:
-        return name in EXTRA_SCHEMES or name in {
-            scheme.value for scheme in _SCHEMES}
-
-    def __getitem__(self, name: str) -> Type[PersistenceScheme]:
-        if name in EXTRA_SCHEMES:
-            return EXTRA_SCHEMES[name]
-        return _SCHEMES[SchemeName.parse(name)]
-
-    def __iter__(self):
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(_SCHEMES) + len(EXTRA_SCHEMES)
-
-    @staticmethod
-    def names(include_extras: bool = True) -> List[str]:
-        """Every accepted scheme name: enum order, then registered
-        extras sorted — the order help text and error messages use.
-        ``include_extras=False`` restricts to the enum schemes (the
-        ones whose results round-trip through SchemeName.parse)."""
-        names = [scheme.value for scheme in _SCHEMES]
-        if include_extras:
-            names += sorted(EXTRA_SCHEMES)
-        return names
-
-
-#: the single source of truth for "which scheme names are valid"
-SCHEME_REGISTRY = _SchemeRegistry()
-
-
-def scheme_names(include_extras: bool = True) -> List[str]:
-    """All currently valid scheme names (enum first, extras after)."""
-    return SCHEME_REGISTRY.names(include_extras)
-
-
-def register_scheme(name: str, cls: Type[PersistenceScheme]) -> None:
-    """Register a scheme class under a plain string name.
-
-    Re-registering the same class under the same name is a no-op;
-    claiming an enum name or re-binding an existing name is an error.
-    """
-    try:
-        SchemeName.parse(name)
-    except (KeyError, ValueError):
-        pass
-    else:
-        raise ValueError(f"scheme name {name!r} is reserved by SchemeName")
-    existing = EXTRA_SCHEMES.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"scheme name {name!r} already registered "
-                         f"to {existing.__name__}")
-    EXTRA_SCHEMES[name] = cls
+_SCHEMES = {cls.name: cls for cls in (
+    OptimalScheme, SoftwareScheme, KilnScheme, TxCacheScheme,
+    UndoLogScheme, RedoLogScheme, HybridDramScheme,
+    CommitBeforeFlushScheme)}
 
 
 def create_scheme(
@@ -108,26 +34,20 @@ def create_scheme(
     and memory-system hooks (and the observability tracer, if any)."""
     from ..obs.tracer import NULL_TRACER
 
-    if isinstance(name, str) and name in EXTRA_SCHEMES:
-        cls = EXTRA_SCHEMES[name]
-    else:
-        cls = _SCHEMES[SchemeName.parse(name)]
+    cls = _SCHEMES[SchemeName.parse(name)]
     return cls(sim, config, stats, hierarchy, memory,
                tracer=tracer if tracer is not None else NULL_TRACER)
 
 
 __all__ = [
-    "EXTRA_SCHEMES",
+    "CommitBeforeFlushScheme",
     "HybridDramScheme",
     "KilnScheme",
     "OptimalScheme",
     "PersistenceScheme",
     "RedoLogScheme",
-    "SCHEME_REGISTRY",
     "SoftwareScheme",
     "TxCacheScheme",
     "UndoLogScheme",
     "create_scheme",
-    "register_scheme",
-    "scheme_names",
 ]

@@ -7,39 +7,26 @@ the volatile hierarchy (recovery sees the raw NVM home image, exactly
 like the Optimal baseline).  Any crash between a commit claim and the
 eventual (eviction-driven, unordered) write-backs exposes a torn
 transaction — the paper's Fig. 2(a) failure, but with a recovery model
-that *claims* atomicity.  The litmus runner must flag it, and the
-minimizer must shrink the counterexample to a single store in a single
-transaction.
+that *claims* atomicity.  The litmus runner and the crash oracle must
+flag it, and the minimizer must shrink the counterexample to a single
+store in a single transaction.
 
-Registered under the plain string name ``broken_commit`` (kept out of
-the :class:`~repro.common.types.SchemeName` enum so no production
-surface ever sweeps it by accident).
+It is a :data:`~repro.common.types.NEGATIVE_CONTROLS` member: every
+in-process entry point runs it, the service refuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..common.types import Version
-from ..persistence import register_scheme
-from ..persistence.base import PersistenceScheme, Resume
-
-BROKEN_COMMIT = "broken_commit"
-
-
-@dataclass(frozen=True)
-class _SchemeTag:
-    """Duck-types SchemeName for stats scoping (`.value`) without
-    claiming a slot in the paper's enum."""
-
-    value: str
+from ..common.types import SchemeName, Version
+from .base import PersistenceScheme, Resume
 
 
 class CommitBeforeFlushScheme(PersistenceScheme):
     """Claims commit at TX_END retire; never flushes anything."""
 
-    name = _SchemeTag(BROKEN_COMMIT)
+    name = SchemeName.BROKEN_COMMIT
 
     def tx_end(self, core, op, resume: Resume) -> None:
         # the bug: durability claimed with the writes still volatile
@@ -50,6 +37,3 @@ class CommitBeforeFlushScheme(PersistenceScheme):
         # no recovery story at all: whatever write-backs happened to
         # reach the NVM home region before the crash
         return self.home_image_at(crash_cycle)
-
-
-register_scheme(BROKEN_COMMIT, CommitBeforeFlushScheme)

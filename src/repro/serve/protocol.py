@@ -60,8 +60,7 @@ from ..common.config import (
     paper_machine_config,
     small_machine_config,
 )
-from ..common.types import SchemeName
-from ..persistence import scheme_names
+from ..common.types import NEGATIVE_CONTROLS, SchemeName
 from ..sim.parallel import POINT_KINDS, make_params
 from ..workloads import WORKLOADS
 
@@ -104,6 +103,19 @@ def _require_int(data: Mapping, name: str, minimum: int = 0) -> int:
     if value < minimum:
         raise ProtocolError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _served_scheme(data: Mapping) -> str:
+    """The request's scheme value; negative controls stay in-process."""
+    try:
+        scheme = SchemeName.parse(data.get("scheme"))
+    except (ValueError, KeyError, AttributeError):
+        scheme = None
+    if scheme is None or scheme in NEGATIVE_CONTROLS:
+        served = [s.value for s in SchemeName if s not in NEGATIVE_CONTROLS]
+        raise ProtocolError(f"scheme must be one of {served}, "
+                            f"got {data.get('scheme')!r}")
+    return scheme.value
 
 
 def build_config(data: Optional[Mapping]) -> MachineConfig:
@@ -190,19 +202,9 @@ def parse_request(data: object) -> PointRequest:
     if workload not in WORKLOADS:
         raise ProtocolError(f"workload must be one of "
                             f"{sorted(WORKLOADS)}, got {workload!r}")
-    try:
-        scheme = SchemeName.parse(data.get("scheme"))
-    except (ValueError, KeyError, AttributeError) as exc:
-        # experiment results round-trip through SchemeName.parse, so
-        # only enum schemes are accepted here
-        raise ProtocolError(
-            f"scheme must be one of "
-            f"{scheme_names(include_extras=False)}, "
-            f"got {data.get('scheme')!r}") from exc
-
     kwargs: Dict[str, object] = {
         "workload": workload,
-        "scheme": scheme.value,
+        "scheme": _served_scheme(data),
         "config": build_config(data.get("config")),
     }
     if "operations" in data:
@@ -260,17 +262,7 @@ def _parse_litmus_request(data: Mapping, point_cls) -> PointRequest:
         program = LitmusProgram.from_dict(data["program"])
     except ValueError as exc:
         raise ProtocolError(f"program: {exc}") from exc
-    # the service accepts enum schemes only: registered extras (the
-    # broken_commit validator target, test prototypes) stay in-process
-    # — tests/test_litmus_runner.py pins that boundary
-    try:
-        scheme_value = SchemeName.parse(data.get("scheme")).value
-    except (ValueError, KeyError, AttributeError) as exc:
-        raise ProtocolError(
-            f"scheme must be one of "
-            f"{scheme_names(include_extras=False)}, "
-            f"got {data.get('scheme')!r}") from exc
-
+    scheme_value = _served_scheme(data)
     config = build_config(data.get("config"))
     if config.num_cores < program.num_cores:
         raise ProtocolError(

@@ -260,7 +260,7 @@ class LitmusPoint(_Point):
     """
 
     program: str                     # LitmusProgram.canonical_json()
-    scheme: str                      # SchemeName.value or EXTRA_SCHEMES name
+    scheme: str                      # SchemeName.value
     config: MachineConfig
     check_every: int = 1
 
@@ -458,8 +458,7 @@ class ExperimentEngine:
 
     With ``cache_dir`` set, finished payloads are written through to
     disk and hit on the next batch — across engines, processes, and CI
-    runs.  ``use_cache=False`` disables lookups *and* write-through
-    (``--no-cache``).
+    runs; without it nothing is read or written.
 
     Per-point wall time lands in ``stats`` (histogram
     ``engine.point.seconds``), alongside ``engine.cache.hits`` /
@@ -468,13 +467,11 @@ class ExperimentEngine:
     """
 
     def __init__(self, jobs: int = 1, cache_dir=None,
-                 use_cache: bool = True,
                  stats: Optional[Stats] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache = (ResultCache(cache_dir)
-                      if cache_dir is not None and use_cache else None)
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = stats if stats is not None else Stats()
 
     # -- public API ----------------------------------------------------
@@ -498,9 +495,9 @@ class ExperimentEngine:
             # a traced point must actually simulate to capture its
             # trace file, so cache *reads* are bypassed (the payload is
             # still written through — tracing never changes results)
-            use_cache = (self.cache is not None
-                         and getattr(point, "trace_dir", None) is None)
-            cached = self.cache.get(key) if use_cache else None
+            read_cache = (self.cache is not None
+                          and getattr(point, "trace_dir", None) is None)
+            cached = self.cache.get(key) if read_cache else None
             if cached is not None:
                 payloads[key] = cached
                 self.stats.inc("engine.cache.hits")

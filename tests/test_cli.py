@@ -130,6 +130,20 @@ class TestCrash:
                      "--fractions", "0.5"])
         assert code == 0
 
+    def test_crash_negative_control_exits_nonzero(self, capsys):
+        code = main(["crash", "hashtable", "broken_commit",
+                     "--operations", "20"])
+        assert code == 1
+        assert "TORN" in capsys.readouterr().out
+
+
+class TestChaos:
+    def test_chaos_negative_control_exits_nonzero(self, capsys):
+        code = main(["chaos", "hashtable", "--schemes", "broken_commit",
+                     "--operations", "20"])
+        assert code == 1
+        assert "atomicity violations" in capsys.readouterr().out
+
 
 class TestMix:
     def test_mix_runs_heterogeneous_cores(self, capsys):

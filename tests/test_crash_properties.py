@@ -5,9 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import small_machine_config
+from repro.common.types import NEGATIVE_CONTROLS, SchemeName
 from repro.litmus import check_membership, message_passing, tx_summaries
-from repro.litmus.runner import iter_crash_states  # registers broken_commit
-from repro.persistence import scheme_names
+from repro.litmus.runner import iter_crash_states
 from repro.sim.crash import check_recovery, measure_run_length, run_with_crash
 from repro.sim.system import System
 from repro.workloads.btree import BTreeWorkload
@@ -72,21 +72,19 @@ class TestCrashAtomicityProperties:
         assert report.consistent, report.violations[:3]
 
 
-# -- registry-wide oracle differential -------------------------------------
+# -- scheme-wide oracle differential ---------------------------------------
 #
 # The litmus suite runs each scheme against the legal-persist-set
-# oracle at *every* cycle; this generalizes that to the scheme
-# REGISTRY: whatever is registered (enum members and string-named
-# extras alike) must agree with the oracle at hypothesis-chosen crash
-# cycles.  A new scheme gets this check by the act of registering.
+# oracle at *every* cycle; this generalizes that to every SchemeName
+# member: each must agree with the oracle at hypothesis-chosen crash
+# cycles.  A new scheme gets this check by the act of adding it.
 #
 # Exclusions: ``optimal`` makes no persistence guarantee at all (it is
 # the no-overhead upper bound, kept out of the litmus CLI for the same
-# reason), and ``broken_commit`` is the deliberately broken negative
-# control — asserted to VIOLATE below, so the oracle itself stays
-# honest.
+# reason), and the NEGATIVE_CONTROLS are deliberately broken —
+# asserted to VIOLATE below, so the oracle itself stays honest.
 
-_ORACLE_EXEMPT = {"optimal", "broken_commit"}
+_ORACLE_EXEMPT = {SchemeName.OPTIMAL} | NEGATIVE_CONTROLS
 
 # one stepped crash sweep per scheme, shared across examples (the
 # stepped states are pure functions of the deterministic run)
@@ -108,7 +106,8 @@ def crash_states_for(scheme):
 class TestRegistrySchemesAgreeWithOracle:
     @pytest.mark.parametrize(
         "scheme",
-        [name for name in scheme_names() if name not in _ORACLE_EXEMPT])
+        [scheme.value for scheme in SchemeName
+         if scheme not in _ORACLE_EXEMPT])
     @given(fraction=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -119,10 +118,12 @@ class TestRegistrySchemesAgreeWithOracle:
         messages = check_membership(summaries, committed, recovered)
         assert messages == [], f"{scheme} @ cycle {cycle}: {messages}"
 
-    def test_broken_commit_violates_the_oracle(self):
-        """Negative control: the deliberately broken scheme must be
-        caught — otherwise the differential above proves nothing."""
-        summaries, states = crash_states_for("broken_commit")
+    @pytest.mark.parametrize(
+        "scheme", sorted(scheme.value for scheme in NEGATIVE_CONTROLS))
+    def test_negative_control_violates_the_oracle(self, scheme):
+        """A deliberately broken scheme must be caught — otherwise the
+        differential above proves nothing."""
+        summaries, states = crash_states_for(scheme)
         assert any(check_membership(summaries, committed, recovered)
                    for _cycle, committed, recovered in states)
 

@@ -19,6 +19,7 @@ from repro.sim.crash import (
     run_with_crash,
 )
 from repro.sim.runner import make_traces
+from repro.workloads import PAPER_WORKLOADS
 
 PERSISTENT_SCHEMES = ("txcache", "sp", "kiln")
 FRACTIONS = (0.15, 0.35, 0.55, 0.8, 0.95)
@@ -145,6 +146,18 @@ class TestOptimalTearsState:
         assert saw_violation, (
             "expected the no-persistence baseline to tear state at "
             "some crash point (nothing ever reached the NVM?)")
+
+
+class TestNegativeControlOnPaperWorkloads:
+    @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
+    def test_broken_commit_tears_every_crash_point(self, workload):
+        """The commit-before-flush scheme must be caught on the paper's
+        workloads, not only on litmus shapes."""
+        reports = crash_sweep(workload, "broken_commit", operations=40)
+        assert len(reports) == 5
+        for report in reports:
+            assert report.scheme is SchemeName.BROKEN_COMMIT
+            assert not report.consistent, report.crash_cycle
 
 
 class TestSchemeSpecificRecovery:

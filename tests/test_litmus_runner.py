@@ -98,6 +98,15 @@ class TestBrokenScheme:
         with pytest.raises(ValueError, match="requires a failing"):
             minimize_program(message_passing(), lambda p: False)
 
+    def test_unknown_scheme_raises_before_any_point_runs(self,
+                                                        monkeypatch):
+        executed = []
+        monkeypatch.setattr("repro.sim.parallel.execute_point",
+                            lambda *a, **k: executed.append(a))
+        with pytest.raises(ValueError, match="bogus"):
+            run_litmus_matrix([message_passing()], ["txcache", "bogus"])
+        assert executed == []
+
     def test_broken_scheme_is_not_a_servable_scheme(self):
         with pytest.raises(ProtocolError, match="scheme must be one of"):
             parse_request({"kind": "litmus",

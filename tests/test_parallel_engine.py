@@ -310,13 +310,6 @@ class TestEngineBasics:
         assert timing.count == 1
         assert timing.total > 0
 
-    def test_no_cache_flag_means_no_files(self, tmp_path):
-        engine = ExperimentEngine(jobs=1, cache_dir=tmp_path,
-                                  use_cache=False)
-        engine.run([ExperimentPoint("sps", "txcache", CONFIG,
-                                    operations=15)])
-        assert list(tmp_path.glob("*.json")) == []
-
     def test_summary_mentions_hits(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         point = ExperimentPoint("sps", "txcache", CONFIG, operations=15)
@@ -369,6 +362,21 @@ class TestGridThroughEngine:
                         direct.to_dict(include_raw=True)
         assert grids[0]["sps"][SchemeName.OPTIMAL].instructions != \
             grids[1]["sps"][SchemeName.OPTIMAL].instructions
+
+    def test_negative_control_cell_round_trips_through_the_cache(
+            self, tmp_path):
+        def cell():
+            engine = ExperimentEngine(cache_dir=tmp_path)
+            (grid,) = run_grid(["hashtable"], ["broken_commit"], [CONFIG],
+                               operations=10, engine=engine)
+            return engine, grid["hashtable"][SchemeName.BROKEN_COMMIT]
+
+        _, cold = cell()
+        warm_engine, warm = cell()
+        assert warm_engine.stats.counter("engine.cache.hits") == 1
+        assert warm.scheme is SchemeName.BROKEN_COMMIT
+        assert warm.to_dict(include_raw=True) == \
+            cold.to_dict(include_raw=True)
 
     def test_run_comparison_equals_one_trace_set_per_scheme_loop(self):
         """The serial loop ``run_comparison`` used to be: one shared

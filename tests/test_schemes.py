@@ -1,6 +1,13 @@
 """Behavioral tests for the four persistence schemes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.common.config import small_machine_config
 from repro.common.types import NVM_BASE, SchemeName, Version
@@ -220,6 +227,24 @@ class TestKilnScheme:
         assert system.hierarchy.llc_pin_predicate(42)
         assert not system.hierarchy.llc_pin_predicate(7)
         assert not system.hierarchy.llc_pin_predicate(None)
+
+
+class TestNegativeControl:
+    def test_builds_in_a_fresh_interpreter(self):
+        """Every scheme is a SchemeName member: no import has to run
+        first to make ``broken_commit`` a valid name."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import sys\n"
+                 "from repro.common.config import small_machine_config\n"
+                 "from repro.sim.system import System\n"
+                 "system = System(small_machine_config(num_cores=1), "
+                 "'broken_commit')\n"
+                 "print(type(system.scheme).__name__, "
+                 "'repro.litmus.runner' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["CommitBeforeFlushScheme", "False"]
 
 
 class TestSchemeComparability:

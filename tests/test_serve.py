@@ -152,6 +152,18 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_request(bad)
 
+    @pytest.mark.parametrize("scheme", ["broken_commit", "Broken_Commit"])
+    @pytest.mark.parametrize("kind", ["experiment", "crash", "chaos"])
+    def test_negative_control_is_not_served(self, kind, scheme):
+        request = {"kind": kind, "workload": "sps", "scheme": scheme}
+        if kind != "experiment":
+            request.update(crash_cycle=100, total_cycles=400)
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(request)
+        assert str(excinfo.value) == (
+            "scheme must be one of ['optimal', 'sp', 'kiln', 'txcache', "
+            f"'undo_log', 'redo_log', 'hybrid_dram'], got {scheme!r}")
+
     @pytest.mark.parametrize("overrides", [
         {"llc": {"size_bytes": 1000}},
         {"txcache": {"organization": "foo"}},
