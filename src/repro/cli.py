@@ -128,6 +128,14 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "every N cycles (0 = off)")
 
 
+def _stride(text: str) -> int:
+    """argparse type for a crash-check stride: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _engine_from_args(args):
     from .sim.parallel import ExperimentEngine
 
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
              f"{', '.join(LITMUS_SCHEME_CHOICES)} "
              f"({SchemeName.BROKEN_COMMIT.value} is the intentionally "
              f"buggy reference scheme; it should fail)")
-    litmus_parser.add_argument("--check-every", type=int, default=1,
+    litmus_parser.add_argument("--check-every", type=_stride, default=1,
                                help="crash-check stride in cycles "
                                     "(default 1 = every cycle)")
     litmus_parser.add_argument("--chaos", action="store_true",

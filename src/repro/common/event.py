@@ -106,6 +106,10 @@ class Simulator:
         """Number of events still queued."""
         return len(self._queue)
 
+    def next_event_time(self) -> Optional[int]:
+        """Time of the next queued event, or ``None`` if none remain."""
+        return self._queue[0][0] if self._queue else None
+
     def step(self) -> bool:
         """Run the single next event.  Returns False if none remain."""
         if not self._queue:

@@ -27,6 +27,7 @@ _LAZY = {
     "run_litmus": "runner",
     "run_litmus_matrix": "runner",
     "iter_crash_states": "runner",
+    "check_crash_states": "runner",
     "LitmusResult": "runner",
     "LitmusMatrixReport": "runner",
     "minimize_program": "minimize",

@@ -214,6 +214,7 @@ def legal_images(summaries: Sequence[Sequence[TxSummary]],
 def check_membership(summaries: Sequence[Sequence[TxSummary]],
                      committed: AbstractSet[int],
                      recovered: Mapping[int, Optional[Version]],
+                     known_tx: Optional[AbstractSet[int]] = None,
                      ) -> List[str]:
     """Is ``recovered`` a member of the legal persist set for this
     commit set?  Returns human-readable violations (empty == legal).
@@ -222,9 +223,12 @@ def check_membership(summaries: Sequence[Sequence[TxSummary]],
     line candidate membership (covers both torn/missing committed
     writes and stale overwritten versions), and uncommitted-data
     leaks on lines the program never committed a write to.
+    ``known_tx`` is :func:`all_tx_ids` of ``summaries``; a caller
+    checking many states of one program passes it in once.
     """
     violations = list(prefix_violations(summaries, committed))
-    known_tx = all_tx_ids(summaries)
+    if known_tx is None:
+        known_tx = all_tx_ids(summaries)
     candidates = line_candidates(summaries, committed)
 
     for line in sorted(candidates):

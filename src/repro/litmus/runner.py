@@ -3,19 +3,24 @@
 The naive shape — a fresh simulation per crash point, as
 :func:`repro.sim.crash.run_with_crash` does for a handful of
 fractions — is quadratic in run length and unusable at every-cycle
-granularity.  Instead the runner steps **one** simulation
-(``system.run(until=cycle)`` cycle by cycle) and queries the scheme's
-recovery model at each pause.  That is sound because every scheme's
+granularity.  Instead the runner steps **one** simulation with
+``system.run(until=cycle)`` and queries the scheme's recovery model
+at each pause.  That is sound because every scheme's
 ``durable_lines``/``durably_committed`` are pure functions of event
 history (the durable image replays a timeline; TC/COW commit scans
 build fresh lists) — a differential test in
 ``tests/test_litmus_runner.py`` holds the stepped states equal to
 fresh-run states at sampled cycles.
 
-Between two consecutive events the machine state is frozen, so cycles
-in which no event executed are covered by the previous check; the
-runner skips re-verifying them (``crash_cycles`` counts every covered
-cycle, ``states_checked`` the distinct states actually verified).
+Between two consecutive events the machine state is frozen, so a
+crash at any cycle in which no event executes exposes the state of
+the previous check.  The runner therefore steps from event to event:
+after each pause it jumps to the first stride cycle at or after the
+next queued event (``crash_cycles`` counts every covered cycle,
+``states_checked`` the pauses, each of which ran at least one event).
+Consecutive pauses often expose the same committed set and recovered
+image; :func:`check_crash_states` then reuses the oracle's verdict
+rather than recomputing it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName, Version
 from ..sim.system import System
-from .oracle import check_membership, tx_summaries
+from .oracle import TxSummary, all_tx_ids, check_membership, tx_summaries
 from .program import LitmusProgram
 
 #: per-result cap on recorded violating crash points (a broken scheme
@@ -84,26 +89,55 @@ class LitmusResult:
         )
 
 
+def _require_stride(check_every: int) -> None:
+    if check_every < 1:
+        raise ValueError(f"check_every must be >= 1, got {check_every}")
+
+
 def iter_crash_states(
     system: System,
     *,
     check_every: int = 1,
 ) -> Iterator[Tuple[int, set, Dict[int, Optional[Version]]]]:
     """Step a loaded system, yielding ``(cycle, durably_committed,
-    recovered_image)`` at every cycle where the machine state changed
-    (plus cycle 0 and the final state)."""
+    recovered_image)`` at cycle 0 and at every multiple of
+    ``check_every`` where the machine state changed, the last being
+    the cycle at which the event queue drained."""
+    _require_stride(check_every)
     cycle = 0
-    last_events = -1
     while True:
         system.run(until=cycle)
-        if system.events_executed != last_events:
-            last_events = system.events_executed
-            yield (cycle,
-                   system.scheme.durably_committed(cycle),
-                   system.scheme.durable_lines(cycle))
-        if system.sim.pending() == 0:
+        yield (cycle,
+               system.scheme.durably_committed(cycle),
+               system.scheme.durable_lines(cycle))
+        next_event = system.sim.next_event_time()
+        if next_event is None:
             return
-        cycle += check_every
+        # the first stride cycle at or after the next event: the
+        # stride cycles before it would run nothing
+        cycle += -((cycle - next_event) // check_every) * check_every
+
+
+def check_crash_states(
+    system: System,
+    summaries: Sequence[Sequence[TxSummary]],
+    *,
+    check_every: int = 1,
+) -> Iterator[Tuple[int, set, List[str]]]:
+    """:func:`iter_crash_states` with each state's oracle verdict:
+    yields ``(cycle, durably_committed, violation messages)``.  A state
+    whose committed set and recovered image equal the previous state's
+    reuses that state's messages instead of checking again."""
+    known_tx = all_tx_ids(summaries)
+    last = None
+    messages: List[str] = []
+    for cycle, committed, recovered in iter_crash_states(
+            system, check_every=check_every):
+        if (committed, recovered) != last:
+            messages = check_membership(summaries, committed, recovered,
+                                        known_tx)
+            last = (committed, recovered)
+        yield cycle, committed, messages
 
 
 def run_litmus(
@@ -117,6 +151,7 @@ def run_litmus(
 ) -> LitmusResult:
     """Execute ``program`` under ``scheme``, crash at every cycle, and
     check each recovered image against the legal persist set."""
+    _require_stride(check_every)
     program.validate()
     config = config or small_machine_config(num_cores=program.num_cores)
     if config.num_cores < program.num_cores:
@@ -140,10 +175,9 @@ def run_litmus(
         states_checked=0,
         faulty=config.faults.enabled,
     )
-    for cycle, committed, recovered in iter_crash_states(
-            system, check_every=check_every):
+    for cycle, committed, messages in check_crash_states(
+            system, summaries, check_every=check_every):
         result.states_checked += 1
-        messages = check_membership(summaries, committed, recovered)
         if messages:
             result.violating_cycles += 1
             if len(result.violations) < max_violation_records:
@@ -153,7 +187,7 @@ def run_litmus(
                     "messages": messages,
                 })
     result.total_cycles = system.sim.now
-    result.crash_cycles = system.sim.now // max(1, check_every) + 1
+    result.crash_cycles = system.sim.now // check_every + 1
     return result
 
 

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from ..common.config import MemCtrlConfig
 from ..common.event import Simulator
 from ..common.stats import ScopedStats
-from ..common.types import MemReqType, MemRequest, Version
+from ..common.types import MemReqType, MemRequest, Version, is_home_line
 from ..obs.tracer import NULL_TRACER, NullTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,33 +51,82 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 AckHandler = Callable[[MemRequest, int], None]
 
 
+class _ForwardReplay:
+    """A replay of a :class:`DurableImage` timeline that moves forward
+    lazily: each query applies only the records it has not applied
+    yet, up to the queried cycle.  A query for an earlier cycle than
+    the previous one starts again from an empty image.  ``keep``
+    restricts the image to the lines it accepts."""
+
+    __slots__ = ("events", "keep", "cycle", "index", "state")
+
+    def __init__(self, events: List[Tuple[int, int, int, Optional[Version]]],
+                 keep: Optional[Callable[[int], bool]] = None) -> None:
+        self.events = events
+        self.keep = keep
+        self.cycle = 0
+        self.index = 0
+        self.state: Dict[int, Optional[Version]] = {}
+
+    def at(self, cycle: int) -> Dict[int, Optional[Version]]:
+        if cycle < self.cycle:
+            self.index, self.state = 0, {}
+        events, keep, state = self.events, self.keep, self.state
+        index, end = self.index, len(events)
+        while index < end:
+            event_cycle, _seq, line, version = events[index]
+            if event_cycle > cycle:
+                break
+            if keep is None or keep(line):
+                state[line] = version
+            index += 1
+        self.cycle, self.index = cycle, index
+        # a copy: recovery routines rewrite the image they are given
+        return dict(state)
+
+
 class DurableImage:
     """Timeline of versions that have physically reached the memory.
 
     ``record`` is called by the controller at the cycle each write
-    completes in the array.  ``state_at(cycle)`` replays the timeline
-    up to an arbitrary crash point, yielding exactly the line→version
-    map a post-crash recovery procedure would find in the NVM.
+    completes in the array, so records arrive in cycle order (and
+    ``record`` refuses one that does not).  ``state_at(cycle)`` replays
+    the timeline up to an arbitrary crash point, yielding exactly the
+    line→version map a post-crash recovery procedure would find in the
+    NVM; ``home_state_at`` is the same map restricted to the home
+    region.  Both keep a forward cursor, built on the first query, so a
+    crash sweep that queries cycles in increasing order replays each
+    record once rather than once per query.
     """
 
     def __init__(self) -> None:
         self._events: List[Tuple[int, int, int, Optional[Version]]] = []
         self._seq = 0
         self._current: Dict[int, Optional[Version]] = {}
+        self._all: Optional[_ForwardReplay] = None
+        self._home: Optional[_ForwardReplay] = None
 
     def record(self, cycle: int, line: int, version: Optional[Version]) -> None:
+        if self._events and cycle < self._events[-1][0]:
+            raise ValueError(
+                f"durable record at cycle {cycle} is earlier than the "
+                f"last one at cycle {self._events[-1][0]}")
         self._events.append((cycle, self._seq, line, version))
         self._seq += 1
         self._current[line] = version
 
     def state_at(self, cycle: int) -> Dict[int, Optional[Version]]:
         """Line→version map as of ``cycle`` (inclusive)."""
-        state: Dict[int, Optional[Version]] = {}
-        for event_cycle, _seq, line, version in self._events:
-            if event_cycle > cycle:
-                break
-            state[line] = version
-        return state
+        if self._all is None:
+            self._all = _ForwardReplay(self._events)
+        return self._all.at(cycle)
+
+    def home_state_at(self, cycle: int) -> Dict[int, Optional[Version]]:
+        """:meth:`state_at` restricted to home-region lines (log and
+        record lines filtered out)."""
+        if self._home is None:
+            self._home = _ForwardReplay(self._events, is_home_line)
+        return self._home.at(cycle)
 
     def final_state(self) -> Dict[int, Optional[Version]]:
         return dict(self._current)

@@ -35,7 +35,7 @@ from ..cache.hierarchy import CacheHierarchy
 from ..common.config import MachineConfig
 from ..common.event import Simulator
 from ..common.stats import Stats
-from ..common.types import SchemeName, Version, is_home_line
+from ..common.types import SchemeName, Version
 from ..cpu.trace import Trace
 from ..memory.system import MemorySystem
 from ..obs.tracer import NULL_TRACER, NullTracer
@@ -129,11 +129,7 @@ class PersistenceScheme:
         """The NVM home region as found after a crash at
         ``crash_cycle`` (log and record lines filtered out) — the image
         recovery starts from."""
-        return {
-            line: version
-            for line, version in self.memory.durable_state_at(crash_cycle).items()
-            if is_home_line(line)
-        }
+        return self.memory.durable_image.home_state_at(crash_cycle)
 
     def durably_committed(self, crash_cycle: int) -> set:
         """Transaction ids recovery would consider committed after a

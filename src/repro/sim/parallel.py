@@ -266,6 +266,11 @@ class LitmusPoint(_Point):
 
     kind = "litmus"
 
+    def __post_init__(self) -> None:
+        if self.check_every < 1:
+            raise ValueError(
+                f"check_every must be >= 1, got {self.check_every}")
+
     def spec(self) -> Dict[str, object]:
         return {
             "program": json.loads(self.program),

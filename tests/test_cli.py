@@ -25,6 +25,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "sps", "nope"])
 
+    @pytest.mark.parametrize("stride", ("0", "-2"))
+    def test_litmus_stride_below_one_is_a_usage_error(self, stride,
+                                                      capsys):
+        # a stride of 0 used to step the same cycle forever
+        with pytest.raises(SystemExit) as exit_info:
+            main(["litmus", "--programs", "1", "--check-every", stride])
+        assert exit_info.value.code == 2
+        assert "--check-every: must be >= 1" in capsys.readouterr().err
+
 
 class TestImport:
     def test_cli_import_keeps_numpy_out(self):

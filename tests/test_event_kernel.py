@@ -103,6 +103,18 @@ def test_pending_counts_queued_events(sim):
     assert sim.pending() == 2
 
 
+def test_next_event_time_peeks_without_running(sim):
+    assert sim.next_event_time() is None
+    sim.schedule(7, lambda: None)
+    sim.schedule(3, lambda: None)
+    assert sim.next_event_time() == 3
+    assert sim.pending() == 2 and sim.now == 0
+    sim.run(until=5)
+    assert sim.next_event_time() == 7
+    sim.run()
+    assert sim.next_event_time() is None
+
+
 def test_run_returns_executed_count(sim):
     for delay in (1, 1, 7):
         sim.schedule(delay, lambda: None)

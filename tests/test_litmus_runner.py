@@ -4,24 +4,92 @@ minimization, fault composition, and the serve/CLI surfaces."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.common.config import FaultConfig, small_machine_config
+from repro.common.types import SchemeName
 from repro.litmus import (
     BROKEN_COMMIT,
     CLASSIC_SHAPES,
     LitmusProgram,
+    check_membership,
+    default_suite,
     minimize_violation,
+    random_program,
     run_litmus,
     run_litmus_matrix,
+    tx_summaries,
 )
 from repro.litmus.generator import message_passing, private_chain
-from repro.litmus.runner import iter_crash_states
+from repro.litmus.runner import (MAX_VIOLATION_RECORDS, LitmusResult,
+                                 iter_crash_states)
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.sim.parallel import LitmusPoint
 from repro.sim.system import System
 
 SCHEMES = ("sp", "kiln", "txcache")
+#: the six real schemes plus the negative control
+STEPPED_SCHEMES = ("sp", "kiln", "txcache", "undo_log", "redo_log",
+                   "hybrid_dram", BROKEN_COMMIT)
+
+
+def loaded_system(program, scheme):
+    system = System(small_machine_config(num_cores=program.num_cores),
+                    scheme)
+    system.load_traces(program.to_traces())
+    return system
+
+
+def reference_crash_states(system, check_every=1):
+    """The model stepper: run to every stride cycle in turn and yield
+    the state wherever an event executed.  It pays one ``run`` per
+    stride cycle, which ``iter_crash_states`` must not."""
+    cycle = 0
+    last_events = -1
+    while True:
+        system.run(until=cycle)
+        if system.events_executed != last_events:
+            last_events = system.events_executed
+            yield (cycle,
+                   system.scheme.durably_committed(cycle),
+                   system.scheme.durable_lines(cycle))
+        if system.sim.pending() == 0:
+            return
+        cycle += check_every
+
+
+def reference_litmus(program, scheme, check_every=1):
+    """The model runner: the model stepper, and a fresh oracle check
+    at every state.  Returns the result and the states it checked."""
+    system = loaded_system(program, scheme)
+    summaries = tx_summaries(program.to_traces())
+    states = list(reference_crash_states(system, check_every))
+    result = LitmusResult(
+        program=program.name, fingerprint=program.fingerprint,
+        scheme=SchemeName.parse(scheme).value,
+        total_cycles=system.sim.now,
+        crash_cycles=system.sim.now // check_every + 1,
+        states_checked=len(states))
+    for cycle, committed, recovered in states:
+        messages = check_membership(summaries, committed, recovered)
+        if messages:
+            result.violating_cycles += 1
+            if len(result.violations) < MAX_VIOLATION_RECORDS:
+                result.violations.append({"crash_cycle": cycle,
+                                          "committed": sorted(committed),
+                                          "messages": messages})
+    return result, states
+
+
+def assert_steps_like_reference(program, scheme, check_every):
+    reference, states = reference_litmus(program, scheme, check_every)
+    stepped = list(iter_crash_states(loaded_system(program, scheme),
+                                     check_every=check_every))
+    assert stepped == states, f"{program.name}/{scheme}/{check_every}"
+    result = run_litmus(program, scheme, check_every=check_every)
+    assert result.to_dict() == reference.to_dict()
 
 
 class TestCleanMatrix:
@@ -76,6 +144,70 @@ class TestSteppedStatesMatchFreshRuns:
                 states[cycle][0], f"committed diverged @ {cycle}"
             assert fresh.scheme.durable_lines(cycle) == \
                 states[cycle][1], f"image diverged @ {cycle}"
+
+
+class TestEventStepping:
+    """Stepping from event to event and reusing unchanged verdicts
+    yield what the cycle-by-cycle model yields."""
+
+    @pytest.mark.parametrize("check_every", (1, 3, 8))
+    @pytest.mark.parametrize("scheme", STEPPED_SCHEMES)
+    def test_default_suite_matches_the_model(self, scheme, check_every):
+        for program in default_suite(0):
+            assert_steps_like_reference(program, scheme, check_every)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           cores=st.integers(1, 3),
+           scheme=st.sampled_from(STEPPED_SCHEMES),
+           check_every=st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_random_programs_match_the_model(self, seed, cores, scheme,
+                                             check_every):
+        assert_steps_like_reference(random_program(seed, cores=cores),
+                                    scheme, check_every)
+
+    def test_work_is_one_run_per_state_and_one_check_per_change(
+            self, monkeypatch):
+        program = message_passing()
+        states = list(iter_crash_states(loaded_system(program, "txcache")))
+        changes = sum(
+            index == 0 or state[1:] != states[index - 1][1:]
+            for index, state in enumerate(states))
+        assert changes < len(states)
+
+        runs, checks = [], []
+        real_run = System.run
+        real_check = check_membership
+
+        def counting_run(system, *args, **kwargs):
+            runs.append(kwargs.get("until"))
+            return real_run(system, *args, **kwargs)
+
+        def counting_check(*args, **kwargs):
+            checks.append(args[1])
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(System, "run", counting_run)
+        monkeypatch.setattr("repro.litmus.runner.check_membership",
+                            counting_check)
+        result = run_litmus(program, "txcache")
+        assert result.states_checked == len(states)
+        assert runs == [cycle for cycle, _, _ in states]
+        assert len(checks) == changes
+
+    @pytest.mark.parametrize("check_every", (0, -1))
+    def test_rejects_a_stride_below_one(self, check_every):
+        program = message_passing()
+        with pytest.raises(ValueError, match="check_every must be >= 1"):
+            run_litmus(program, "txcache", check_every=check_every)
+        with pytest.raises(ValueError, match="check_every must be >= 1"):
+            next(iter_crash_states(loaded_system(program, "txcache"),
+                                   check_every=check_every))
+        with pytest.raises(ValueError, match="check_every must be >= 1"):
+            LitmusPoint(program=program.canonical_json(),
+                        scheme="txcache",
+                        config=small_machine_config(num_cores=2),
+                        check_every=check_every)
 
 
 class TestBrokenScheme:

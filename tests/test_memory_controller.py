@@ -1,11 +1,14 @@
 """Unit tests for the memory controller, banks, and queues."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import MemCtrlConfig, MemTimingConfig, paper_machine_config
 from repro.common.event import Simulator
 from repro.common.stats import Stats
-from repro.common.types import NVM_BASE, MemReqType, MemRequest, Version
+from repro.common.types import (DRAM_LOG_BASE, HOME_REGION_LIMIT, NVM_BASE,
+                                MemReqType, MemRequest, Version, is_home_line)
 from repro.memory.bank import BankArray
 from repro.memory.controller import DurableImage, MemoryController
 from repro.memory.queues import RequestQueue
@@ -259,3 +262,74 @@ class TestDurableImage:
         image.record(2, 0, Version(1, 1))
         assert image.final_state() == {0: Version(1, 1)}
         assert image.last_cycle == 2
+
+    def test_record_rejects_an_earlier_cycle(self):
+        image = DurableImage()
+        image.record(10, 0, Version(1, 0))
+        image.record(10, 64, Version(1, 1))
+        with pytest.raises(ValueError, match="earlier than the last"):
+            image.record(9, 0, Version(2, 0))
+        assert image.events == [(10, 0, 0, Version(1, 0)),
+                                (10, 1, 64, Version(1, 1))]
+
+
+def replay_from_scratch(records, cycle, keep=lambda line: True):
+    """The model of a durable-image query: every record up to
+    ``cycle`` applied in order to an empty image."""
+    state = {}
+    for record_cycle, line, version in records:
+        if record_cycle <= cycle and keep(line):
+            state[line] = version
+    return state
+
+
+#: home lines, a log line in DRAM and a scheme-metadata line in NVM
+CURSOR_LINES = ([NVM_BASE + index * 64 for index in range(4)]
+                + [DRAM_LOG_BASE, HOME_REGION_LIMIT + 64])
+
+cursor_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 3),
+              st.sampled_from(CURSOR_LINES), st.booleans()),
+    st.tuples(st.just("query"), st.integers(0, 40),
+              st.sampled_from(("all", "home")), st.booleans()),
+), max_size=60)
+
+
+class TestDurableImageCursor:
+    """``state_at`` and ``home_state_at`` walk a forward cursor; a
+    from-scratch replay of the records is the model."""
+
+    @given(ops=cursor_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_queries_match_a_from_scratch_replay(self, ops):
+        image = DurableImage()
+        records = []
+        cycle = 0
+        for op, number, choice, flag in ops:
+            if op == "record":
+                cycle += number
+                version = Version(len(records), 0) if flag else None
+                image.record(cycle, choice, version)
+                records.append((cycle, choice, version))
+                continue
+            if choice == "home":
+                got = image.home_state_at(number)
+                expected = replay_from_scratch(records, number,
+                                               is_home_line)
+            else:
+                got = image.state_at(number)
+                expected = replay_from_scratch(records, number)
+            # insertion order too: recovery walks the image in order
+            assert list(got.items()) == list(expected.items())
+            if flag:
+                # callers may rewrite what they are given
+                got.clear()
+                got[NVM_BASE] = Version(999, 9)
+
+    def test_queries_rewind_after_a_later_query(self):
+        image = DurableImage()
+        image.record(10, NVM_BASE, Version(1, 0))
+        image.record(20, NVM_BASE, Version(2, 0))
+        assert image.state_at(25) == {NVM_BASE: Version(2, 0)}
+        assert image.state_at(15) == {NVM_BASE: Version(1, 0)}
+        assert image.home_state_at(5) == {}
