@@ -74,6 +74,9 @@ class MesiDirectory:
     def __init__(self, num_cores: int, stats: ScopedStats) -> None:
         self.num_cores = num_cores
         self.stats = stats
+        self._counts = stats.cells(
+            "read.exclusive_grants", "read.dirty_supplies",
+            "read.downgrades", "write.upgrades", "write.invalidations")
         # line → {core: state}; absent core ≡ INVALID
         self._lines: Dict[int, Dict[int, CoherenceState]] = {}
 
@@ -104,7 +107,7 @@ class MesiDirectory:
             return _SILENT_READS[current]
         if not holders:
             holders[requester] = CoherenceState.EXCLUSIVE
-            self.stats.inc("read.exclusive_grants")
+            self._counts.read_exclusive_grants += 1
             return ReadOutcome(requester_state=CoherenceState.EXCLUSIVE)
         outcome = ReadOutcome(requester_state=CoherenceState.SHARED)
         for core, state in list(holders.items()):
@@ -113,12 +116,12 @@ class MesiDirectory:
                 outcome.supplier_was_dirty = True
                 outcome.downgraded.append(core)
                 holders[core] = CoherenceState.SHARED
-                self.stats.inc("read.dirty_supplies")
+                self._counts.read_dirty_supplies += 1
             elif state is CoherenceState.EXCLUSIVE:
                 outcome.supplier = core
                 outcome.downgraded.append(core)
                 holders[core] = CoherenceState.SHARED
-                self.stats.inc("read.downgrades")
+                self._counts.read_downgrades += 1
         holders[requester] = CoherenceState.SHARED
         return outcome
 
@@ -136,7 +139,7 @@ class MesiDirectory:
             if current is CoherenceState.INVALID:
                 return _FRESH_WRITE
             if current is CoherenceState.SHARED:
-                self.stats.inc("write.upgrades")
+                self._counts.write_upgrades += 1
             return _SILENT_WRITE
         outcome = WriteOutcome(
             was_upgrade=current is not CoherenceState.INVALID)
@@ -147,9 +150,9 @@ class MesiDirectory:
                 outcome.dirty_owner = core
             outcome.invalidated.append(core)
             del holders[core]
-            self.stats.inc("write.invalidations")
+            self._counts.write_invalidations += 1
         if current is CoherenceState.SHARED:
-            self.stats.inc("write.upgrades")
+            self._counts.write_upgrades += 1
         holders[requester] = CoherenceState.MODIFIED
         return outcome
 

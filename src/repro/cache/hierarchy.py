@@ -35,6 +35,7 @@ from ..common.stats import Stats
 from ..common.types import Version, is_persistent_addr, line_addr
 from ..memory.system import MemorySystem
 from ..obs.tracer import NULL_TRACER, NullTracer
+from .coherence import CoherenceState, MesiDirectory
 from .level import CacheLevel
 from .line import CacheLine, EvictionImpossible
 
@@ -43,6 +44,10 @@ LlcProbe = Callable[[int], Optional[Tuple[int, Optional[Version]]]]
 
 LoadCallback = Callable[[int, Optional[Version]], None]
 StoreCallback = Callable[[int], None]
+
+#: the directory entry of a line no core holds (read-only)
+_NO_HOLDERS: Dict[int, CoherenceState] = {}
+_MODIFIED = CoherenceState.MODIFIED
 
 
 class _MissWaiter:
@@ -90,6 +95,17 @@ class CacheHierarchy:
         ]
         self.llc = CacheLevel(config.llc, stats.scoped("llc"), freq)
         self.stats = stats.scoped("hierarchy")
+        # statistics recorded per access or per miss are cells
+        self._counts = self.stats.cells(
+            "mshr.coalesced", "llc_probe.hit", "llc_probe.miss",
+            "llc.clean_evictions", "llc.dropped_evictions",
+            "llc.writebacks", "clwb.writebacks", "kiln.commit_flushes",
+            "blocked_cycles")
+        self._persist_llc_latency = self.stats.tally(
+            "persist_llc_load.latency", histogram=True)
+        #: memory request source tag of each core's LLC-miss fill
+        self._fill_sources = tuple(f"fill.core{i}"
+                                   for i in range(self.num_cores))
         # scheme hooks ---------------------------------------------------
         self.drop_persistent_evictions = False
         self.llc_probe: Optional[LlcProbe] = None
@@ -98,9 +114,11 @@ class CacheHierarchy:
         self.llc_pin_predicate: Optional[Callable[[Optional[int]], bool]] = None
         self._blocked_until = 0
         # MESI directory over the private cache stacks
-        from .coherence import MesiDirectory
         self.coherence = MesiDirectory(self.num_cores,
                                        stats.scoped("coherence"))
+        #: the directory's line -> {core: state} map, read by the store
+        #: path to skip lines the storing core already holds MODIFIED
+        self._holders = self.coherence._lines
         # MSHR-style coalescing of outstanding memory fills
         self._pending: Dict[int, List[_MissWaiter]] = {}
         # newer TC data to merge over in-flight fills (line → version)
@@ -144,12 +162,12 @@ class CacheHierarchy:
                           persistent=entry.persistent, tx_id=entry.tx_id)
             if is_persistent_addr(line):
                 # Fig. 10 metric: persistent loads served at/below the LLC
-                self.stats.hist("persist_llc_load.latency", latency)
+                self._persist_llc_latency[latency] += 1
             on_complete(latency, version)
             return
         if is_persistent_addr(line):
             def complete_and_sample(lat: int, version: Optional[Version]) -> None:
-                self.stats.hist("persist_llc_load.latency", lat)
+                self._persist_llc_latency[lat] += 1
                 on_complete(lat, version)
             on_load_cb: LoadCallback = complete_and_sample
         else:
@@ -178,8 +196,11 @@ class CacheHierarchy:
         start = self.sim.now
         self._arch_version[line] = version
         # MESI: take exclusive ownership up front (covers the miss path
-        # too — the fill below installs into an already-owned line)
-        self._invalidate_other_sharers(core_id, line)
+        # too — the fill below installs into an already-owned line).  A
+        # core that already holds the line MODIFIED skips the directory:
+        # on_write makes no transition and records nothing for it.
+        if self._holders.get(line, _NO_HOLDERS).get(core_id) is not _MODIFIED:
+            self._invalidate_other_sharers(core_id, line)
         latency = self.l1[core_id].latency
         entry = self.l1[core_id].access(line)
         if entry is not None:
@@ -234,17 +255,17 @@ class CacheHierarchy:
             # not a faster fill.
             probed = self.llc_probe(line)
             if probed is not None:
-                self.stats.inc("llc_probe.hit")
+                self._counts.llc_probe_hit += 1
                 _probe_latency, version = probed
                 self._probe_override[line] = version
             else:
-                self.stats.inc("llc_probe.miss")
+                self._counts.llc_probe_miss += 1
         waiter = _MissWaiter(core_id, start, is_store, persistent, tx_id,
                              store_version, on_load, on_store)
         waiters = self._pending.get(line)
         if waiters is not None:
             waiters.append(waiter)
-            self.stats.inc("mshr.coalesced")
+            self._counts.mshr_coalesced += 1
             return
         self._pending[line] = [waiter]
         # the miss leaves the chip only after the L1/L2/LLC lookups
@@ -252,7 +273,7 @@ class CacheHierarchy:
         self.sim.schedule(
             latency, self.memory.read, line,
             lambda version, cycle: self._fill(line, version),
-            f"fill.core{core_id}")
+            self._fill_sources[core_id])
 
     def _fill(self, line: int, version: Optional[Version]) -> None:
         now = self.sim.now
@@ -374,17 +395,17 @@ class CacheHierarchy:
                 dirty = True
                 victim.persistent = victim.persistent or upper2.persistent
         if not dirty:
-            self.stats.inc("llc.clean_evictions")
+            self._counts.llc_clean_evictions += 1
             return
         if victim.persistent and self.drop_persistent_evictions:
             # Paper §3: persistent LLC victims are discarded; the NVM only
             # ever receives the consistent data issued by the TC.
-            self.stats.inc("llc.dropped_evictions")
+            self._counts.llc_dropped_evictions += 1
             if self.tracer.enabled:
                 self.tracer.instant("cache", "llc", "eviction.dropped",
                                     self.sim.now, line=line)
             return
-        self.stats.inc("llc.writebacks")
+        self._counts.llc_writebacks += 1
         if self.tracer.enabled:
             self.tracer.instant("cache", "llc", "writeback",
                                 self.sim.now, line=line)
@@ -426,7 +447,7 @@ class CacheHierarchy:
     def _block_wait(self) -> int:
         wait = max(0, self._blocked_until - self.sim.now)
         if wait:
-            self.stats.inc("blocked_cycles", wait)
+            self._counts.blocked_cycles += wait
         return wait
 
     def block_until(self, cycle: int) -> None:
@@ -489,7 +510,7 @@ class CacheHierarchy:
             self.sim.schedule(self.l1[core_id].latency,
                               on_complete, self.sim.now)
             return
-        self.stats.inc("clwb.writebacks")
+        self._counts.clwb_writebacks += 1
         if self.tracer.enabled:
             self.tracer.instant("cache", "llc", "clwb.writeback",
                                 self.sim.now, line=line, core=core_id)
@@ -523,7 +544,7 @@ class CacheHierarchy:
                 entry.tx_id = tx_id
         self._insert_llc(line, newest, dirty=True, persistent=True,
                          tx_id=tx_id, pinned=pin)
-        self.stats.inc("kiln.commit_flushes")
+        self._counts.kiln_commit_flushes += 1
         return self.llc.latency
 
     def pin_llc_line(self, addr: int, version: Optional[Version] = None,

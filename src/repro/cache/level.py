@@ -14,8 +14,7 @@ class CacheLevel:
     """Thin wrapper binding a :class:`CacheArray` to timing and stats."""
 
     __slots__ = ("name", "config", "stats", "latency", "array",
-                 "_inc", "_k_access", "_k_miss", "_k_hit",
-                 "_sets", "_num_sets")
+                 "_counts", "_sets", "_num_sets")
 
     def __init__(
         self,
@@ -28,12 +27,8 @@ class CacheLevel:
         self.stats = stats
         self.latency = config.latency_cycles(freq_ghz)
         self.array = CacheArray(config.num_sets, config.assoc, CACHE_LINE_SIZE)
-        # every cache access records 2 counters; resolve the registry
-        # keys once instead of formatting them per lookup
-        self._inc = stats.base.inc
-        self._k_access = stats.resolve("access")
-        self._k_miss = stats.resolve("miss")
-        self._k_hit = stats.resolve("hit")
+        # every cache access records 2 counters: cells, not registry calls
+        self._counts = stats.cells("access", "miss", "hit")
         # access() is the hottest cache call: keep direct references to
         # the array internals so a timed lookup is one dict probe
         self._sets = self.array._sets
@@ -45,16 +40,15 @@ class CacheLevel:
         Inlines :meth:`CacheArray.lookup` (same set index, same LRU
         touch) — this method runs a few times per simulated memory op.
         """
-        inc = self._inc
-        inc(self._k_access)
+        self._counts.access += 1
         entry = self._sets[(line // CACHE_LINE_SIZE) % self._num_sets].get(line)
         if entry is None:
-            inc(self._k_miss)
+            self._counts.miss += 1
             return None
         array = self.array
         array._use_clock += 1
         entry.last_use = array._use_clock
-        inc(self._k_hit)
+        self._counts.hit += 1
         return entry
 
     def probe(self, line: int) -> Optional[CacheLine]:

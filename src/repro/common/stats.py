@@ -11,17 +11,50 @@ Components record two kinds of measurements:
 Names are dotted strings; :meth:`Stats.scoped` returns a light view that
 prefixes every name, so a component can write ``self.stats.inc("hit")``
 and the registry stores ``l1.0.hit``.
+
+Statistics recorded on every simulated access do not go through a
+registry call at all.  The component takes its **cells** from the
+registry once, at construction, and records into them in place:
+
+* :meth:`Stats.cells` returns a record of counters, one int attribute
+  per name with dots turned into underscores
+  (``counts.probe_hit += 1`` adds to ``probe.hit``);
+* :meth:`Stats.tally` returns a :class:`Tally`, a whole-number value
+  distribution the component counts into (``latency[v] += 1``), which
+  stands for a :meth:`Stats.sample` (or :meth:`Stats.hist`) of each
+  value;
+* :meth:`Stats.counter_map` returns a :class:`Tally` keyed by name
+  suffix, for a family of counters picked at run time
+  (``stalls[kind] += n`` adds to ``stall.<kind>``).
+
+The registry holds only the cells, never the component: a reference
+from the registry, built first, to every component would carry each
+discarded system's objects through the garbage collector's young
+passes into its costlier old ones.
+
+Every read of the registry first folds the cells into it and empties
+them, so a cell reads exactly like the registry calls it replaces: a
+cell that was never recorded into stays absent.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 logger = logging.getLogger("repro.stats")
+
+
+
+@functools.lru_cache(maxsize=None)
+def _counts_type(names: Tuple[str, ...]) -> type:
+    """The record class of :meth:`Stats.cells`: one slot per counter."""
+    return type("Counts", (), {
+        "__slots__": tuple(name.replace(".", "_") for name in names)})
 
 
 @dataclass
@@ -33,9 +66,10 @@ class SampleSummary:
     minimum: float = float("inf")
     maximum: float = float("-inf")
 
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+    def add(self, value: float, times: int = 1) -> None:
+        """Record ``times`` observations of ``value``."""
+        self.count += times
+        self.total += value * times
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -73,18 +107,20 @@ class Histogram:
             return 0
         return int(value).bit_length() - 1
 
-    def add(self, value: float) -> None:
+    def add(self, value: float, times: int = 1) -> None:
+        """Record ``times`` observations of ``value``."""
         bucket = self._bucket(value)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
-        self.count += 1
+        self._buckets[bucket] = self._buckets.get(bucket, 0) + times
+        self.count += times
 
     def percentile(self, fraction: float) -> float:
         """Upper bound of the bucket containing the given percentile
-        (e.g. ``percentile(0.99)`` ≈ p99).  0.0 when empty."""
-        if not self.count:
-            return 0.0
+        (e.g. ``percentile(0.99)`` ≈ p99).  0.0 when empty; a
+        ``fraction`` outside (0, 1] raises ``ValueError`` either way."""
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
+        if not self.count:
+            return 0.0
         target = fraction * self.count
         seen = 0
         for bucket in sorted(self._buckets):
@@ -104,6 +140,22 @@ class Histogram:
         self.count += other.count
 
 
+class Tally(dict):
+    """Occurrences of each whole-number value (a latency in cycles),
+    recorded as ``tally[value] += 1`` — a dict update, with no Python
+    call once the value has been seen.  The registry folds it into the
+    sample summary (and histogram) of its name and clears it whenever
+    it is read.  Folding multiplies a value by its occurrences, which
+    is exact for whole numbers only; keep fractional values (host
+    seconds) on :meth:`Stats.sample`.  A :meth:`Stats.counter_map` is a
+    tally of amounts by name suffix instead."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> int:
+        return 0
+
+
 class Stats:
     """Flat registry of counters, sample summaries, and histograms."""
 
@@ -118,6 +170,12 @@ class Stats:
         self._events: Dict[str, List[str]] = {}
         self._suppressed: Dict[str, int] = {}
         self._suppressed_reported: Dict[str, int] = {}
+        # cells handed out: (prefix, names, record) of every counter
+        # record, (name, tally, feeds a histogram) of every tally, and
+        # (name, tally) of every counter map
+        self._records: List[Tuple[str, Tuple[str, ...], object]] = []
+        self._tallies: List[Tuple[str, Tally, bool]] = []
+        self._counter_maps: List[Tuple[str, Tally]] = []
 
     # -- counters ----------------------------------------------------
     def inc(self, name: str, amount: float = 1) -> None:
@@ -129,6 +187,58 @@ class Stats:
             self._counters[name] += amount
         except KeyError:
             self._counters[name] = amount
+
+    # -- cells ---------------------------------------------------------
+    def cells(self, *names: str, prefix: str = "") -> object:
+        """A record of counter cells, one int attribute per name (dots
+        become underscores), each starting at 0."""
+        record = _counts_type(names)()
+        for attr in record.__slots__:
+            setattr(record, attr, 0)
+        self._records.append((prefix, names, record))
+        return record
+
+    def tally(self, name: str, histogram: bool = False) -> Tally:
+        """A tally read as :meth:`sample` calls of each value, or as
+        :meth:`hist` calls when ``histogram`` is set."""
+        tally = Tally()
+        self._tallies.append((name, tally, histogram))
+        return tally
+
+    def counter_map(self, name: str) -> Tally:
+        """A tally of amounts by name suffix: ``key`` adds to counter
+        ``name.key``."""
+        amounts = Tally()
+        self._counter_maps.append((name, amounts))
+        return amounts
+
+    def _sync(self) -> None:
+        """Fold every cell into the registry and reset it."""
+        for prefix, names, record in self._records:
+            for name, attr in zip(names, record.__slots__):
+                value = getattr(record, attr)
+                if value:
+                    self.inc(prefix + name, value)
+                    setattr(record, attr, 0)
+        for name, amounts in self._counter_maps:
+            for key, value in amounts.items():
+                if value:
+                    self.inc(f"{name}.{key}", value)
+            amounts.clear()
+        for name, tally, histogram in self._tallies:
+            self._fold(name, tally, histogram)
+
+    def _fold(self, name: str, tally: Tally, histogram: bool) -> None:
+        if not tally:
+            return
+        summary = self._samples.setdefault(name, SampleSummary())
+        buckets = (self._histograms.setdefault(name, Histogram())
+                   if histogram else None)
+        for value, times in tally.items():
+            summary.add(value, times)
+            if buckets is not None:
+                buckets.add(value, times)
+        tally.clear()
 
     # -- warning events ----------------------------------------------
     def warn(self, name: str, message: str) -> None:
@@ -170,6 +280,7 @@ class Stats:
 
     def counter(self, name: str) -> float:
         """Read counter ``name`` (0 if never incremented)."""
+        self._sync()
         return self._counters.get(name, 0)
 
     # -- samples -----------------------------------------------------
@@ -182,6 +293,7 @@ class Stats:
 
     def summary(self, name: str) -> SampleSummary:
         """Summary for sample ``name`` (empty summary if never seen)."""
+        self._sync()
         return self._samples.get(name, SampleSummary())
 
     def mean(self, name: str) -> float:
@@ -199,11 +311,13 @@ class Stats:
         self.sample(name, value)
 
     def histogram(self, name: str) -> Histogram:
+        self._sync()
         return self._histograms.get(name, Histogram())
 
     def histograms(self) -> Dict[str, Histogram]:
         """All live histograms, key-sorted (for exporters such as
         :func:`repro.obs.metrics.stats_to_prometheus`)."""
+        self._sync()
         return {name: self._histograms[name]
                 for name in sorted(self._histograms)}
 
@@ -228,6 +342,7 @@ class Stats:
         """All counters whose name starts with ``prefix``, sorted by
         name — reports and cached payloads must not depend on the
         insertion order of whichever component incremented first."""
+        self._sync()
         return {
             name: self._counters[name]
             for name in sorted(self._counters)
@@ -244,6 +359,7 @@ class Stats:
         Sorted so serialized payloads (result cache, golden snapshots)
         are byte-stable across runs with different component init or
         event interleaving order."""
+        self._sync()
         out: Dict[str, float] = dict(self._counters)
         for name, summary in self._samples.items():
             out[f"{name}.mean"] = summary.mean
@@ -301,6 +417,7 @@ class Stats:
         keys.  Merging is additive and repeatable: merging two
         registries then reading a counter equals the sum of reading
         each."""
+        other._sync()
         rename = (lambda name: prefix + name) if prefix else (lambda n: n)
         for name, value in other._counters.items():
             name = rename(name)
@@ -338,10 +455,10 @@ class Stats:
 class ScopedStats:
     """Prefixing facade over a :class:`Stats` registry.
 
-    Hot components should not pay an f-string per increment: they call
-    :meth:`resolve` once at construction to get the fully-qualified
-    name and then hit :attr:`base` (the underlying :class:`Stats`)
-    directly — same registry keys, no per-event formatting.
+    Every call through the view formats the fully-qualified name, so
+    hot components do not record through it: they take their cells
+    once, at construction, and record into those in place (see the
+    module docstring).
     """
 
     __slots__ = ("_parent", "_prefix")
@@ -351,17 +468,17 @@ class ScopedStats:
         self._prefix = prefix.rstrip(".")
 
     @property
-    def base(self) -> Stats:
-        """The unprefixed registry this view writes into."""
-        return self._parent
-
-    @property
     def prefix(self) -> str:
         return self._prefix
 
-    def resolve(self, name: str) -> str:
-        """Fully-qualified registry key for ``name`` under this scope."""
-        return f"{self._prefix}.{name}"
+    def cells(self, *names: str) -> object:
+        return self._parent.cells(*names, prefix=self._prefix + ".")
+
+    def tally(self, name: str, histogram: bool = False) -> Tally:
+        return self._parent.tally(self._name(name), histogram)
+
+    def counter_map(self, name: str) -> Tally:
+        return self._parent.counter_map(self._name(name))
 
     def _name(self, name: str) -> str:
         return f"{self._prefix}.{name}"

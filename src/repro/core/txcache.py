@@ -94,6 +94,10 @@ class TransactionCache:
                  clock: Optional[Callable[[], int]] = None) -> None:
         self.config = config
         self.stats = stats
+        # per-request counters are cells; the per-commit ones, which
+        # may add 0 (and so create a 0 counter), stay registry calls
+        self._counts = stats.cells("write.coalesced", "write.inserted",
+                                   "ack.matched", "probe.hit", "probe.miss")
         self.capacity = config.num_entries
         self._ring: Deque[TxEntry] = deque()
         self._head_seq = 0  # total insertions (head pointer position)
@@ -166,7 +170,7 @@ class TransactionCache:
             entry = self._active_idx.get((tx_id, tag))
             if entry is not None:
                 entry.version = version
-                self.stats.inc("write.coalesced")
+                self._counts.write_coalesced += 1
                 return True
         if self.is_full():
             self.stats.inc("write.rejected_full")
@@ -183,7 +187,7 @@ class TransactionCache:
         self._active_by_tx.setdefault(tx_id, []).append(entry)
         self._by_seq[seq] = entry
         self._by_tag.setdefault(tag, []).append(entry)
-        self.stats.inc("write.inserted")
+        self._counts.write_inserted += 1
         if self.tracer.enabled:
             self._trace_occupancy()
         return True
@@ -250,7 +254,7 @@ class TransactionCache:
                     break
         if entry is not None:
             self._free(entry)
-            self.stats.inc("ack.matched")
+            self._counts.ack_matched += 1
             self._sweep_tail()
             if self.tracer.enabled:
                 self._trace_occupancy()
@@ -267,9 +271,9 @@ class TransactionCache:
         line, or None."""
         entries = self._by_tag.get(line_addr(addr))
         if entries:
-            self.stats.inc("probe.hit")
+            self._counts.probe_hit += 1
             return entries[-1]
-        self.stats.inc("probe.miss")
+        self._counts.probe_miss += 1
         return None
 
     # ------------------------------------------------------------------

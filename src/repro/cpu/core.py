@@ -59,8 +59,7 @@ class Core:
         "_ip", "_on_done", "_sb_tokens", "_sb_waiting", "done",
         "_stall_reason", "_tx_begin_cycle", "instructions_retired",
         "committed_transactions", "_handlers", "_issue_width",
-        "_inc", "_sample", "_k_stall_prefix", "_k_stall_total",
-        "_k_load_latency", "_k_persist_load_latency",
+        "_stalls", "_load_latency", "_persist_load_latency",
         "_cur_op", "_cur_issued",
     )
 
@@ -107,7 +106,7 @@ class Core:
         self.instructions_retired = 0
         self.committed_transactions = 0
         # hot-path precomputation: dispatch table indexed by op kind
-        # code, issue width, and resolved stat keys
+        # code, issue width, and the stall and latency cells
         handlers = [None] * 7
         handlers[KIND_LOAD] = self._do_load
         handlers[KIND_STORE] = self._do_store
@@ -117,13 +116,9 @@ class Core:
         handlers[KIND_SFENCE] = self._do_sfence
         self._handlers = handlers
         self._issue_width = config.issue_width
-        base = stats.base
-        self._inc = base.inc
-        self._sample = base.sample
-        self._k_stall_prefix = stats.resolve("stall.")
-        self._k_stall_total = stats.resolve("stall.total")
-        self._k_load_latency = stats.resolve("load.latency")
-        self._k_persist_load_latency = stats.resolve("persist_load.latency")
+        self._stalls = stats.counter_map("stall")
+        self._load_latency = stats.tally("load.latency")
+        self._persist_load_latency = stats.tally("persist_load.latency")
 
     # ------------------------------------------------------------------
     def run_trace(self, trace: Trace, on_done: Optional[Callable[[], None]] = None) -> None:
@@ -210,9 +205,9 @@ class Core:
         self._stall_reason = None
         stall = self.cycle - issued - 1
         if stall > 0:
-            inc = self._inc
-            inc(self._k_stall_prefix + reason, stall)
-            inc(self._k_stall_total, stall)
+            stalls = self._stalls
+            stalls[reason] += stall
+            stalls["total"] += stall
             if self.tracer.enabled:
                 self.tracer.complete("core", self._track,
                                      f"stall.{reason}", issued + 1, stall)
@@ -234,9 +229,9 @@ class Core:
             # Memory miss: resumed by the fill event.
             self.cycle = max(self.sim.now, issued + 1)
         self._account_stall(issued, "load")
-        self._sample(self._k_load_latency, latency)
+        self._load_latency[latency] += 1
         if self._cur_op.persistent:
-            self._sample(self._k_persist_load_latency, latency)
+            self._persist_load_latency[latency] += 1
         self.instructions_retired += 1
         self._advance()
 
@@ -269,8 +264,9 @@ class Core:
             resume_at = max(self.cycle, self.sim.now)
             stall = resume_at - self.cycle
             if stall > 0:
-                self.stats.inc("stall.store_buffer", stall)
-                self.stats.inc("stall.total", stall)
+                stalls = self._stalls
+                stalls["store_buffer"] += stall
+                stalls["total"] += stall
                 if self.tracer.enabled:
                     self.tracer.complete("core", self._track,
                                          "stall.store_buffer",

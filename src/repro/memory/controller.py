@@ -188,8 +188,8 @@ class MemoryController:
         self._last_write_service = 0
         self._last_grant = -self.SCHEDULER_PERIOD
         # Hot-path precomputation: bank timings (pure functions of the
-        # frozen config) and fully-qualified stat keys are resolved once
-        # here instead of per event.
+        # frozen config) are resolved once here instead of per event,
+        # and per-request statistics are cells and tallies.
         timing = config.timing
         self._write_hit_cycles = timing.write_cycles(freq_ghz, row_hit=True)
         self._write_miss_cycles = timing.write_cycles(freq_ghz, row_hit=False)
@@ -197,17 +197,11 @@ class MemoryController:
         self._read_miss_cycles = timing.read_cycles(freq_ghz, row_hit=False)
         self._drain_high = config.write_drain_threshold
         self._drain_low = self._drain_high / 2
-        base = stats.base
-        self._inc = base.inc
-        self._hist = base.hist
-        self._k_write_requests = stats.resolve("write.requests")
-        self._k_write_lines = stats.resolve("write.lines")
-        self._k_read_requests = stats.resolve("read.requests")
-        self._k_read_forwarded = stats.resolve("read.forwarded")
-        self._k_read_latency = stats.resolve("read.latency")
-        self._k_write_latency = stats.resolve("write.latency")
-        self._k_write_acks = stats.resolve("write.acks")
-        self._k_starvation_grants = stats.resolve("write.starvation_grants")
+        self._counts = stats.cells(
+            "write.requests", "write.lines", "read.requests",
+            "read.forwarded", "write.acks", "write.starvation_grants")
+        self._read_latency = stats.tally("read.latency", histogram=True)
+        self._write_latency = stats.tally("write.latency", histogram=True)
 
     # ------------------------------------------------------------------
     # external interface
@@ -221,17 +215,17 @@ class MemoryController:
         # Resolve the address map once; every scheduler scan after this
         # reads the cached (bank, row) instead of redoing the division.
         request.bank, request.row = self.banks.locate(request.line)
-        inc = self._inc
         if request.is_write:
-            inc(self._k_write_requests)
-            inc(self._k_write_lines)
+            counts = self._counts
+            counts.write_requests += 1
+            counts.write_lines += 1
             self.write_queue.push(request)
         else:
-            inc(self._k_read_requests)
+            self._counts.read_requests += 1
             pending_write = self.write_queue.find_line(request.line)
             if pending_write is not None:
                 # Serve the read from the queued write (newest data).
-                inc(self._k_read_forwarded)
+                self._counts.read_forwarded += 1
                 request.meta["forwarded"] = True
                 self.sim.schedule(self.FORWARD_LATENCY, self._finish_read, request)
                 return
@@ -330,7 +324,7 @@ class MemoryController:
         if chosen.is_write:
             self._last_write_service = now
             if starved and not drain:
-                self._inc(self._k_starvation_grants)
+                self._counts.write_starvation_grants += 1
         self._last_grant = now
         self._service(chosen)
         if read_queue.entries or write_queue.entries:
@@ -419,7 +413,7 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _finish_read(self, request: MemRequest) -> None:
         now = self.sim.now
-        self._hist(self._k_read_latency, now - request.issue_cycle)
+        self._read_latency[now - request.issue_cycle] += 1
         if not request.meta.get("forwarded"):
             self._inflight -= 1
         if request.callback is not None:
@@ -448,14 +442,14 @@ class MemoryController:
             # the line to a spare row — the write then completes, so
             # durability is degraded (extra latency), never lost.
             self.stats.inc("write.remaps")
-        self._hist(self._k_write_latency, now - request.issue_cycle)
+        self._write_latency[now - request.issue_cycle] += 1
         self._inflight -= 1
         if self.durable_image is not None:
             self.durable_image.record(now, request.line, request.version)
         if request.callback is not None:
             request.callback(request, now)
         if request.persistent and self.ack_handler is not None:
-            self._inc(self._k_write_acks)
+            self._counts.write_acks += 1
             self._send_ack(request, now)
 
     def _send_ack(self, request: MemRequest, now: int) -> None:

@@ -99,7 +99,7 @@ class SoftwareScheme(UndoLogScheme):
                 and not self._outstanding_data.get(core_id, 0)):
             resume()
             return
-        self.stats.inc("fence_waits")
+        self._counts.fence_waits += 1
         # the core charges the wait to "fence" by default; the phase
         # marker makes the ordering stall visible on the scheme track
         if self.tracer.enabled:

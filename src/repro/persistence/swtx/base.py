@@ -147,6 +147,9 @@ class SwTxScheme(PersistenceScheme):
         # redo-replay engine (redo + hybrid)
         self._outstanding_replay = 0
         self._replay_waiters: List[Callable[[], None]] = []
+        # counters bumped per fence or per replayed line
+        self._counts = self.stats.cells("fences", "fence_waits",
+                                        "replay.lines")
 
     # ------------------------------------------------------------------
     # trace preparation helpers
@@ -206,13 +209,13 @@ class SwTxScheme(PersistenceScheme):
 
     def sfence(self, core, op, resume: Resume) -> None:
         core_id = core.core_id
-        self.stats.inc("fences")
+        self._counts.fences += 1
         waiting_log = self._outstanding_log.get(core_id, 0)
         waiting_data = self._outstanding_data.get(core_id, 0)
         if not waiting_log and not waiting_data:
             resume()
             return
-        self.stats.inc("fence_waits")
+        self._counts.fence_waits += 1
         if waiting_log:
             # the fence is ordering log writebacks: that is the
             # logging protocol's cost, not generic data ordering
@@ -236,7 +239,7 @@ class SwTxScheme(PersistenceScheme):
         """
         for home_line, version in writes.items():
             self._outstanding_replay += 1
-            self.stats.inc("replay.lines")
+            self._counts.replay_lines += 1
             self.hierarchy.invalidate_everywhere(home_line)
             self.memory.write(home_line, version, persistent=True,
                               tx_id=tx_id, on_complete=self._replay_done,

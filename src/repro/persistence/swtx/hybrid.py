@@ -73,6 +73,8 @@ class HybridDramScheme(SwTxScheme):
         self._mirror_by_tx: Dict[int, int] = {}
         self._mirror_waiters: List[Callable[[], None]] = []
         self._epoch_waiters: Dict[int, List[Callable[[], None]]] = {}
+        self._mirror_counts = self.stats.cells(
+            "mirror.lines", "mirror.stalls", "epoch_fences")
         # per-core commit-record mirror chains (FIFO keeps record
         # durability in program order per core — the prefix-closure
         # obligation of the persistency oracle)
@@ -129,7 +131,7 @@ class HybridDramScheme(SwTxScheme):
             self._mirror_outstanding += 1
             self._mirror_by_tx[op.tx_id] = (
                 self._mirror_by_tx.get(op.tx_id, 0) + 1)
-            self.stats.inc("mirror.lines")
+            self._mirror_counts.mirror_lines += 1
             self.memory.write(
                 mirror_addr(line), op.version, persistent=True,
                 tx_id=op.tx_id, on_complete=self._mirror_done,
@@ -141,7 +143,7 @@ class HybridDramScheme(SwTxScheme):
             if self._mirror_outstanding > self.MIRROR_WINDOW:
                 # mirror engine saturated: the log append cannot issue
                 # until the window frees up
-                self.stats.inc("mirror.stalls")
+                self._mirror_counts.mirror_stalls += 1
                 core.attribute_stall("log_write")
                 self._mirror_waiters.append(lambda: on_issue(1))
             else:
@@ -182,7 +184,7 @@ class HybridDramScheme(SwTxScheme):
         if not writes:
             resume()
             return
-        self.stats.inc("epoch_fences")
+        self._mirror_counts.epoch_fences += 1
 
         def after_fence() -> None:
             self._enqueue_record(core.core_id, tx_id)
@@ -192,7 +194,7 @@ class HybridDramScheme(SwTxScheme):
             if self._mirror_by_tx.get(tx_id):
                 # epoch fence: this transaction's log mirrors are not
                 # durable yet — the only wait on the commit path
-                self.stats.inc("fence_waits")
+                self._counts.fence_waits += 1
                 core.attribute_stall("log_flush")
                 self._epoch_waiters.setdefault(tx_id, []).append(after_fence)
             else:

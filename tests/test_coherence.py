@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from repro.cache.coherence import CoherenceState, MesiDirectory
+from repro.cache.hierarchy import CacheHierarchy
+from repro.common.config import small_machine_config
+from repro.common.event import Simulator
 from repro.common.stats import Stats
+from repro.common.types import NVM_BASE, Version, is_persistent_addr, \
+    line_addr
+from repro.memory.system import MemorySystem
 
 M = CoherenceState.MODIFIED
 E = CoherenceState.EXCLUSIVE
@@ -203,3 +211,103 @@ class TestHierarchyIntegration:
         hierarchy.load(0, NVM_BASE, lambda lat, v: seen.update(v=v))
         sim.run()
         assert seen["v"] == Version(1, 5)
+
+
+class DirectoryOnEveryStore(CacheHierarchy):
+    """Test-only: a hierarchy whose every store consults the MESI
+    directory first, as the store path did before it learned to skip
+    lines the storing core already holds MODIFIED."""
+
+    def store(self, core_id, addr, version, persistent=False, tx_id=None,
+              on_complete=None):
+        self._invalidate_other_sharers(core_id, line_addr(addr))
+        super().store(core_id, addr, version, persistent, tx_id,
+                      on_complete)
+
+
+def _tiny_system(num_cores, hierarchy_cls):
+    """A hierarchy with caches small enough that a few dozen lines
+    evict from every level."""
+    config = small_machine_config(num_cores=num_cores)
+    config = replace(config, l1=replace(config.l1, size_bytes=512),
+                     l2=replace(config.l2, size_bytes=1024),
+                     llc=replace(config.llc, size_bytes=2048))
+    sim = Simulator()
+    stats = Stats()
+    memory = MemorySystem(sim, config, stats)
+    return sim, stats, memory, hierarchy_cls(sim, config, stats, memory)
+
+
+def _cache_contents(hierarchy):
+    levels = ([("l1", i, level) for i, level in enumerate(hierarchy.l1)]
+              + [("l2", i, level) for i, level in enumerate(hierarchy.l2)]
+              + [("llc", 0, hierarchy.llc)])
+    return sorted(
+        (name, index, entry.tag, entry.dirty, entry.persistent,
+         entry.pinned, entry.tx_id, entry.version, entry.last_use)
+        for name, index, level in levels
+        for entry in level.array.iter_lines())
+
+
+def _play(num_cores, ops, hierarchy_cls):
+    """Issue ``ops`` with partial kernel runs in between, checking the
+    MESI invariants after every op; return everything observable."""
+    sim, stats, memory, hierarchy = _tiny_system(num_cores, hierarchy_cls)
+    done = []
+    for step, (kind, core, index, advance) in enumerate(ops):
+        core %= num_cores
+        addr = (NVM_BASE if index % 3 else 0x40000) + index * 64
+        if kind == "load":
+            hierarchy.load(core, addr, lambda lat, v, step=step:
+                           done.append((step, sim.now, lat, v)))
+        elif kind == "store":
+            hierarchy.store(core, addr, Version(core + 1, step),
+                            persistent=is_persistent_addr(addr),
+                            tx_id=core + 1,
+                            on_complete=lambda lat, step=step:
+                            done.append((step, sim.now, lat)))
+        else:
+            hierarchy.writeback_line(core, addr, lambda cycle, step=step:
+                                     done.append((step, sim.now, cycle)))
+        hierarchy.coherence.check_invariants()
+        sim.run(until=sim.now + advance)
+        hierarchy.coherence.check_invariants()
+    sim.run()
+    hierarchy.coherence.check_invariants()
+    counters = {name: value for name, value in stats.counters().items()
+                if name.startswith(("coherence.", "hierarchy."))}
+    return (done, _cache_contents(hierarchy), hierarchy.coherence._lines,
+            counters, memory.durable_image.events)
+
+
+class TestOwnedStoreSkipsDirectory:
+    """A store to a line the core already holds MODIFIED skips the
+    directory; that must change nothing observable."""
+
+    @given(st.integers(2, 4), st.lists(st.tuples(
+        st.sampled_from(["load", "store", "store", "clwb"]),
+        st.integers(0, 3),            # core (mod the core count)
+        st.integers(0, 23),           # line index
+        st.sampled_from([0, 0, 1, 40, 400])),  # cycles run after the op
+        min_size=1, max_size=120))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_directory_on_every_store(self, num_cores, ops):
+        assert _play(num_cores, ops, CacheHierarchy) == \
+            _play(num_cores, ops, DirectoryOnEveryStore)
+
+    def test_owned_store_makes_no_directory_call(self, monkeypatch):
+        sim, stats, memory, hierarchy = _tiny_system(2, CacheHierarchy)
+        hierarchy.store(0, NVM_BASE, Version(1, 0))
+        sim.run()
+        calls = []
+        on_write = hierarchy.coherence.on_write
+
+        def counted(core, line):
+            calls.append(line)
+            return on_write(core, line)
+
+        monkeypatch.setattr(hierarchy.coherence, "on_write", counted)
+        hierarchy.store(0, NVM_BASE, Version(1, 1))
+        assert calls == []
+        hierarchy.store(1, NVM_BASE, Version(2, 0))
+        assert calls == [NVM_BASE]

@@ -269,6 +269,62 @@ def test_advance_hook_removed_with_none(sim):
     assert sim.now == 2
 
 
+def _hook_log(drive):
+    """Events that install and remove the advance hook mid-run; the
+    log interleaves events with the hook's calls."""
+    sim = Simulator()
+    log = []
+
+    def hook(time):
+        log.append(("advance", time))
+
+    def install():
+        sim.set_advance_hook(hook)
+        log.append(("install", sim.now))
+
+    def remove():
+        sim.set_advance_hook(None)
+        log.append(("remove", sim.now))
+
+    def event():
+        log.append(("event", sim.now))
+
+    sim.schedule(1, event)
+    sim.schedule(2, install)
+    sim.schedule(2, event)      # same cycle: no advance in between
+    sim.schedule(4, event)
+    sim.schedule(6, remove)
+    sim.schedule(6, event)
+    sim.schedule(9, event)
+    drive(sim)
+    return log
+
+
+HOOK_LOG = [("event", 1), ("install", 2), ("event", 2), ("advance", 4),
+            ("event", 4), ("advance", 6), ("remove", 6), ("event", 6),
+            ("event", 9)]
+
+
+def _step_all(sim):
+    while sim.step():
+        pass
+
+
+def _run_in_pieces(sim):
+    for until in (2, 4, 5):
+        sim.run(until=until)
+    sim.run()
+
+
+@pytest.mark.parametrize("drive", [_step_all, lambda sim: sim.run(),
+                                   _run_in_pieces],
+                         ids=["step", "run", "run-until"])
+def test_hook_installed_or_removed_by_an_event_takes_effect_next(drive):
+    """run() drains the queue without calling step(), so it must see a
+    hook change made inside an event exactly as step() does."""
+    assert _hook_log(drive) == HOOK_LOG
+
+
 def test_max_events_abort_keeps_state_consistent(sim):
     """A max_events abort leaves already-run events removed, so a
     resumed run() continues from the right place."""

@@ -39,6 +39,15 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram.percentile(1.5)
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, 5])
+    def test_invalid_fraction_rejected_when_empty(self, fraction):
+        # the fraction is checked before emptiness: an empty histogram
+        # used to answer 0.0 where a non-empty one raised
+        with pytest.raises(ValueError):
+            Histogram().percentile(fraction)
+        with pytest.raises(ValueError):
+            Stats().percentile("never.recorded", fraction)
+
     @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
     def test_percentile_bounds_true_quantile(self, values):

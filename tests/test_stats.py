@@ -270,3 +270,138 @@ class TestFromFlat:
                     prefix="node1.")
         assert total.counter("serve.executed") == 2
         assert total.counter("node1.serve.executed") == 5
+
+
+
+
+class TestCells:
+    """Cells: hot components record into objects the registry hands
+    out and folds in on every read, so they read exactly as the
+    ``inc``/``sample``/``hist`` calls they stand for."""
+
+    def test_cells_start_empty(self):
+        stats = Stats()
+        counts = stats.cells("write.requests", "hits")
+        assert (counts.write_requests, counts.hits) == (0, 0)
+        assert stats.tally("lat") == {}
+        assert stats.counter_map("stall") == {}
+
+    def test_unrecorded_cells_are_absent(self):
+        stats = Stats()
+        scoped = stats.scoped("core.0")
+        scoped.cells("hits")
+        scoped.counter_map("stall")["load"] += 0
+        scoped.tally("lat")
+        scoped.tally("read.latency", histogram=True)
+        assert stats.counters() == {}
+        assert stats.as_dict() == {}
+        assert stats.dump() == {}
+        assert stats.histograms() == {}
+
+    def test_counter_reads_live_values(self):
+        stats = Stats()
+        scoped = stats.scoped("l1.0")
+        counts = scoped.cells("access")
+        stalls = scoped.counter_map("stall")
+        counts.access += 3
+        assert stats.counter("l1.0.access") == 3
+        counts.access += 2
+        stats.inc("l1.0.access")
+        stalls["fence"] += 4
+        assert stats.counter("l1.0.access") == 6
+        assert stats.counters("l1.") == {"l1.0.access": 6,
+                                         "l1.0.stall.fence": 4}
+        assert counts.access == 0          # folded in by the read
+
+    def test_counter_reads_live_values_mid_run(self):
+        from repro.sim.runner import make_traces
+        from repro.sim.system import System
+
+        system = System.build("txcache", num_cores=2)
+        system.load_traces(make_traces("hashtable", 2, 10, seed=1))
+        seen = []
+        while not system.done:
+            system.run(until=system.sim.now + 500)
+            seen.append(system.stats.counter("l1.0.access"))
+        assert seen[0] > 0
+        assert seen == sorted(seen) and seen[-1] > seen[0]
+
+    def test_cells_sharing_a_name_add_up(self):
+        stats = Stats()
+        first, second = stats.cells("hits"), stats.cells("hits")
+        first.hits += 1
+        second.hits += 2
+        stats.tally("lat")[5] += 1
+        stats.tally("lat")[7] += 1
+        assert stats.counter("hits") == 3
+        assert stats.summary("lat").count == 2
+
+    def test_tally_reads_as_samples(self):
+        by_cell, by_call = Stats(), Stats()
+        tally = by_cell.tally("lat")
+        for value in (130, 4, 4, 900, 130, 4):
+            tally[value] += 1
+            by_call.sample("lat", value)
+        assert by_cell.as_dict() == by_call.as_dict()
+        summary = by_cell.summary("lat")
+        assert (summary.count, summary.minimum, summary.maximum) == \
+            (6, 4, 900)
+        assert by_cell.histograms() == {}
+
+    def test_histogram_tally_reads_as_hist(self):
+        by_cell, by_call = Stats(), Stats()
+        tally = by_cell.tally("read.latency", histogram=True)
+        for value in (1, 2, 3, 70, 70, 1000):
+            tally[value] += 1
+            by_call.hist("read.latency", value)
+        assert by_cell.as_dict() == by_call.as_dict()
+        assert by_cell.histogram("read.latency").buckets() == \
+            by_call.histogram("read.latency").buckets()
+        assert by_cell.percentile("read.latency", 0.5) == \
+            by_call.percentile("read.latency", 0.5)
+
+    def test_reads_in_between_fold_exactly(self):
+        stats = Stats()
+        counts, tally = stats.cells("hits"), stats.tally("lat")
+        counts.hits += 2
+        tally[10] += 1
+        assert stats.counter("hits") == 2 and stats.mean("lat") == 10
+        counts.hits += 5
+        tally[30] += 1
+        assert stats.counter("hits") == 7
+        summary = stats.summary("lat")
+        assert (summary.count, summary.total, summary.maximum) == \
+            (2, 40, 30)
+
+    def test_merge_sees_cells(self):
+        total, part = Stats(), Stats()
+        total.inc("hits", 1)
+        part.cells("hits").hits += 4
+        part.tally("lat", histogram=True)[16] += 2
+        total.merge(part)
+        assert total.counter("hits") == 5
+        assert total.summary("lat").count == 2
+        assert total.histogram("lat").buckets() == {4: 2}
+        assert part.counter("hits") == 4          # source untouched
+
+    def test_from_flat_sees_cells(self):
+        stats = Stats()
+        scoped = stats.scoped("mem.nvm")
+        scoped.cells("write.lines").write_lines += 9
+        scoped.tally("lat")[5] += 3
+        rebuilt = Stats.from_flat(stats.as_dict())
+        assert rebuilt.counter("mem.nvm.write.lines") == 9
+        assert rebuilt.counter("mem.nvm.lat.count") == 3
+
+    def test_prometheus_renders_cells_like_calls(self):
+        from repro.obs.metrics import stats_to_prometheus
+
+        by_cell, by_call = Stats(), Stats()
+        scoped = by_cell.scoped("tc.0")
+        scoped.cells("probe.hit").probe_hit += 7
+        by_call.inc("tc.0.probe.hit", 7)
+        tally = scoped.tally("read.latency", histogram=True)
+        for value in (120, 130, 260, 3):
+            tally[value] += 1
+            by_call.hist("tc.0.read.latency", value)
+        assert stats_to_prometheus(by_cell) == stats_to_prometheus(by_call)
