@@ -18,10 +18,9 @@ from dataclasses import replace
 
 from repro.common.config import small_machine_config
 from repro.sim.runner import run_experiment
-from repro.workloads import WORD, Workload, register
+from repro.workloads import WORD, Workload
 
 
-@register
 class BankTransferWorkload(Workload):
     """Transfers between persistent accounts, with an audit queue.
 
@@ -41,8 +40,8 @@ class BankTransferWorkload(Workload):
         super().__init__(core_id=core_id, seed=seed)
         self.accounts = accounts
         self.record_words = record_words
-        self.balances_base = self.heap.alloc(accounts * WORD)
-        self.audit_base = self.heap.alloc(1 << 20)
+        self.balances_base = self.arena.p_malloc(accounts * WORD)
+        self.audit_base = self.arena.p_malloc(1 << 20)
         self._audit_cursor = 0
 
     def _account_addr(self, index: int) -> int:
@@ -50,22 +49,22 @@ class BankTransferWorkload(Workload):
 
     def setup(self) -> None:
         for start in range(0, self.accounts, 8):
-            with self.transaction():
+            with self.arena.transaction():
                 for index in range(start, min(start + 8, self.accounts)):
-                    self.mem.write(self._account_addr(index))
+                    self.arena.write_word(self._account_addr(index))
             self.interop_work()
 
     def run_operation(self, index: int) -> None:
         src = self.rng.randrange(self.accounts)
         dst = self.rng.randrange(self.accounts)
-        with self.transaction():
-            self.mem.compute(4)
-            self.mem.read(self._account_addr(src))
-            self.mem.read(self._account_addr(dst))
-            self.mem.write(self._account_addr(src))   # debit
-            self.mem.write(self._account_addr(dst))   # credit
+        with self.arena.transaction():
+            self.arena.compute(4)
+            self.arena.read_word(self._account_addr(src))
+            self.arena.read_word(self._account_addr(dst))
+            self.arena.write_word(self._account_addr(src))   # debit
+            self.arena.write_word(self._account_addr(dst))   # credit
             for word in range(self.record_words):     # audit append
-                self.mem.write(self.audit_base + self._audit_cursor)
+                self.arena.write_word(self.audit_base + self._audit_cursor)
                 self._audit_cursor += WORD
 
 
@@ -75,12 +74,15 @@ def main() -> None:
               f"{'COW fallbacks':>14} {'IPC':>8}")
     print(header)
     print("-" * len(header))
+    # a workload outside the WORKLOADS table runs from its own traces
+    traces = [BankTransferWorkload(core_id=core).generate(200)
+              for core in range(2)]
     for size in (256, 512, 1024, 4096):
         config = small_machine_config(num_cores=2)
         config = replace(config, txcache=replace(config.txcache,
                                                  size_bytes=size))
         result = run_experiment("bank_transfer", "txcache", config=config,
-                                operations=200)
+                                traces=traces)
         fallbacks = result.raw_stats.get(
             "tc.overflow.fallback.transactions", 0)
         print(f"{size // 1024}KB".rjust(8) if size >= 1024

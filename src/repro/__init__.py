@@ -74,7 +74,6 @@ from .workloads import (
     WORKLOADS,
     Workload,
     create_workload,
-    register,
 )
 
 __all__ = [
@@ -111,7 +110,6 @@ __all__ = [
     "create_workload",
     "hardware_overhead",
     "paper_machine_config",
-    "register",
     "run_comparison",
     "run_experiment",
     "run_with_crash",

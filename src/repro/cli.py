@@ -35,7 +35,7 @@ Commands
              fleet behind a consistent-hash router; ``cluster chaos``
              kills/restarts nodes under live traffic and verifies zero
              failures + byte-identical payloads (see docs/cluster.md).
-``workloads``  list registered workloads.
+``workloads``  list the workloads (the ``WORKLOADS`` table).
 
 Grid-shaped commands (``sweep``, ``figures``, ``crash``, ``chaos``)
 accept ``--jobs N`` to fan independent experiment points out over a
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tables", help="print the paper's Tables 1-3")
-    sub.add_parser("workloads", help="list registered workloads")
+    sub.add_parser("workloads", help="list the workloads")
 
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("workload", choices=sorted(WORKLOADS))

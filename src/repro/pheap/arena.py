@@ -25,9 +25,9 @@ from typing import List, Optional, Union
 from ..common.config import MachineConfig, small_machine_config
 from ..common.types import SchemeName
 from ..cpu.trace import Trace, TraceBuilder
-from ..workloads.heap import PersistentHeap, VolatileHeap
+from .heap import PersistentHeap, VolatileHeap
 
-WORD = 8
+WORD = 8  # all keys/values are 64-bit (paper §5.1)
 
 
 class TransactionError(RuntimeError):
@@ -51,6 +51,8 @@ class PersistentArena:
     # ------------------------------------------------------------------
     def transaction(self) -> "_ArenaTx":
         """The paper's ``Transaction { ... }`` block."""
+        if self._finalized is not None:
+            self._refuse()
         return _ArenaTx(self)
 
     @property
@@ -59,36 +61,44 @@ class PersistentArena:
 
     def p_malloc(self, size: int) -> int:
         """Allocate persistent bytes; returns the address."""
-        self._mutable()
+        if self._finalized is not None:
+            self._refuse()
         return self._allocator.alloc(size)
 
     def malloc(self, size: int) -> int:
         """Allocate volatile (DRAM) bytes."""
-        self._mutable()
+        if self._finalized is not None:
+            self._refuse()
         return self._volatile.alloc(size)
 
-    # -- instrumented accesses (collections call these) -----------------
+    # -- instrumented accesses (workloads and collections call these) ---
+    # Every recorded access goes through one of these, so the checks
+    # are inlined attribute tests rather than method calls.
     def read_word(self, addr: int) -> None:
-        self._mutable()
+        if self._finalized is not None:
+            self._refuse()
         self._builder.load(addr)
 
     def write_word(self, addr: int) -> None:
-        self._mutable()
-        if self._allocator.contains(addr) and not self._builder.in_tx:
+        if self._finalized is not None:
+            self._refuse()
+        builder = self._builder
+        if builder._open_tx is None and self._allocator.contains(addr):
             raise TransactionError(
                 f"persistent store to {addr:#x} outside a transaction — "
                 "wrap the mutation in `with arena.transaction():`")
-        self._builder.store(addr)
+        builder.store(addr)
 
     def compute(self, count: int = 1) -> None:
-        self._mutable()
+        if self._finalized is not None:
+            self._refuse()
         self._builder.compute(count)
 
-    def _mutable(self) -> None:
-        if self._finalized is not None:
-            raise TransactionError(
-                "arena already finalized (trace() was called); create a "
-                "new arena to record more work")
+    @staticmethod
+    def _refuse() -> None:
+        raise TransactionError(
+            "arena already finalized (trace() was called); create a "
+            "new arena to record more work")
 
     # ------------------------------------------------------------------
     # simulation

@@ -1,8 +1,8 @@
-"""Persistent/volatile heap allocators for workload address assignment.
+"""Persistent/volatile heap allocators behind :class:`PersistentArena`.
 
 Mirrors the paper's Fig. 1 process address space: a *persistent heap*
 (``p_malloc``) living in the NVM home region and an ordinary volatile
-heap in DRAM.  Allocation is a bump pointer — workloads never free —
+heap in DRAM.  Allocation is a bump pointer — nothing is ever freed —
 with 8-byte alignment so the 64-bit key/value fields of the paper's
 benchmarks map naturally.
 """

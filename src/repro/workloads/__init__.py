@@ -1,48 +1,65 @@
-"""The paper's benchmark suite (Table 3) plus a synthetic microbenchmark.
+"""The paper's benchmark suite (Table 3) plus two extension workloads.
 
-Importing this package registers all workloads; use
-:func:`create_workload` / :data:`WORKLOADS` to instantiate them.
+:data:`WORKLOADS` names every workload; use :func:`create_workload`
+to instantiate one.  Adding a workload means writing its class and
+adding it to that table.
 """
 
-from .base import (
-    WORD,
-    WORKLOADS,
-    Memory,
-    Workload,
-    create_workload,
-    register,
-    workload_table,
-)
+from typing import Dict, Type
+
+from ..pheap.arena import WORD
+from .base import Workload
 from .btree import BTreeWorkload
 from .graph import GraphWorkload
 from .hashtable import HashtableWorkload
-from .heap import BumpHeap, OutOfMemory, PersistentHeap, VolatileHeap
 from .queue import QueueWorkload
 from .rbtree import RbTreeWorkload
 from .sps import SpsWorkload
 from .synthetic import SyntheticWorkload
 
+#: name → workload class
+WORKLOADS: Dict[str, Type[Workload]] = {
+    "btree": BTreeWorkload,
+    "graph": GraphWorkload,
+    "hashtable": HashtableWorkload,
+    "queue": QueueWorkload,
+    "rbtree": RbTreeWorkload,
+    "sps": SpsWorkload,
+    "synthetic": SyntheticWorkload,
+}
+
 #: the five benchmarks of the paper's Table 3, in its order
 PAPER_WORKLOADS = ("graph", "rbtree", "sps", "btree", "hashtable")
+
+
+def create_workload(name: str, core_id: int = 0, seed: int = 42,
+                    **params) -> Workload:
+    try:
+        cls = WORKLOADS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
+        ) from None
+    return cls(core_id=core_id, seed=seed, **params)
+
+
+def workload_table() -> Dict[str, str]:
+    """The rows of the paper's Table 3."""
+    return {name: cls.description for name, cls in sorted(WORKLOADS.items())}
+
 
 __all__ = [
     "WORD",
     "WORKLOADS",
     "PAPER_WORKLOADS",
     "BTreeWorkload",
-    "BumpHeap",
     "GraphWorkload",
     "HashtableWorkload",
-    "Memory",
-    "OutOfMemory",
-    "PersistentHeap",
     "QueueWorkload",
     "RbTreeWorkload",
     "SpsWorkload",
     "SyntheticWorkload",
-    "VolatileHeap",
     "Workload",
     "create_workload",
-    "register",
     "workload_table",
 ]

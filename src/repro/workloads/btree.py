@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .base import WORD, Workload, register
+from ..pheap.arena import WORD
+from .base import Workload
 
 #: maximum keys per node (order); chosen so a split transaction still
 #: fits comfortably in a default 64-entry transaction cache
@@ -37,7 +38,6 @@ class _BNode:
     next: Optional["_BNode"] = None
 
 
-@register
 class BTreeWorkload(Workload):
     name = "btree"
     description = "Search/Insert nodes in a B+tree."
@@ -53,25 +53,25 @@ class BTreeWorkload(Workload):
 
     # -- instrumented helpers -------------------------------------------
     def _new_node(self, leaf: bool) -> _BNode:
-        return _BNode(addr=self.heap.alloc(NODE_SIZE), leaf=leaf)
+        return _BNode(addr=self.arena.p_malloc(NODE_SIZE), leaf=leaf)
 
     def _rd_count(self, node: _BNode) -> None:
-        self.mem.read(node.addr + OFF_COUNT)
+        self.arena.read_word(node.addr + OFF_COUNT)
 
     def _wr_count(self, node: _BNode) -> None:
-        self.mem.write(node.addr + OFF_COUNT)
+        self.arena.write_word(node.addr + OFF_COUNT)
 
     def _rd_key(self, node: _BNode, slot: int) -> None:
-        self.mem.read(node.addr + OFF_KEYS + slot * WORD)
+        self.arena.read_word(node.addr + OFF_KEYS + slot * WORD)
 
     def _wr_key(self, node: _BNode, slot: int) -> None:
-        self.mem.write(node.addr + OFF_KEYS + slot * WORD)
+        self.arena.write_word(node.addr + OFF_KEYS + slot * WORD)
 
     def _rd_payload(self, node: _BNode, slot: int) -> None:
-        self.mem.read(node.addr + OFF_PAYLOAD + slot * WORD)
+        self.arena.read_word(node.addr + OFF_PAYLOAD + slot * WORD)
 
     def _wr_payload(self, node: _BNode, slot: int) -> None:
-        self.mem.write(node.addr + OFF_PAYLOAD + slot * WORD)
+        self.arena.write_word(node.addr + OFF_PAYLOAD + slot * WORD)
 
     # -- search -----------------------------------------------------------
     def _find_slot(self, node: _BNode, key: int) -> int:
@@ -80,7 +80,7 @@ class BTreeWorkload(Workload):
         self._rd_count(node)
         for slot, existing in enumerate(node.keys):
             self._rd_key(node, slot)
-            self.mem.compute(1)
+            self.arena.compute(1)
             if key <= existing:
                 return slot
         return len(node.keys)
@@ -101,7 +101,7 @@ class BTreeWorkload(Workload):
 
     def search(self, key: int) -> Optional[int]:
         result = None
-        with self.transaction():
+        with self.arena.transaction():
             leaf, _path = self._descend(key)
             slot = self._find_slot(leaf, key)
             if slot < len(leaf.keys) and leaf.keys[slot] == key:
@@ -111,7 +111,7 @@ class BTreeWorkload(Workload):
 
     # -- insert ------------------------------------------------------------
     def insert(self, key: int, value: int) -> None:
-        with self.transaction():
+        with self.arena.transaction():
             leaf, path = self._descend(key)
             slot = self._find_slot(leaf, key)
             if slot < len(leaf.keys) and leaf.keys[slot] == key:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .base import WORD, Workload, register
+from ..pheap.arena import WORD
+from .base import Workload
 
 #: edge node layout: dest (8 B) | next (8 B)
 EDGE_DEST = 0
@@ -20,7 +21,6 @@ EDGE_SIZE = 16
 SETUP_BATCH = 16
 
 
-@register
 class GraphWorkload(Workload):
     name = "graph"
     description = "Insert in an adjacency list graph."
@@ -29,7 +29,7 @@ class GraphWorkload(Workload):
                  vertices: int = 1024) -> None:
         super().__init__(core_id=core_id, seed=seed)
         self.vertices = vertices
-        self.heads_base = self.heap.alloc(vertices * WORD)
+        self.heads_base = self.arena.p_malloc(vertices * WORD)
         #: functional mirror: adjacency lists, newest edge first
         self.adjacency: Dict[int, List[int]] = {v: [] for v in range(vertices)}
 
@@ -38,21 +38,22 @@ class GraphWorkload(Workload):
 
     def setup(self) -> None:
         for start in range(0, self.vertices, SETUP_BATCH):
-            with self.transaction():
+            with self.arena.transaction():
                 for vertex in range(start,
                                     min(start + SETUP_BATCH, self.vertices)):
-                    self.mem.write(self._head_addr(vertex))  # head = null
+                    # head = null
+                    self.arena.write_word(self._head_addr(vertex))
 
     def run_operation(self, index: int) -> None:
         src = self.rng.randrange(self.vertices)
         dst = self.rng.randrange(self.vertices)
-        with self.transaction():
-            self.mem.compute(8)                    # vertex selection + p_malloc
-            self.mem.read(self._head_addr(src))    # old head
-            node = self.heap.alloc(EDGE_SIZE)
-            self.mem.write(node + EDGE_DEST)       # node value first...
-            self.mem.write(node + EDGE_NEXT)       # ...then its link...
-            self.mem.write(self._head_addr(src))   # ...then publish
+        with self.arena.transaction():
+            self.arena.compute(8)  # vertex selection + p_malloc
+            self.arena.read_word(self._head_addr(src))   # old head
+            node = self.arena.p_malloc(EDGE_SIZE)
+            self.arena.write_word(node + EDGE_DEST)      # node value first...
+            self.arena.write_word(node + EDGE_NEXT)      # ...then its link...
+            self.arena.write_word(self._head_addr(src))  # ...then publish
         self.adjacency[src].insert(0, dst)
 
     def degree(self, vertex: int) -> int:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .base import WORD, Workload, register
+from ..pheap.arena import WORD
+from .base import Workload
 
 #: chain node layout: key (8 B) | value (8 B) | next (8 B)
 NODE_KEY = 0
@@ -24,7 +25,6 @@ class _Node:
     next: Optional["_Node"] = None
 
 
-@register
 class HashtableWorkload(Workload):
     name = "hashtable"
     description = "Search/Insert a key-value pair in a hashtable."
@@ -34,7 +34,7 @@ class HashtableWorkload(Workload):
         super().__init__(core_id=core_id, seed=seed)
         self.num_buckets = buckets
         self.insert_ratio = insert_ratio
-        self.buckets_base = self.heap.alloc(buckets * WORD)
+        self.buckets_base = self.arena.p_malloc(buckets * WORD)
         self.chains: List[Optional[_Node]] = [None] * buckets
         self.contents: Dict[int, int] = {}
         self._next_key = 0
@@ -43,44 +43,45 @@ class HashtableWorkload(Workload):
         return self.buckets_base + bucket * WORD
 
     def _hash(self, key: int) -> int:
-        self.mem.compute(3)  # multiplicative hash
+        self.arena.compute(3)  # multiplicative hash
         return (key * 2654435761) % self.num_buckets
 
     def setup(self) -> None:
         for start in range(0, self.num_buckets, SETUP_BATCH):
-            with self.transaction():
+            with self.arena.transaction():
                 for bucket in range(start,
                                     min(start + SETUP_BATCH, self.num_buckets)):
-                    self.mem.write(self._bucket_addr(bucket))  # empty chain
+                    # empty chain
+                    self.arena.write_word(self._bucket_addr(bucket))
 
     # -- operations ----------------------------------------------------
     def insert(self, key: int, value: int) -> None:
-        with self.transaction():
+        with self.arena.transaction():
             bucket = self._hash(key)
-            self.mem.read(self._bucket_addr(bucket))
-            node = _Node(addr=self.heap.alloc(NODE_SIZE), key=key, value=value,
-                         next=self.chains[bucket])
-            self.mem.write(node.addr + NODE_KEY)
-            self.mem.write(node.addr + NODE_VALUE)
-            self.mem.write(node.addr + NODE_NEXT)
-            self.mem.write(self._bucket_addr(bucket))  # publish
+            self.arena.read_word(self._bucket_addr(bucket))
+            node = _Node(addr=self.arena.p_malloc(NODE_SIZE), key=key,
+                         value=value, next=self.chains[bucket])
+            self.arena.write_word(node.addr + NODE_KEY)
+            self.arena.write_word(node.addr + NODE_VALUE)
+            self.arena.write_word(node.addr + NODE_NEXT)
+            self.arena.write_word(self._bucket_addr(bucket))  # publish
         self.chains[bucket] = node
         self.contents[key] = value
 
     def search(self, key: int) -> Optional[int]:
-        with self.transaction():
+        with self.arena.transaction():
             bucket = self._hash(key)
-            self.mem.read(self._bucket_addr(bucket))
+            self.arena.read_word(self._bucket_addr(bucket))
             node = self.chains[bucket]
             found = None
             while node is not None:
-                self.mem.read(node.addr + NODE_KEY)
-                self.mem.compute(1)  # compare
+                self.arena.read_word(node.addr + NODE_KEY)
+                self.arena.compute(1)  # compare
                 if node.key == key:
-                    self.mem.read(node.addr + NODE_VALUE)
+                    self.arena.read_word(node.addr + NODE_VALUE)
                     found = node.value
                     break
-                self.mem.read(node.addr + NODE_NEXT)
+                self.arena.read_word(node.addr + NODE_NEXT)
                 node = node.next
         return found
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from .base import WORD, Workload, register
+from ..pheap.arena import WORD
+from .base import Workload
 
 #: record layout: two 64-bit words (id, payload)
 RECORD_WORDS = 2
 
 
-@register
 class QueueWorkload(Workload):
     name = "queue"
     description = "Enqueue/dequeue records in a persistent circular FIFO."
@@ -30,9 +30,9 @@ class QueueWorkload(Workload):
         self.capacity = capacity
         self.enqueue_ratio = enqueue_ratio
         # head cursor, tail cursor, then the slot array
-        self.head_addr = self.heap.alloc(WORD)
-        self.tail_addr = self.heap.alloc(WORD)
-        self.slots_base = self.heap.alloc(capacity * RECORD_WORDS * WORD)
+        self.head_addr = self.arena.p_malloc(WORD)
+        self.tail_addr = self.arena.p_malloc(WORD)
+        self.slots_base = self.arena.p_malloc(capacity * RECORD_WORDS * WORD)
         #: functional mirror
         self.items: Deque[int] = deque()
         self._head = 0
@@ -43,40 +43,40 @@ class QueueWorkload(Workload):
         return self.slots_base + (index % self.capacity) * RECORD_WORDS * WORD
 
     def setup(self) -> None:
-        with self.transaction():
-            self.mem.write(self.head_addr)
-            self.mem.write(self.tail_addr)
+        with self.arena.transaction():
+            self.arena.write_word(self.head_addr)
+            self.arena.write_word(self.tail_addr)
 
     # -- operations -----------------------------------------------------
     def enqueue(self, payload: int) -> bool:
         """Append a record; returns False when full (no trace emitted
         beyond the capacity check)."""
-        with self.transaction():
-            self.mem.read(self.head_addr)
-            self.mem.read(self.tail_addr)
-            self.mem.compute(2)  # fullness check + slot arithmetic
+        with self.arena.transaction():
+            self.arena.read_word(self.head_addr)
+            self.arena.read_word(self.tail_addr)
+            self.arena.compute(2)  # fullness check + slot arithmetic
             if len(self.items) >= self.capacity:
                 return False
             slot = self._slot_addr(self._tail)
-            self.mem.write(slot)          # record id
-            self.mem.write(slot + WORD)   # payload...
-            self.mem.write(self.tail_addr)  # ...then publish the cursor
+            self.arena.write_word(slot)            # record id
+            self.arena.write_word(slot + WORD)     # payload...
+            self.arena.write_word(self.tail_addr)  # ...then publish the cursor
         self.items.append(payload)
         self._tail += 1
         return True
 
     def dequeue(self) -> Optional[int]:
         """Pop the oldest record; None when empty."""
-        with self.transaction():
-            self.mem.read(self.head_addr)
-            self.mem.read(self.tail_addr)
-            self.mem.compute(2)
+        with self.arena.transaction():
+            self.arena.read_word(self.head_addr)
+            self.arena.read_word(self.tail_addr)
+            self.arena.compute(2)
             if not self.items:
                 return None
             slot = self._slot_addr(self._head)
-            self.mem.read(slot)
-            self.mem.read(slot + WORD)
-            self.mem.write(self.head_addr)
+            self.arena.read_word(slot)
+            self.arena.read_word(slot + WORD)
+            self.arena.write_word(self.head_addr)
         self._head += 1
         return self.items.popleft()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .base import Workload, register
+from .base import Workload
 
 # node layout: key | value | left | right | parent | color  (8 B each)
 OFF_KEY = 0
@@ -38,7 +38,6 @@ class _Node:
     parent: Optional["_Node"] = None
 
 
-@register
 class RbTreeWorkload(Workload):
     name = "rbtree"
     description = "Search/Insert nodes in a red-black tree."
@@ -54,10 +53,10 @@ class RbTreeWorkload(Workload):
 
     # -- instrumented field access --------------------------------------
     def _rd(self, node: _Node, offset: int) -> None:
-        self.mem.read(node.addr + offset)
+        self.arena.read_word(node.addr + offset)
 
     def _wr(self, node: _Node, offset: int) -> None:
-        self.mem.write(node.addr + offset)
+        self.arena.write_word(node.addr + offset)
 
     # -- rotations (CLRS) ------------------------------------------------
     def _rotate_left(self, x: _Node) -> None:
@@ -115,7 +114,7 @@ class RbTreeWorkload(Workload):
         while node is not None:
             parent = node
             self._rd(node, OFF_KEY)
-            self.mem.compute(1)  # compare
+            self.arena.compute(1)  # compare
             if key < node.key:
                 self._rd(node, OFF_LEFT)
                 node = node.left
@@ -126,8 +125,8 @@ class RbTreeWorkload(Workload):
                 node.value = value
                 self._wr(node, OFF_VALUE)
                 return
-        fresh = _Node(addr=self.heap.alloc(NODE_SIZE), key=key, value=value,
-                      parent=parent)
+        fresh = _Node(addr=self.arena.p_malloc(NODE_SIZE), key=key,
+                      value=value, parent=parent)
         self._wr(fresh, OFF_KEY)
         self._wr(fresh, OFF_VALUE)
         self._wr(fresh, OFF_LEFT)
@@ -198,17 +197,17 @@ class RbTreeWorkload(Workload):
 
     # -- public ops ---------------------------------------------------------
     def insert(self, key: int, value: int) -> None:
-        with self.transaction():
+        with self.arena.transaction():
             self._insert_node(key, value)
         self.keys[key] = value
 
     def search(self, key: int) -> Optional[int]:
         result = None
-        with self.transaction():
+        with self.arena.transaction():
             node = self.root
             while node is not None:
                 self._rd(node, OFF_KEY)
-                self.mem.compute(1)
+                self.arena.compute(1)
                 if key < node.key:
                     self._rd(node, OFF_LEFT)
                     node = node.left

@@ -9,14 +9,14 @@ paper this is the only workload that ever stalls on a full TC
 
 from __future__ import annotations
 
-from .base import WORD, Workload, register
+from ..pheap.arena import WORD
+from .base import Workload
 
 #: elements initialized per setup transaction (bounded so a setup
 #: transaction can never overflow a default 64-entry TC)
 SETUP_BATCH = 8
 
 
-@register
 class SpsWorkload(Workload):
     name = "sps"
     description = "Randomly swap elements in an array."
@@ -30,7 +30,7 @@ class SpsWorkload(Workload):
                  array_elements: int = 2048) -> None:
         super().__init__(core_id=core_id, seed=seed)
         self.array_elements = array_elements
-        self.base = self.heap.alloc(array_elements * WORD)
+        self.base = self.arena.p_malloc(array_elements * WORD)
         #: functional mirror: the value stored at each index
         self.values = list(range(array_elements))
 
@@ -39,19 +39,19 @@ class SpsWorkload(Workload):
 
     def setup(self) -> None:
         for start in range(0, self.array_elements, SETUP_BATCH):
-            with self.transaction():
+            with self.arena.transaction():
                 for index in range(start,
                                    min(start + SETUP_BATCH, self.array_elements)):
-                    self.mem.compute(1)
-                    self.mem.write(self._addr(index))
+                    self.arena.compute(1)
+                    self.arena.write_word(self._addr(index))
 
     def run_operation(self, index: int) -> None:
         i = self.rng.randrange(self.array_elements)
         j = self.rng.randrange(self.array_elements)
-        with self.transaction():
-            self.mem.compute(1)          # index arithmetic
-            self.mem.read(self._addr(i))
-            self.mem.read(self._addr(j))
-            self.mem.write(self._addr(i))
-            self.mem.write(self._addr(j))
+        with self.arena.transaction():
+            self.arena.compute(1)          # index arithmetic
+            self.arena.read_word(self._addr(i))
+            self.arena.read_word(self._addr(j))
+            self.arena.write_word(self._addr(i))
+            self.arena.write_word(self._addr(j))
         self.values[i], self.values[j] = self.values[j], self.values[i]

@@ -9,12 +9,11 @@ exercises the overflow fall-back deterministically.
 
 from __future__ import annotations
 
-from .base import WORD, Workload, register
+from .base import Workload
 
 SETUP_BATCH = 8
 
 
-@register
 class SyntheticWorkload(Workload):
     name = "synthetic"
     description = ("Tunable microbenchmark: N persistent stores + M loads "
@@ -32,7 +31,7 @@ class SyntheticWorkload(Workload):
         self.loads_per_tx = loads_per_tx
         self.compute_per_tx = compute_per_tx
         self.sequential = sequential
-        self.base = self.heap.alloc(footprint_lines * 64)
+        self.base = self.arena.p_malloc(footprint_lines * 64)
         self._cursor = 0
 
     def _line_addr(self, index: int) -> int:
@@ -46,15 +45,15 @@ class SyntheticWorkload(Workload):
 
     def setup(self) -> None:
         for start in range(0, self.footprint_lines, SETUP_BATCH):
-            with self.transaction():
+            with self.arena.transaction():
                 for index in range(start,
                                    min(start + SETUP_BATCH, self.footprint_lines)):
-                    self.mem.write(self._line_addr(index))
+                    self.arena.write_word(self._line_addr(index))
 
     def run_operation(self, index: int) -> None:
-        with self.transaction():
+        with self.arena.transaction():
             for _ in range(self.loads_per_tx):
-                self.mem.read(self._pick())
-            self.mem.compute(self.compute_per_tx)
+                self.arena.read_word(self._pick())
+            self.arena.compute(self.compute_per_tx)
             for _ in range(self.stores_per_tx):
-                self.mem.write(self._pick())
+                self.arena.write_word(self._pick())

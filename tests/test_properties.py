@@ -11,7 +11,7 @@ from repro.common.stats import Stats
 from repro.common.types import CACHE_LINE_SIZE, NVM_BASE, Version, line_addr
 from repro.core.txcache import TransactionCache, TxState
 from repro.cpu.trace import Trace, TraceOp
-from repro.workloads.heap import BumpHeap
+from repro.pheap.heap import BumpHeap
 
 lines = st.integers(min_value=0, max_value=15).map(
     lambda i: NVM_BASE + i * CACHE_LINE_SIZE)

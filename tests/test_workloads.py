@@ -1,20 +1,28 @@
 """Functional + trace tests for the workload generators."""
 
+import inspect
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro.workloads
 from repro.common.types import NVM_BASE, is_persistent_addr
 from repro.cpu.trace import OpType
+from repro.pheap import TransactionError
+from repro.pheap.heap import OutOfMemory, PersistentHeap, VolatileHeap
 from repro.workloads import (
     PAPER_WORKLOADS,
+    WORD,
     WORKLOADS,
     BTreeWorkload,
     GraphWorkload,
     HashtableWorkload,
-    OutOfMemory,
-    PersistentHeap,
     RbTreeWorkload,
     SpsWorkload,
-    VolatileHeap,
+    Workload,
     create_workload,
     workload_table,
 )
@@ -60,6 +68,28 @@ class TestRegistry:
     def test_create_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown workload"):
             create_workload("nope")
+
+    def test_table_holds_every_exported_workload_under_its_name(self):
+        members = [getattr(repro.workloads, name)
+                   for name in repro.workloads.__all__]
+        exported = [cls for cls in members
+                    if inspect.isclass(cls) and issubclass(cls, Workload)
+                    and not inspect.isabstract(cls)]
+        assert len(exported) == len(WORKLOADS)
+        assert set(exported) == set(WORKLOADS.values())
+        for name, cls in WORKLOADS.items():
+            assert cls.name == name
+        assert set(PAPER_WORKLOADS) < set(WORKLOADS)
+
+    @pytest.mark.parametrize("module", ["repro.pheap",
+                                        "repro.workloads.hashtable"])
+    def test_imports_in_a_fresh_interpreter(self, module):
+        """Guards the workloads -> pheap import direction: either side
+        imported first must load without a cycle."""
+        src = pathlib.Path(repro.workloads.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                       check=True, capture_output=True)
 
     def test_table3_descriptions(self):
         table = workload_table()
@@ -140,9 +170,19 @@ class TestHashtable:
 
     def test_oracle_tracks_contents(self):
         table = HashtableWorkload(seed=9, buckets=64)
-        table.generate(200)
+        table.setup()
+        for index in range(200):
+            table.run_operation(index)
         for key, value in list(table.contents.items())[:20]:
             assert table.search(key) == value
+
+    def test_search_after_generate_is_refused(self):
+        table = HashtableWorkload(seed=9, buckets=64)
+        trace = table.generate(50)
+        ops = list(trace.ops)
+        with pytest.raises(TransactionError, match="finalized"):
+            table.search(0)
+        assert trace.ops == ops
 
 
 class TestRbTree:
@@ -230,3 +270,40 @@ class TestSynthetic:
         trace = workload.generate(10)
         # setup writes 64 lines + 10 tx x 5 stores
         assert trace.persistent_stores == 64 + 50
+
+
+class _CounterWorkload(Workload):
+    """One persistent word, bumped per operation; ``transactional``
+    chooses whether the bump sits inside a transaction."""
+
+    name = "counter"
+    interop_compute = 0
+
+    def __init__(self, core_id=0, seed=42, transactional=True):
+        super().__init__(core_id=core_id, seed=seed)
+        self.transactional = transactional
+        self.cell = self.arena.p_malloc(WORD)
+
+    def setup(self):
+        pass
+
+    def run_operation(self, index):
+        if self.transactional:
+            with self.arena.transaction():
+                self.arena.write_word(self.cell)
+        else:
+            self.arena.write_word(self.cell)
+
+
+class TestArenaRecording:
+    def test_persistent_store_outside_transaction_raises(self):
+        with pytest.raises(TransactionError, match="outside a transaction"):
+            _CounterWorkload(transactional=False).generate(1)
+
+    def test_volatile_scratch_stores_outside_transactions_pass(self):
+        trace = _CounterWorkload().generate(20)
+        scratch_stores = [op for op in trace.ops
+                          if op.op is OpType.STORE and op.tx_id is None]
+        assert scratch_stores
+        assert not any(is_persistent_addr(op.addr) for op in scratch_stores)
+        assert trace.persistent_stores == 20
