@@ -45,8 +45,9 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="all figure points (default: the two smoke "
                              "points)")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="fresh runs per point, best wall kept")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="fresh runs per point: best wall kept, "
+                             "median normalized value gated")
     parser.add_argument("--tolerance", type=float,
                         default=CHECK_TOLERANCE,
                         help="allowed normalized instructions/sec drop "

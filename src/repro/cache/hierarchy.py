@@ -32,7 +32,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..common.config import MachineConfig
 from ..common.event import Simulator
 from ..common.stats import Stats
-from ..common.types import Version, is_persistent_addr, line_addr
+from ..common.types import (
+    CACHE_LINE_SIZE,
+    Version,
+    is_persistent_addr,
+    line_addr,
+)
 from ..memory.system import MemorySystem
 from ..obs.tracer import NULL_TRACER, NullTracer
 from .coherence import CoherenceState, MesiDirectory
@@ -320,17 +325,25 @@ class CacheHierarchy:
                       dirty, persistent, tx_id) -> Optional[CacheLine]:
         """Install a line into a private level without ever downgrading
         a resident copy: a fill must not clear the dirty bit or clobber
-        newer store data already applied by an earlier MSHR waiter."""
-        existing = level.array.lookup(line)
+        newer store data already applied by an earlier MSHR waiter.
+
+        The set is indexed once for the lookup and the insert; the LRU
+        clock ticks as ``CacheArray.lookup`` and ``CacheArray.fill``
+        tick it."""
+        array = level.array
+        cache_set = level._sets[(line // CACHE_LINE_SIZE) % level._num_sets]
+        existing = cache_set.get(line)
         if existing is not None:
+            array._use_clock += 1
+            existing.last_use = array._use_clock
             existing.persistent = existing.persistent or persistent
             if dirty:
                 existing.dirty = True
                 existing.version = version
                 existing.tx_id = tx_id
             return None
-        return level.array.fill(line, dirty, persistent, False,
-                                tx_id, version)
+        return array.fill(line, dirty, persistent, False, tx_id, version,
+                          cache_set)
 
     def _fill_l1(self, core_id, line, version, dirty=False,
                  persistent=False, tx_id=None) -> None:

@@ -106,13 +106,16 @@ class CacheArray:
         return victim
 
     def fill(self, line: int, dirty: bool, persistent: bool, pinned: bool,
-             tx_id: Optional[int],
-             version: Optional[Version]) -> Optional[CacheLine]:
+             tx_id: Optional[int], version: Optional[Version],
+             cache_set: Optional[Dict[int, CacheLine]] = None,
+             ) -> Optional[CacheLine]:
         """Positional insert of a line known to be absent (the caller
         just looked it up) — the hierarchy's fill path, minus the
         kwargs packing and existing-entry handling of :meth:`insert`.
-        Returns the evicted victim if any."""
-        cache_set = self._sets[(line // self.line_size) % self.num_sets]
+        ``cache_set`` is the line's set when the caller's lookup
+        already indexed it.  Returns the evicted victim if any."""
+        if cache_set is None:
+            cache_set = self._sets[(line // self.line_size) % self.num_sets]
         victim = None
         if len(cache_set) >= self.assoc:
             victim = self._select_victim(cache_set)

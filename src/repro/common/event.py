@@ -11,6 +11,12 @@ simulation run reproducible.
 The kernel is a flat ``heapq`` of ``(time, seq, fn, args)`` tuples.
 Bucketed queues (timing wheels) measured slower on the repository
 benchmark; see ``docs/performance.md``.
+
+An event that would only reschedule itself for a later cycle can ask
+:meth:`Simulator.advance_inline` to continue in place instead: when no
+queued event, ``run(until=...)`` bound or advance hook could tell the
+difference, the kernel moves the clock and counts one event without a
+heap round trip.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ from typing import Any, Callable, List, Optional, Tuple
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling into the past, etc.)."""
+
+
+#: stands in for "no bound" in the inline-continuation limits
+_NO_LIMIT = float("inf")
 
 
 def _as_cycles(value: Any, what: str) -> int:
@@ -68,6 +78,14 @@ class Simulator:
         self.now: int = 0
         self._seq: int = 0
         self._on_advance: Optional[Callable[[int], None]] = None
+        #: inline continuations granted so far (see advance_inline)
+        self._inlined = 0
+        #: last cycle an inline continuation may reach: run()'s bound
+        #: while run() dispatches, -1 otherwise (step() grants none)
+        self._inline_until = -1
+        #: value of ``_inlined`` at which run()'s max_events budget is
+        #: spent
+        self._inline_stop = _NO_LIMIT
 
     def set_advance_hook(self, hook: Optional[Callable[[int], None]]) -> None:
         """Install ``hook(new_time)``, called whenever the kernel
@@ -110,6 +128,30 @@ class Simulator:
         """Time of the next queued event, or ``None`` if none remain."""
         return self._queue[0][0] if self._queue else None
 
+    def advance_inline(self, time: int, fn: Callable[..., Any]) -> bool:
+        """Let the event being dispatched continue as ``fn``'s next
+        event at ``time``, without a trip through the queue.
+
+        Granted only while :meth:`run` dispatches, when ``time`` comes
+        strictly before every queued event, lies within run's ``until``
+        and the max_events budget, and no advance hook is installed: then
+        scheduling ``fn`` at ``time`` would make it the very next event
+        to fire, with nothing observable in between.  On a grant the
+        clock moves to ``time`` and the continuation counts as one
+        executed event; the caller then does what ``fn`` would have
+        done.  On a refusal nothing changes and the caller schedules
+        ``fn`` as usual.  ``fn`` names the continuation for event
+        accounting (``count_events_by_owner``) only.
+        """
+        queue = self._queue
+        if (time > self._inline_until or self._on_advance is not None
+                or (queue and queue[0][0] <= time)
+                or self._inlined >= self._inline_stop):
+            return False
+        self.now = time
+        self._inlined += 1
+        return True
+
     def step(self) -> bool:
         """Run the single next event.  Returns False if none remain."""
         if not self._queue:
@@ -131,31 +173,48 @@ class Simulator:
                 (events at exactly ``until`` still run).
             max_events: safety valve — raise if more than this many
                 events fire (guards against livelock bugs in components).
+                Inline continuations count, and stop being granted
+                once the budget is spent.
 
         Returns:
-            The number of events executed.
+            The number of events executed, inline continuations
+            included.
         """
         # step() inlined: one call per event instead of two.  The hook
         # is re-read per event, as step() does, so an event that
         # installs or removes it takes effect from the next event on.
+        # Inline continuations (advance_inline) count as events too:
+        # ``executed`` adds them from the _inlined counter.
         queue = self._queue
         pop = heapq.heappop
         executed = 0
-        while queue:
-            if until is not None and queue[0][0] > until:
-                break
-            time, _seq, fn, args = pop(queue)
-            if time > self.now and self._on_advance is not None:
-                self.now = time
-                self._on_advance(time)
-            else:
-                self.now = time
-            fn(*args)
-            executed += 1
-            if max_events is not None and executed > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; probable livelock"
-                )
+        inlined_at_start = self._inlined
+        self._inline_until = _NO_LIMIT if until is None else until
+        try:
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    break
+                time, _seq, fn, args = pop(queue)
+                if time > self.now and self._on_advance is not None:
+                    self.now = time
+                    self._on_advance(time)
+                else:
+                    self.now = time
+                if max_events is not None:
+                    # the budget left for this event's inline
+                    # continuations, this event itself included
+                    self._inline_stop = (inlined_at_start + max_events
+                                         - executed - 1)
+                fn(*args)
+                executed += 1
+                if (max_events is not None and executed + self._inlined
+                        - inlined_at_start > max_events):
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; probable livelock"
+                    )
+        finally:
+            self._inline_until = -1
+            self._inline_stop = _NO_LIMIT
         if until is not None and self.now < until:
             self.now = until
-        return executed
+        return executed + self._inlined - inlined_at_start

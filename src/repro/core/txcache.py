@@ -115,6 +115,9 @@ class TransactionCache:
         self._by_seq: Dict[int, TxEntry] = {}
         #: tag → live entries, ring order (newest last)
         self._by_tag: Dict[int, List[TxEntry]] = {}
+        #: committed entries not yet issued: take_issuable has nothing
+        #: to take while this is 0, without scanning the ring
+        self._unissued = 0
         # observability: the TC is passive (no simulator reference), so
         # the accelerator hands it a cycle-clock for event timestamps
         self.tracer = tracer
@@ -201,6 +204,7 @@ class TransactionCache:
         for entry in committed:
             entry.state = TxState.COMMITTED
             active_idx.pop((tx_id, entry.tag), None)
+        self._unissued += len(committed)
         self.stats.inc("commit.requests")
         self.stats.inc("commit.entries", len(committed))
         if self.tracer.enabled:
@@ -214,7 +218,10 @@ class TransactionCache:
         the first active entry (writes must reach the NVM in program
         order; an active entry belongs to a younger transaction).
         ``limit`` caps how many are taken (issue pacing)."""
-        out = []
+        out: List[TxEntry] = []
+        if not self._unissued:
+            self.stats.inc("issue.entries", 0)
+            return out
         for entry in self._ring:
             if limit is not None and len(out) >= limit:
                 break
@@ -225,6 +232,7 @@ class TransactionCache:
             if not entry.issued:
                 entry.issued = True
                 out.append(entry)
+        self._unissued -= len(out)
         self.stats.inc("issue.entries", len(out))
         return out
 
@@ -346,6 +354,10 @@ class TransactionCache:
             "tag index disagrees with the ring's live entries")
         assert self._active_by_tx == by_tx, (
             "transaction index disagrees with the ring's active entries")
+        assert self._unissued == sum(
+            1 for e in live
+            if e.state is TxState.COMMITTED and not e.issued), (
+            "unissued count disagrees with the ring's committed entries")
         if self.config.coalesce_writes:
             assert self._active_idx == {
                 (e.tx_id, e.tag): e for entries in by_tx.values()

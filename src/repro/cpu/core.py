@@ -60,7 +60,7 @@ class Core:
         "_stall_reason", "_tx_begin_cycle", "instructions_retired",
         "committed_transactions", "_handlers", "_issue_width",
         "_stalls", "_load_latency", "_persist_load_latency",
-        "_cur_op", "_cur_issued",
+        "_cur_op", "_cur_issued", "_stepping",
     )
 
     def __init__(
@@ -101,6 +101,10 @@ class Core:
         # instead of a fresh closure per load/store/fence
         self._cur_op: Optional[TraceOp] = None
         self._cur_issued = 0
+        #: True while the retire loop is on the stack, so a completion
+        #: that fires inside it returns to the loop instead of
+        #: re-entering it
+        self._stepping = False
         self._tx_begin_cycle = 0
         # headline metrics
         self.instructions_retired = 0
@@ -137,22 +141,38 @@ class Core:
         return self.mode_tx is not None
 
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        """Retire ops until one needs the event system, then yield.
+    def _step(self, dispatched: bool = True) -> None:
+        """Retire ops until one waits on the event system, then yield.
 
-        COMPUTE runs retire from the compiled flat arrays — two int
-        list reads per op, with cycle/retired-instruction totals folded
-        back into the instance only when the loop yields."""
+        A trampoline: an op whose completion fires synchronously (a
+        cache hit, a fence with nothing to order) only marks itself
+        retired (:meth:`_advance`), and this loop goes on with the next
+        op.  COMPUTE runs retire from the compiled flat arrays — two
+        int list reads per op, with cycle/retired-instruction totals
+        folded back into the instance before the next timed op.
+
+        ``dispatched`` is True when the kernel runs this call as an
+        event (the core schedules itself as ``self._step``) and False
+        when a completion resumes the core inside another component's
+        event.  Only a dispatched step may reach its next cycle by
+        :meth:`Simulator.advance_inline` instead of rescheduling
+        itself; the kernel refuses whenever that could change what
+        runs next."""
         ops = self._ops
         kinds = self._kinds
         counts = self._counts
+        handlers = self._handlers
+        sim = self.sim
+        step = self._step
         n = len(ops)
         ip = self._ip
         cycle = self.cycle
         issue = self._issue_width
         retired = 0
+        self._stepping = True
         while ip < n:
-            if kinds[ip] == KIND_COMPUTE:
+            kind = kinds[ip]
+            if kind == KIND_COMPUTE:
                 count = counts[ip]
                 cycle += (count + issue - 1) // issue
                 retired += count
@@ -160,16 +180,25 @@ class Core:
                 continue
             # every other op interacts with timing components: align the
             # kernel clock with the core clock first.
-            self._ip = ip
-            self.cycle = cycle
             if retired:
                 self.instructions_retired += retired
-            if cycle > self.sim.now:
-                self.sim.schedule_at(cycle, self._step)
+                retired = 0
+            self._ip = ip
+            if cycle > sim.now and not (
+                    dispatched and sim.advance_inline(cycle, step)):
+                self.cycle = cycle
+                self._stepping = False
+                sim.schedule_at(cycle, step)
                 return
-            self.cycle = self.sim.now
-            self._handlers[kinds[ip]](ops[ip])
-            return
+            self.cycle = sim.now
+            handlers[kind](ops[ip])
+            if self._ip == ip:
+                # the op waits on an event; its completion resumes us
+                self._stepping = False
+                return
+            ip = self._ip
+            cycle = self.cycle
+        self._stepping = False
         self._ip = ip
         self.cycle = cycle
         if retired:
@@ -183,9 +212,11 @@ class Core:
             self._on_done()
 
     def _advance(self) -> None:
-        """Move past the current op and continue execution."""
+        """Move past the current op: the retire loop picks up from
+        there, or, when the op completed asynchronously, is resumed."""
         self._ip += 1
-        self._step()
+        if not self._stepping:
+            self._step(False)
 
     # -- stall attribution ---------------------------------------------
     def attribute_stall(self, reason: str) -> None:

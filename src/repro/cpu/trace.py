@@ -21,7 +21,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..common.types import Version, is_persistent_addr, line_addr
 
@@ -159,6 +159,9 @@ class Trace:
         default=None, repr=False, compare=False)
     #: op count at the last successful validate() (-1: never validated)
     _validated_len: int = field(default=-1, repr=False, compare=False)
+    #: rewrite key -> (op count when built, rewrite); see rewritten()
+    _rewrites: Dict[Any, tuple] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -177,6 +180,21 @@ class Trace:
         if cached is None or len(cached.kinds) != len(self.ops):
             cached = self._compiled = CompiledTrace(self.ops)
         return cached
+
+    def rewritten(self, key: Any, rewrite: Callable[[], Any]) -> Any:
+        """``rewrite()``, built once per ``key`` and kept on this trace.
+
+        The instrumenting schemes key their rewrite of a trace on
+        (scheme, log region), which is all it depends on besides the
+        ops, so a trace prepared again — the same workload point run
+        once more — reuses the rewritten trace together with its
+        validation and compiled-columns memos.  The cache lives as long
+        as this trace.  Appending ops drops it (the op-count rule of
+        :meth:`compiled`); in-place op mutation is unsupported."""
+        cached = self._rewrites.get(key)
+        if cached is None or cached[0] != len(self.ops):
+            cached = self._rewrites[key] = (len(self.ops), rewrite())
+        return cached[1]
 
     @property
     def instructions(self) -> int:

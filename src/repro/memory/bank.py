@@ -129,15 +129,6 @@ class BankArray:
             row = row_global // num_banks
         return bank, row
 
-    def locate(self, addr: int) -> "Tuple[Bank, int]":
-        """Map a byte address to its (Bank object, row index).
-
-        Controllers call this once per request at enqueue and cache
-        the result on the request, so queue scans touch precomputed
-        state instead of redoing the address arithmetic."""
-        bank, row = self.map_address(addr)
-        return self.banks[bank], row
-
     def bank_for(self, addr: int) -> Bank:
         bank, _row = self.map_address(addr)
         return self.banks[bank]

@@ -180,6 +180,7 @@ class MemoryController:
         self.tracer = tracer
         self._track = config.name  # tracer thread label for this channel
         self.banks = BankArray(config, freq_ghz=freq_ghz)
+        self._bank_list = self.banks.banks
         self.read_queue = RequestQueue(f"{config.name}.rq", config.read_queue_entries)
         self.write_queue = RequestQueue(f"{config.name}.wq", config.write_queue_entries)
         self._drain_mode = False
@@ -214,7 +215,8 @@ class MemoryController:
         request.ready_cycle = now + 1
         # Resolve the address map once; every scheduler scan after this
         # reads the cached (bank, row) instead of redoing the division.
-        request.bank, request.row = self.banks.locate(request.line)
+        bank, request.row = self.banks.map_address(request.line)
+        request.bank = self._bank_list[bank]
         if request.is_write:
             counts = self._counts
             counts.write_requests += 1

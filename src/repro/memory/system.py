@@ -19,7 +19,13 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 from ..common.config import MachineConfig
 from ..common.event import Simulator
 from ..common.stats import Stats
-from ..common.types import MemReqType, MemRequest, MemSpace, Version, line_addr
+from ..common.types import (
+    NVM_BASE,
+    MemReqType,
+    MemRequest,
+    Version,
+    line_addr,
+)
 from ..obs.tracer import NULL_TRACER, NullTracer
 from .controller import AckHandler, DurableImage, MemoryController
 
@@ -69,9 +75,6 @@ class MemorySystem:
         self._contents: Dict[int, Optional[Version]] = {}
 
     # ------------------------------------------------------------------
-    def controller_for(self, addr: int) -> MemoryController:
-        return self.nvm if MemSpace.of(addr) is MemSpace.NVM else self.dram
-
     def set_nvm_ack_handler(self, handler: AckHandler) -> None:
         self.nvm.ack_handler = handler
 
@@ -102,7 +105,7 @@ class MemorySystem:
         def finish(request: MemRequest, cycle: int) -> None:
             on_complete(self._contents.get(line), cycle)
 
-        self.controller_for(addr).enqueue(
+        (self.nvm if line >= NVM_BASE else self.dram).enqueue(
             MemRequest(addr=line, req_type=MemReqType.READ,
                        callback=finish, source=source)
         )
@@ -133,7 +136,7 @@ class MemorySystem:
         )
         if meta:
             request.meta.update(meta)
-        self.controller_for(addr).enqueue(request)
+        (self.nvm if line >= NVM_BASE else self.dram).enqueue(request)
 
     # ------------------------------------------------------------------
     def busy(self) -> bool:

@@ -4,7 +4,7 @@ The paper's SP baseline (§5.1) "supports write-ahead logging and
 ensures the write ordering through software instructions" — the
 ``log()`` calls, ``clwb`` flushes and fences of Fig. 2(b)/3(a).
 
-:meth:`SoftwareScheme.prepare_trace` rewrites each transaction into the
+:meth:`SoftwareScheme._rewrite` rewrites each transaction into the
 undo-log protocol a library like Mnemosyne/NV-heaps executes:
 
 1. for every persistent store, construct a log entry (a few ALU
@@ -36,7 +36,13 @@ from typing import Dict, List
 from ..common.types import SchemeName, Version, line_addr
 from ..cpu.trace import OpType, Trace, TraceOp
 from .base import Resume
-from .swtx.base import LOG_COMPUTE_COST, LOG_SEQ_BASE, log_slots, record_addr
+from .swtx.base import (
+    LOG_COMPUTE_COST,
+    LOG_SEQ_BASE,
+    log_base,
+    log_slots,
+    record_addr,
+)
 from .swtx.undo import UndoLogScheme
 
 
@@ -48,9 +54,8 @@ class SoftwareScheme(UndoLogScheme):
     # ------------------------------------------------------------------
     # trace instrumentation (the 'software instructions' of Fig. 2b)
     # ------------------------------------------------------------------
-    def prepare_trace(self, trace: Trace) -> Trace:
-        _region, log_base = self._claim_log_region()
-        slots = log_slots(log_base)
+    def _rewrite(self, trace: Trace, region: int) -> Trace:
+        slots = log_slots(log_base(region))
 
         def emit_tx(out: List[TraceOp], tx_id: int,
                     body: List[TraceOp]) -> None:

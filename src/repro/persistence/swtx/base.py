@@ -22,7 +22,8 @@ This base class centralizes what all three share:
   bounded backlog window whose back-pressure parks commits under
   ``log_replay``;
 * the **transaction rewrite loop** every ``prepare_trace`` runs
-  (:meth:`SwTxScheme._instrument`) and redo-style **recovery**
+  (:meth:`SwTxScheme._instrument`), built once per (scheme, log
+  region) and kept on the source trace, and redo-style **recovery**
   (record-durable write sets replayed in record order), which undo
   logging overrides with a rollback.
 """
@@ -30,7 +31,7 @@ This base class centralizes what all three share:
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ...common.types import (
     DRAM_LOG_BASE,
@@ -76,6 +77,11 @@ LOG_COMPUTE_COST = 2
 #: sequence-number space for injected log stores (disjoint from app
 #: stores, whose per-tx sequence numbers start at 0)
 LOG_SEQ_BASE = 1 << 20
+
+
+def log_base(region: int) -> int:
+    """First NVM log entry of one per-trace log region."""
+    return LOG_BASE + region * LOG_STRIDE
 
 
 def log_slots(base: int) -> Iterator[int]:
@@ -154,12 +160,26 @@ class SwTxScheme(PersistenceScheme):
     # ------------------------------------------------------------------
     # trace preparation helpers
     # ------------------------------------------------------------------
-    def _claim_log_region(self) -> Tuple[int, int]:
-        """Allocate the next per-trace log window; returns
-        ``(region index, NVM log base address)``."""
+    def prepare_trace(self, trace: Trace) -> Trace:
+        return self._prepared(trace)
+
+    def _prepared(self, trace: Trace):
+        """Claim the next per-trace log region and return
+        :meth:`_rewrite`'s result for it.  The rewrite depends only on
+        the trace, the scheme and the region, so it is built once and
+        kept on the source trace (:meth:`Trace.rewritten`): a System
+        built again from the same traces skips the rewrite, its
+        validation and its compiled columns."""
         region = self._next_log_region
         self._next_log_region += 1
-        return region, LOG_BASE + region * LOG_STRIDE
+        return trace.rewritten((self.name, region),
+                               lambda: self._rewrite(trace, region))
+
+    def _rewrite(self, trace: Trace, region: int):
+        """This scheme's instrumentation of ``trace`` in log region
+        ``region`` (the instrumented trace, or whatever the subclass's
+        ``prepare_trace`` unpacks); must not touch runtime state."""
+        raise NotImplementedError
 
     @staticmethod
     def _instrument(trace: Trace, suffix: str, emit_tx: EmitTx) -> Trace:

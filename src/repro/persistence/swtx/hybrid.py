@@ -83,8 +83,7 @@ class HybridDramScheme(SwTxScheme):
     # ------------------------------------------------------------------
     # trace instrumentation
     # ------------------------------------------------------------------
-    def prepare_trace(self, trace: Trace) -> Trace:
-        region, _nvm_base = self._claim_log_region()
+    def _rewrite(self, trace: Trace, region: int) -> Trace:
         slots = log_slots(DRAM_LOG_BASE + region * LOG_STRIDE)
 
         def emit_tx(out: List[TraceOp], tx_id: int,

@@ -32,9 +32,13 @@ from .base import (
     LOG_COMPUTE_COST,
     LOG_SEQ_BASE,
     SwTxScheme,
+    log_base,
     log_slots,
     record_addr,
 )
+
+#: an injected log store's (tx, seq) -> the home (line, version) it logs
+LogTargets = Dict[Tuple[int, int], Tuple[int, Version]]
 
 
 class RedoLogScheme(SwTxScheme):
@@ -48,15 +52,21 @@ class RedoLogScheme(SwTxScheme):
         #: prepare-time map from an injected log store's (tx, seq) to
         #: the home write it stands for — the runtime uses it to grow
         #: the write set in program order as log stores issue
-        self._log_targets: Dict[Tuple[int, int], Tuple[int, Version]] = {}
+        self._log_targets: LogTargets = {}
         self._open_tx: Set[int] = set()
 
     # ------------------------------------------------------------------
     # trace instrumentation
     # ------------------------------------------------------------------
     def prepare_trace(self, trace: Trace) -> Trace:
-        _region, log_base = self._claim_log_region()
-        slots = log_slots(log_base)
+        prepared, log_targets = self._prepared(trace)
+        self._log_targets.update(log_targets)
+        return prepared
+
+    def _rewrite(self, trace: Trace, region: int) -> Tuple[Trace, LogTargets]:
+        """The redo-instrumented trace and its log targets."""
+        slots = log_slots(log_base(region))
+        log_targets: LogTargets = {}
 
         def emit_tx(out: List[TraceOp], tx_id: int,
                     body: List[TraceOp]) -> None:
@@ -67,7 +77,7 @@ class RedoLogScheme(SwTxScheme):
                     # replace the in-place write with a redo-log append
                     log_entry = next(slots)
                     seq = LOG_SEQ_BASE + index
-                    self._log_targets[(tx_id, seq)] = (
+                    log_targets[(tx_id, seq)] = (
                         line_addr(op.addr), op.version)
                     out.append(
                         TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
@@ -90,7 +100,7 @@ class RedoLogScheme(SwTxScheme):
                 out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
                 out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
 
-        return self._instrument(trace, "redo", emit_tx)
+        return self._instrument(trace, "redo", emit_tx), log_targets
 
     # ------------------------------------------------------------------
     # runtime

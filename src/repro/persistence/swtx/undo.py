@@ -37,6 +37,7 @@ from .base import (
     LOG_SEQ_BASE,
     SwTxScheme,
     head_addr,
+    log_base,
     log_slots,
     record_addr,
 )
@@ -61,9 +62,8 @@ class UndoLogScheme(SwTxScheme):
     # ------------------------------------------------------------------
     # trace instrumentation
     # ------------------------------------------------------------------
-    def prepare_trace(self, trace: Trace) -> Trace:
-        region, log_base = self._claim_log_region()
-        slots = log_slots(log_base)
+    def _rewrite(self, trace: Trace, region: int) -> Trace:
+        slots = log_slots(log_base(region))
 
         def emit_tx(out: List[TraceOp], tx_id: int,
                     body: List[TraceOp]) -> None:

@@ -455,3 +455,128 @@ def test_kernel_matches_model_max_events_abort(program, max_events):
     leaving the same partial firing log, clock and pending count."""
     assert (_execute(Simulator(), program, max_events=max_events)
             == _execute(SortedModel(), program, max_events=max_events))
+
+
+# ---------------------------------------------------------------------------
+# Inline continuations (Simulator.advance_inline) against a kernel that
+# never grants one: every observable must agree.
+
+class NoInlineSimulator(Simulator):
+    """The reference kernel: every continuation goes through the queue."""
+
+    def advance_inline(self, time, fn):
+        return False
+
+
+def _spinner(kernel, log, period, stop):
+    """An event that, like the core's retire loop, continues as its own
+    next event ``period`` cycles later up to ``stop``: inline when the
+    kernel grants it, through the queue otherwise."""
+    def tick():
+        while True:
+            log.append(("tick", kernel.now))
+            if kernel.now + period > stop:
+                return
+            if not kernel.advance_inline(kernel.now + period, tick):
+                kernel.schedule(period, tick)
+                return
+    return tick
+
+
+def _steps(kernel):
+    count = 0
+    while kernel.step():
+        count += 1
+    return count
+
+
+def _spin(kernel, drive, period=3, stop=40, others=(7, 9, 9, 20),
+          hook=False):
+    log = []
+    if hook:
+        kernel.set_advance_hook(lambda time: log.append(("advance", time)))
+    kernel.schedule(0, _spinner(kernel, log, period, stop))
+    for time in others:
+        kernel.schedule(time, lambda: log.append(("other", kernel.now)))
+    executed = drive(kernel)
+    return log, executed, kernel.now, kernel.pending()
+
+
+_DRIVES = {
+    "run": lambda kernel: kernel.run(),
+    "run-until": lambda kernel: sum(kernel.run(until=until)
+                                    for until in (5, 9, 10, 31, None)),
+    "step": _steps,
+}
+
+
+@pytest.mark.parametrize("drive", list(_DRIVES.values()), ids=list(_DRIVES))
+@pytest.mark.parametrize("hook", [False, True], ids=["", "hook"])
+def test_inline_continuations_keep_dispatch_order(drive, hook):
+    """Same firing log, event count, clock and queue as the reference:
+    a continuation never jumps a queued event (the ``other`` at 9 ties
+    with a tick and was queued first), never crosses ``until``, and
+    counts as one event."""
+    got = _spin(Simulator(), drive, hook=hook)
+    assert got == _spin(NoInlineSimulator(), drive, hook=hook)
+    assert got[1] == len([entry for entry in got[0]
+                          if entry[0] != "advance"])
+
+
+def test_run_grants_inline_continuations():
+    kernel = Simulator()
+    _spin(kernel, _DRIVES["run"])
+    assert kernel._inlined > 0
+
+
+def test_step_runs_exactly_one_event():
+    kernel = Simulator()
+    log = []
+    kernel.schedule(0, _spinner(kernel, log, 1, 10))
+    for count in range(1, 12):
+        assert kernel.step()
+        assert len(log) == count
+    assert not kernel.step()
+    assert kernel._inlined == 0
+
+
+def test_advance_inline_refused_outside_run():
+    kernel = Simulator()
+    assert kernel.advance_inline(5, lambda: None) is False
+    assert kernel.now == 0
+
+
+def test_advance_hook_fires_once_per_distinct_time():
+    log = _spin(Simulator(), _DRIVES["run"], hook=True)[0]
+    advances = [time for kind, time in log if kind == "advance"]
+    fired = sorted({time for kind, time in log if kind != "advance"})
+    assert advances == [time for time in fired if time > 0]
+
+
+@pytest.mark.parametrize("max_events", [1, 2, 10, 25])
+def test_max_events_counts_inline_continuations(max_events):
+    """A spinner of 101 ticks trips the valve after as many events as
+    on the reference kernel: continuations count, and stop being
+    granted once the budget is spent."""
+    def drive(kernel):
+        with pytest.raises(SimulationError):
+            kernel.run(max_events=max_events)
+        return None
+
+    got = _spin(Simulator(), drive, stop=300, others=())
+    assert got == _spin(NoInlineSimulator(), drive, stop=300, others=())
+    assert len(got[0]) == max_events + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(period=st.integers(min_value=1, max_value=7),
+       stop=st.integers(min_value=0, max_value=60),
+       others=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+       untils=_UNTILS, hook=st.booleans())
+def test_inline_continuations_match_reference(period, stop, others, untils,
+                                               hook):
+    def drive(kernel):
+        return sum(kernel.run(until=until) for until in [*untils, None])
+
+    assert (_spin(Simulator(), drive, period, stop, others, hook)
+            == _spin(NoInlineSimulator(), drive, period, stop, others, hook))
