@@ -367,7 +367,11 @@ class CacheHierarchy:
                 and self.llc_pin_predicate is not None
                 and self.llc_pin_predicate(tx_id)):
             pinned = True
-        existing = self.llc.probe(line)
+        # index the set once for the untimed probe and the fill, as
+        # _fill_private does (no LRU touch on the probe)
+        llc = self.llc
+        cache_set = llc._sets[(line // CACHE_LINE_SIZE) % llc._num_sets]
+        existing = cache_set.get(line)
         if existing is not None:
             if dirty:
                 existing.version = version
@@ -380,8 +384,8 @@ class CacheHierarchy:
             existing.pinned = existing.pinned or pinned
             return
         try:
-            victim = self.llc.array.fill(line, dirty, persistent, pinned,
-                                         tx_id, version)
+            victim = llc.array.fill(line, dirty, persistent, pinned,
+                                    tx_id, version, cache_set)
         except EvictionImpossible:
             # Kiln pathology: the whole set is pinned.  Bypass the LLC.
             self.stats.inc("llc.bypass")

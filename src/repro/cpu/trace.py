@@ -23,34 +23,39 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from ..common.types import Version, is_persistent_addr, line_addr
+from ..common.types import NVM_BASE, Version
 
-
-class OpType(enum.Enum):
-    LOAD = "load"
-    STORE = "store"
-    COMPUTE = "compute"
-    TX_BEGIN = "tx_begin"
-    TX_END = "tx_end"
-    CLWB = "clwb"      # SP instrumentation only
-    SFENCE = "sfence"  # SP instrumentation only
-
-
-#: dense integer codes for each op type; the core's dispatch table and
-#: :class:`CompiledTrace`'s flat arrays index on these instead of
-#: hashing enum members in the retire loop
+#: dense integer codes for each op type; the core's dispatch table,
+#: :class:`CompiledTrace`'s flat arrays and the set-up scans (validate,
+#: instrumentation) compare these instead of hashing enum members
 (KIND_LOAD, KIND_STORE, KIND_COMPUTE, KIND_TX_BEGIN,
  KIND_TX_END, KIND_CLWB, KIND_SFENCE) = range(7)
 
-_KIND_OF = {
-    OpType.LOAD: KIND_LOAD,
-    OpType.STORE: KIND_STORE,
-    OpType.COMPUTE: KIND_COMPUTE,
-    OpType.TX_BEGIN: KIND_TX_BEGIN,
-    OpType.TX_END: KIND_TX_END,
-    OpType.CLWB: KIND_CLWB,
-    OpType.SFENCE: KIND_SFENCE,
-}
+
+class OpType(enum.Enum):
+    """An op's type.  ``value`` is its serialized name and ``code`` its
+    dense ``KIND_*`` code, read once per :class:`TraceOp` built."""
+
+    LOAD = ("load", KIND_LOAD)
+    STORE = ("store", KIND_STORE)
+    COMPUTE = ("compute", KIND_COMPUTE)
+    TX_BEGIN = ("tx_begin", KIND_TX_BEGIN)
+    TX_END = ("tx_end", KIND_TX_END)
+    CLWB = ("clwb", KIND_CLWB)      # SP instrumentation only
+    SFENCE = ("sfence", KIND_SFENCE)  # SP instrumentation only
+
+    def __new__(cls, value: str, code: int) -> "OpType":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.code = code
+        return member
+
+
+#: the members under module names: a module global reads in under a
+#: tenth of the time of an ``OpType.X`` class lookup, which trace
+#: builders and rewriters would otherwise pay once per op they build
+(OP_LOAD, OP_STORE, OP_COMPUTE, OP_TX_BEGIN,
+ OP_TX_END, OP_CLWB, OP_SFENCE) = OpType
 
 _ADDRESSED_KINDS = frozenset((KIND_LOAD, KIND_STORE, KIND_CLWB))
 
@@ -69,7 +74,9 @@ class TraceOp:
     touches them every retire, so ``kind`` (dense int code) and
     ``persistent`` are derived once at construction.  ``op`` and
     ``addr`` must not be mutated afterwards (``count`` may grow while
-    a builder coalesces COMPUTE runs — that derives nothing).
+    a builder coalesces COMPUTE runs, and a builder sets a store's
+    ``version`` once it sees the store is persistent — neither derives
+    anything).
     """
 
     __slots__ = ("op", "addr", "count", "tx_id", "version",
@@ -83,15 +90,14 @@ class TraceOp:
         self.count = count
         self.tx_id = tx_id
         self.version = version
-        kind = _KIND_OF[op]
-        self.kind = kind
-        self.persistent = (kind in _ADDRESSED_KINDS
-                           and is_persistent_addr(addr))
+        kind = self.kind = op.code
+        # is_persistent_addr(addr), inlined: every op is built here
+        self.persistent = kind in _ADDRESSED_KINDS and addr >= NVM_BASE
 
     @property
     def instructions(self) -> int:
         """Dynamic instruction count this op represents."""
-        return self.count if self.op is OpType.COMPUTE else 1
+        return self.count if self.kind == KIND_COMPUTE else 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceOp):
@@ -143,10 +149,13 @@ class CompiledTrace:
     __slots__ = ("kinds", "counts", "persistent")
 
     def __init__(self, ops: List[TraceOp]) -> None:
-        self.kinds: bytes = bytes(bytearray(op.kind for op in ops))
+        # list comprehensions, not generators or map(attrgetter(...)):
+        # CPython 3.11 reads a slot in a comprehension faster than it
+        # resumes a generator or calls an attrgetter, and bytes/array
+        # fill from a sized list in one step
+        self.kinds: bytes = bytes([op.kind for op in ops])
         self.counts = array("q", [op.count for op in ops])
-        self.persistent: bytes = bytes(
-            bytearray(1 if op.persistent else 0 for op in ops))
+        self.persistent: bytes = bytes([op.persistent for op in ops])
 
 
 @dataclass
@@ -231,7 +240,8 @@ class Trace:
             return
         open_tx: Optional[int] = None
         for index, op in enumerate(self.ops):
-            if op.op is OpType.TX_BEGIN:
+            kind = op.kind
+            if kind == KIND_TX_BEGIN:
                 if open_tx is not None:
                     raise ValueError(
                         f"{self.name}[{index}]: nested TX_BEGIN "
@@ -239,14 +249,14 @@ class Trace:
                 if op.tx_id is None:
                     raise ValueError(f"{self.name}[{index}]: TX_BEGIN without tx_id")
                 open_tx = op.tx_id
-            elif op.op is OpType.TX_END:
+            elif kind == KIND_TX_END:
                 if open_tx is None:
                     raise ValueError(f"{self.name}[{index}]: TX_END outside tx")
                 if op.tx_id != open_tx:
                     raise ValueError(
                         f"{self.name}[{index}]: TX_END tx {op.tx_id} != {open_tx}")
                 open_tx = None
-            elif op.op is OpType.STORE and op.persistent and open_tx is not None:
+            elif kind == KIND_STORE and op.persistent and open_tx is not None:
                 if op.version is None:
                     raise ValueError(
                         f"{self.name}[{index}]: persistent tx store missing version")
@@ -263,12 +273,13 @@ class Trace:
         groups: Dict[int, List[TraceOp]] = {}
         open_tx: Optional[int] = None
         for op in self.ops:
-            if op.op is OpType.TX_BEGIN:
+            kind = op.kind
+            if kind == KIND_TX_BEGIN:
                 open_tx = op.tx_id
                 groups.setdefault(open_tx, [])
-            elif op.op is OpType.TX_END:
+            elif kind == KIND_TX_END:
                 open_tx = None
-            elif op.op is OpType.STORE and op.persistent and open_tx is not None:
+            elif kind == KIND_STORE and op.persistent and open_tx is not None:
                 groups[open_tx].append(op)
         return groups
 
@@ -315,33 +326,33 @@ class TraceBuilder:
         self._next_tx += 1
         self._open_tx = tx_id
         self._tx_seq = 0
-        self.trace.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
+        self.trace.ops.append(TraceOp(OP_TX_BEGIN, 0, 1, tx_id))
         return tx_id
 
     def end_tx(self) -> None:
         if self._open_tx is None:
             raise ValueError("TX_END without TX_BEGIN")
-        self.trace.ops.append(TraceOp(OpType.TX_END, tx_id=self._open_tx))
+        self.trace.ops.append(TraceOp(OP_TX_END, 0, 1, self._open_tx))
         self._open_tx = None
 
     def load(self, addr: int) -> None:
-        self.trace.ops.append(TraceOp(OpType.LOAD, addr=addr, tx_id=self._open_tx))
+        self.trace.ops.append(TraceOp(OP_LOAD, addr, 1, self._open_tx))
 
     def store(self, addr: int) -> None:
-        version = None
-        if self._open_tx is not None and is_persistent_addr(addr):
-            version = Version(self._open_tx, self._tx_seq)
+        tx_id = self._open_tx
+        op = TraceOp(OP_STORE, addr, 1, tx_id)
+        if tx_id is not None and op.persistent:
+            op.version = Version(tx_id, self._tx_seq)
             self._tx_seq += 1
-        self.trace.ops.append(
-            TraceOp(OpType.STORE, addr=addr, tx_id=self._open_tx, version=version))
+        self.trace.ops.append(op)
 
     def compute(self, count: int = 1) -> None:
         if count > 0:
             ops = self.trace.ops
-            if ops and ops[-1].op is OpType.COMPUTE:
+            if ops and ops[-1].kind == KIND_COMPUTE:
                 ops[-1].count += count
             else:
-                ops.append(TraceOp(OpType.COMPUTE, count=count))
+                ops.append(TraceOp(OP_COMPUTE, 0, count))
 
     def build(self) -> Trace:
         if self._open_tx is not None:

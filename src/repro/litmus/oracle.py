@@ -38,7 +38,7 @@ from typing import (AbstractSet, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from ..common.types import Version, is_home_line, line_addr
-from ..cpu.trace import OpType, Trace
+from ..cpu.trace import KIND_STORE, KIND_TX_BEGIN, KIND_TX_END, Trace
 
 #: safety cap for explicit image enumeration (the membership check
 #: never enumerates; this only bounds ``legal_images``)
@@ -73,16 +73,17 @@ def tx_summaries(traces: Sequence[Trace]) -> List[List[TxSummary]]:
         open_tx: Optional[int] = None
         writes: Dict[int, Version] = {}
         for op in trace.ops:
-            if op.op == OpType.TX_BEGIN:
+            kind = op.kind
+            if kind == KIND_TX_BEGIN:
                 open_tx = op.tx_id
                 writes = {}
-            elif op.op == OpType.TX_END:
+            elif kind == KIND_TX_END:
                 if open_tx is not None:
                     core_txs.append(TxSummary(
                         tx_id=open_tx, core=core, index=len(core_txs),
                         writes=tuple(sorted(writes.items()))))
                 open_tx = None
-            elif (op.op == OpType.STORE and open_tx is not None
+            elif (kind == KIND_STORE and open_tx is not None
                   and op.version is not None and is_home_line(op.addr)):
                 writes[line_addr(op.addr)] = op.version
         if open_tx is not None:

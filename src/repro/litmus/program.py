@@ -23,7 +23,14 @@ from hashlib import sha256
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.types import CACHE_LINE_SIZE, NVM_BASE, Version
-from ..cpu.trace import OpType, Trace, TraceOp
+from ..cpu.trace import (
+    OP_SFENCE,
+    OP_STORE,
+    OP_TX_BEGIN,
+    OP_TX_END,
+    Trace,
+    TraceOp,
+)
 
 #: op kinds of the litmus grammar
 STORE = "store"
@@ -180,18 +187,18 @@ class LitmusProgram:
                 if op.kind == TX_BEGIN:
                     open_tx = op.tx
                     seq = 0
-                    trace.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=op.tx))
+                    trace.ops.append(TraceOp(OP_TX_BEGIN, 0, 1, op.tx))
                 elif op.kind == TX_END:
-                    trace.ops.append(TraceOp(OpType.TX_END, tx_id=open_tx))
+                    trace.ops.append(TraceOp(OP_TX_END, 0, 1, open_tx))
                     open_tx = None
                 elif op.kind == STORE:
                     version = Version(open_tx, seq)
                     seq += 1
                     trace.ops.append(TraceOp(
-                        OpType.STORE, addr=line_address(op.line),
-                        tx_id=open_tx, version=version))
+                        OP_STORE, line_address(op.line), 1, open_tx,
+                        version))
                 elif op.kind == FENCE:
-                    trace.ops.append(TraceOp(OpType.SFENCE, tx_id=open_tx))
+                    trace.ops.append(TraceOp(OP_SFENCE, 0, 1, open_tx))
             trace.validate()
             traces.append(trace)
         return traces

@@ -34,7 +34,15 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..common.types import SchemeName, Version, line_addr
-from ..cpu.trace import OpType, Trace, TraceOp
+from ..cpu.trace import (
+    KIND_STORE,
+    OP_CLWB,
+    OP_COMPUTE,
+    OP_SFENCE,
+    OP_STORE,
+    Trace,
+    TraceOp,
+)
 from .base import Resume
 from .swtx.base import (
     LOG_COMPUTE_COST,
@@ -60,7 +68,7 @@ class SoftwareScheme(UndoLogScheme):
         def emit_tx(out: List[TraceOp], tx_id: int,
                     body: List[TraceOp]) -> None:
             stores = [op for op in body
-                      if op.op is OpType.STORE and op.persistent]
+                      if op.kind == KIND_STORE and op.persistent]
             writes: Dict[int, Version] = {}
             # 1. build + persist the undo log.  Each log record is
             # 16 B (address + 64-bit old value), packed four per line;
@@ -69,29 +77,26 @@ class SoftwareScheme(UndoLogScheme):
             for index, store in enumerate(stores):
                 writes[line_addr(store.addr)] = store.version
                 log_entry = next(slots)
-                out.append(TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                out.append(TraceOp(
-                    OpType.STORE, addr=log_entry, tx_id=tx_id,
-                    version=Version(tx_id, LOG_SEQ_BASE + index)))
+                out.append(TraceOp(OP_COMPUTE, 0, LOG_COMPUTE_COST))
+                out.append(TraceOp(OP_STORE, log_entry, 1, tx_id,
+                                   Version(tx_id, LOG_SEQ_BASE + index)))
                 touched_log_lines[line_addr(log_entry)] = None
             for log_line in touched_log_lines:
-                out.append(TraceOp(OpType.CLWB, addr=log_line, tx_id=tx_id))
+                out.append(TraceOp(OP_CLWB, log_line, 1, tx_id))
             if stores:
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
             # 2. original body
             out.extend(body)
             # 3. force data home, then the commit record
             if stores:
                 for data_line in writes:
-                    out.append(TraceOp(OpType.CLWB, addr=data_line,
-                                       tx_id=tx_id))
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OP_CLWB, data_line, 1, tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
                 record = record_addr(tx_id)
-                out.append(TraceOp(
-                    OpType.STORE, addr=record, tx_id=tx_id,
-                    version=Version(tx_id, -1)))
-                out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                out.append(TraceOp(OP_STORE, record, 1, tx_id,
+                                   Version(tx_id, -1)))
+                out.append(TraceOp(OP_CLWB, record, 1, tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
 
         return self._instrument(trace, "sp", emit_tx)
 

@@ -41,7 +41,14 @@ from ...common.types import (
     is_home_line,
     line_addr,
 )
-from ...cpu.trace import OpType, Trace, TraceOp
+from ...cpu.trace import (
+    KIND_TX_BEGIN,
+    KIND_TX_END,
+    OP_TX_BEGIN,
+    OP_TX_END,
+    Trace,
+    TraceOp,
+)
 from ...obs.tracer import NULL_TRACER
 from ..base import PersistenceScheme, Resume
 from ..recovery import replay
@@ -188,20 +195,22 @@ class SwTxScheme(PersistenceScheme):
         fresh TX_BEGIN/TX_END pair; ops outside transactions pass
         through unchanged."""
         out = Trace(name=f"{trace.name}+{suffix}")
+        ops = out.ops
         body: Optional[List[TraceOp]] = None
         tx_id = None
         for op in trace.ops:
-            if op.op is OpType.TX_BEGIN:
+            kind = op.kind
+            if kind == KIND_TX_BEGIN:
                 tx_id, body = op.tx_id, []
-            elif op.op is OpType.TX_END:
-                out.ops.append(TraceOp(OpType.TX_BEGIN, tx_id=tx_id))
-                emit_tx(out.ops, tx_id, body)
-                out.ops.append(TraceOp(OpType.TX_END, tx_id=tx_id))
+            elif kind == KIND_TX_END:
+                ops.append(TraceOp(OP_TX_BEGIN, 0, 1, tx_id))
+                emit_tx(ops, tx_id, body)
+                ops.append(TraceOp(OP_TX_END, 0, 1, tx_id))
                 body = None
             elif body is not None:
                 body.append(op)
             else:
-                out.ops.append(op)
+                ops.append(op)
         out.validate()
         return out
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ...common.types import DRAM_LOG_BASE, SchemeName, Version, line_addr
-from ...cpu.trace import OpType, Trace, TraceOp
+from ...cpu.trace import KIND_STORE, OP_COMPUTE, OP_STORE, Trace, TraceOp
 from ...obs.tracer import NULL_TRACER
 from .base import (
     DRAM_RECORD_BASE,
@@ -90,25 +90,22 @@ class HybridDramScheme(SwTxScheme):
                     body: List[TraceOp]) -> None:
             index = 0
             for op in body:
-                if op.op is OpType.STORE and op.persistent:
+                if op.kind == KIND_STORE and op.persistent:
                     # redo entry into the DRAM log + redirected
                     # in-place write into the DRAM shadow; no clwb, no
                     # sfence — durability is the mirror engine's job
-                    out.append(
-                        TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                    out.append(TraceOp(
-                        OpType.STORE, addr=next(slots), tx_id=tx_id,
-                        version=Version(tx_id, LOG_SEQ_BASE + index)))
-                    out.append(TraceOp(
-                        OpType.STORE, addr=shadow_addr(line_addr(op.addr)),
-                        tx_id=tx_id, version=op.version))
+                    out.append(TraceOp(OP_COMPUTE, 0, LOG_COMPUTE_COST))
+                    out.append(TraceOp(OP_STORE, next(slots), 1, tx_id,
+                                       Version(tx_id, LOG_SEQ_BASE + index)))
+                    out.append(TraceOp(OP_STORE,
+                                       shadow_addr(line_addr(op.addr)), 1,
+                                       tx_id, op.version))
                     index += 1
                 else:
                     out.append(op)
             if index:
-                out.append(TraceOp(
-                    OpType.STORE, addr=dram_record_addr(tx_id), tx_id=tx_id,
-                    version=Version(tx_id, -1)))
+                out.append(TraceOp(OP_STORE, dram_record_addr(tx_id), 1,
+                                   tx_id, Version(tx_id, -1)))
 
         return self._instrument(trace, "hybrid", emit_tx)
 

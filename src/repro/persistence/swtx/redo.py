@@ -26,7 +26,15 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from ...common.types import SchemeName, Version, line_addr
-from ...cpu.trace import OpType, Trace, TraceOp
+from ...cpu.trace import (
+    KIND_STORE,
+    OP_CLWB,
+    OP_COMPUTE,
+    OP_SFENCE,
+    OP_STORE,
+    Trace,
+    TraceOp,
+)
 from ...obs.tracer import NULL_TRACER
 from .base import (
     LOG_COMPUTE_COST,
@@ -73,32 +81,28 @@ class RedoLogScheme(SwTxScheme):
             touched_log_lines: Dict[int, None] = {}
             index = 0
             for op in body:
-                if op.op is OpType.STORE and op.persistent:
+                if op.kind == KIND_STORE and op.persistent:
                     # replace the in-place write with a redo-log append
                     log_entry = next(slots)
                     seq = LOG_SEQ_BASE + index
                     log_targets[(tx_id, seq)] = (
                         line_addr(op.addr), op.version)
-                    out.append(
-                        TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                    out.append(TraceOp(
-                        OpType.STORE, addr=log_entry, tx_id=tx_id,
-                        version=Version(tx_id, seq)))
+                    out.append(TraceOp(OP_COMPUTE, 0, LOG_COMPUTE_COST))
+                    out.append(TraceOp(OP_STORE, log_entry, 1, tx_id,
+                                       Version(tx_id, seq)))
                     touched_log_lines[line_addr(log_entry)] = None
                     index += 1
                 else:
                     out.append(op)
             if touched_log_lines:
                 for log_line in touched_log_lines:
-                    out.append(TraceOp(OpType.CLWB, addr=log_line,
-                                       tx_id=tx_id))
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OP_CLWB, log_line, 1, tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
                 record = record_addr(tx_id)
-                out.append(TraceOp(
-                    OpType.STORE, addr=record, tx_id=tx_id,
-                    version=Version(tx_id, -1)))
-                out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                out.append(TraceOp(OP_STORE, record, 1, tx_id,
+                                   Version(tx_id, -1)))
+                out.append(TraceOp(OP_CLWB, record, 1, tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
 
         return self._instrument(trace, "redo", emit_tx), log_targets
 

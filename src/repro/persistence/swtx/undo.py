@@ -29,7 +29,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ...common.types import SchemeName, Version, is_home_line, line_addr
-from ...cpu.trace import OpType, Trace, TraceOp
+from ...cpu.trace import (
+    KIND_STORE,
+    OP_CLWB,
+    OP_COMPUTE,
+    OP_SFENCE,
+    OP_STORE,
+    Trace,
+    TraceOp,
+)
 from ...obs.tracer import NULL_TRACER
 from ..recovery import rollback
 from .base import (
@@ -70,19 +78,17 @@ class UndoLogScheme(SwTxScheme):
             index = 0
             writes: Dict[int, None] = {}
             for op in body:
-                if op.op is OpType.STORE and op.persistent:
+                if op.kind == KIND_STORE and op.persistent:
                     # log the old value and make it durable *before*
                     # the in-place write — one full ordering point per
                     # store, the protocol's defining cost
                     log_entry = next(slots)
-                    out.append(
-                        TraceOp(OpType.COMPUTE, count=LOG_COMPUTE_COST))
-                    out.append(TraceOp(
-                        OpType.STORE, addr=log_entry, tx_id=tx_id,
-                        version=Version(tx_id, LOG_SEQ_BASE + index)))
-                    out.append(TraceOp(
-                        OpType.CLWB, addr=line_addr(log_entry), tx_id=tx_id))
-                    out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OP_COMPUTE, 0, LOG_COMPUTE_COST))
+                    out.append(TraceOp(OP_STORE, log_entry, 1, tx_id,
+                                       Version(tx_id, LOG_SEQ_BASE + index)))
+                    out.append(TraceOp(OP_CLWB, line_addr(log_entry), 1,
+                                       tx_id))
+                    out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
                     writes[line_addr(op.addr)] = None
                     index += 1
                 out.append(op)
@@ -92,20 +98,17 @@ class UndoLogScheme(SwTxScheme):
                 # flushed lazily — the next transaction's first fence
                 # orders it
                 for data_line in writes:
-                    out.append(TraceOp(OpType.CLWB, addr=data_line,
-                                       tx_id=tx_id))
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                    out.append(TraceOp(OP_CLWB, data_line, 1, tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
                 record = record_addr(tx_id)
-                out.append(TraceOp(
-                    OpType.STORE, addr=record, tx_id=tx_id,
-                    version=Version(tx_id, -1)))
-                out.append(TraceOp(OpType.CLWB, addr=record, tx_id=tx_id))
-                out.append(TraceOp(OpType.SFENCE, tx_id=tx_id))
+                out.append(TraceOp(OP_STORE, record, 1, tx_id,
+                                   Version(tx_id, -1)))
+                out.append(TraceOp(OP_CLWB, record, 1, tx_id))
+                out.append(TraceOp(OP_SFENCE, 0, 1, tx_id))
                 head = head_addr(region)
-                out.append(TraceOp(
-                    OpType.STORE, addr=head, tx_id=tx_id,
-                    version=Version(tx_id, -2)))
-                out.append(TraceOp(OpType.CLWB, addr=head, tx_id=tx_id))
+                out.append(TraceOp(OP_STORE, head, 1, tx_id,
+                                   Version(tx_id, -2)))
+                out.append(TraceOp(OP_CLWB, head, 1, tx_id))
 
         return self._instrument(trace, "undo", emit_tx)
 

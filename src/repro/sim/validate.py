@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from ..common.config import MachineConfig
 from ..common.types import is_persistent_addr, line_addr
-from ..cpu.trace import OpType, Trace
+from ..cpu.trace import KIND_LOAD, KIND_STORE, Trace
 
 
 @dataclass
@@ -76,7 +76,7 @@ def validate_traces(config: MachineConfig,
             continue
         footprint = {line_addr(op.addr)
                      for op in trace.ops
-                     if op.op in (OpType.LOAD, OpType.STORE)}
+                     if op.kind in (KIND_LOAD, KIND_STORE)}
         l1_lines = config.l1.num_lines
         if footprint and len(footprint) <= l1_lines:
             report.warnings.append(
