@@ -30,6 +30,9 @@ from typing import List, Optional
 from ..serve.client import ServeClient, ServeError
 from .membership import NodeInfo
 
+#: seconds between ``/healthz`` polls while a node boots
+BOOT_POLL_SECONDS = 0.005
+
 
 def _free_port(host: str) -> int:
     """Ask the kernel for a currently-free port.  Racy in principle;
@@ -132,7 +135,7 @@ class NodeProcess:
                     return
             except (ServeError, OSError):
                 pass
-            time.sleep(0.05)
+            time.sleep(BOOT_POLL_SECONDS)
         raise RuntimeError(
             f"{self.node_id} not ready within {timeout}s; "
             f"see {self.log_path}")

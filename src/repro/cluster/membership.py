@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..common.stats import Stats
-from .transport import request_json
+from .transport import ConnectionPool, request_json
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,14 @@ class _Health:
 
 
 class Membership:
-    """Live readiness view over a fixed node list."""
+    """Live readiness view over a fixed node list.
+
+    Probes go through ``pool`` when one is given (the router's own)."""
 
     def __init__(self, nodes: Iterable[NodeInfo], fail_threshold: int = 2,
                  probe_timeout: float = 2.0,
-                 stats: Optional[Stats] = None) -> None:
+                 stats: Optional[Stats] = None,
+                 pool: Optional[ConnectionPool] = None) -> None:
         if fail_threshold < 1:
             raise ValueError(
                 f"fail_threshold must be >= 1, got {fail_threshold}")
@@ -80,6 +83,7 @@ class Membership:
         self.fail_threshold = fail_threshold
         self.probe_timeout = probe_timeout
         self.stats = stats if stats is not None else Stats()
+        self.pool = pool
 
     # -- lookups -------------------------------------------------------
     def node(self, node_id: str) -> NodeInfo:
@@ -130,7 +134,7 @@ class Membership:
         try:
             status, _headers, payload = await request_json(
                 info.host, info.port, "GET", "/healthz",
-                timeout=self.probe_timeout)
+                timeout=self.probe_timeout, pool=self.pool)
         except (OSError, asyncio.TimeoutError, ValueError) as error:
             self.mark_failure(node_id,
                               f"{type(error).__name__}: {error}")

@@ -26,6 +26,11 @@ and turns them into a degradable fleet:
   forward, so a thundering herd on a cold key charges one replica
   once, not R replicas N times.  (Each node's scheduler coalesces its
   own clients too; this extends the guarantee across the fleet.)
+* **Kept connections** — forwards, health probes and the ``/stats``
+  and ``/metrics`` fan-outs share the router's pool of keep-alive
+  connections (:class:`~repro.cluster.transport.ConnectionPool`), so
+  a warm request pays for no TCP connect; ``_close`` closes the idle
+  ones.
 * **One cluster view** — ``/stats`` folds every reachable node's
   counters into a single registry via :meth:`Stats.merge
   <repro.common.stats.Stats.merge>`, both summed (``cluster``) and
@@ -53,7 +58,7 @@ from ..serve.ops import RetryLater, hit_ratio
 from ..serve.protocol import PointRequest
 from .membership import Membership, NodeInfo
 from .placement import HashRing
-from .transport import request_json
+from .transport import ConnectionPool, request_json
 
 #: node answers that mean "try the next replica" (shed, crashed point,
 #: node-side deadline); anything else 4xx/2xx is final
@@ -107,10 +112,11 @@ class RouterService(HttpService):
         self.health_interval_seconds = health_interval_seconds
         self.request_timeout = request_timeout
         self.ring = HashRing(info.node_id for info in nodes)
+        self.pool = ConnectionPool()
         self.membership = Membership(nodes,
                                      fail_threshold=fail_threshold,
                                      probe_timeout=probe_timeout,
-                                     stats=self.stats)
+                                     stats=self.stats, pool=self.pool)
         self._inflight: Dict[str, asyncio.Future] = {}
         self.slicer.add_probe("ready_nodes",
                               lambda: len(self.membership.ready_ids()))
@@ -122,6 +128,9 @@ class RouterService(HttpService):
 
     def _ready_fields(self) -> Dict[str, object]:
         return {"nodes": len(self.membership.node_ids)}
+
+    def _close(self) -> None:
+        self.pool.close()
 
     async def _health_forever(self) -> None:
         while True:
@@ -213,7 +222,7 @@ class RouterService(HttpService):
                         status, headers, payload = await request_json(
                             info.host, info.port, "POST", "/v1/points",
                             body, timeout=self.request_timeout,
-                            headers=forward_headers)
+                            headers=forward_headers, pool=self.pool)
                     except (OSError, asyncio.TimeoutError,
                             ValueError) as error:
                         span["outcome"] = type(error).__name__
@@ -265,7 +274,8 @@ class RouterService(HttpService):
             try:
                 status, _headers, payload = await request_json(
                     info.host, info.port, "GET", "/stats",
-                    timeout=self.membership.probe_timeout)
+                    timeout=self.membership.probe_timeout,
+                    pool=self.pool)
             except (OSError, asyncio.TimeoutError, ValueError):
                 return None
             if status != 200:

@@ -27,6 +27,7 @@ import pytest
 from repro.cluster import (
     ChaosAction,
     HashRing,
+    LocalFleet,
     Membership,
     NodeInfo,
     RouterService,
@@ -37,11 +38,14 @@ from repro.cluster import (
 from repro.cluster.transport import request_json
 from repro.common.stats import Stats
 from repro.serve import (
+    ServeClient,
     ServeService,
     parse_request,
     read_http_request,
+    run_in_thread,
     write_http_response,
 )
+from repro.sim.parallel import execute_point
 
 
 def run_async(coro):
@@ -193,23 +197,29 @@ class StubNode:
     ``behaviors`` is a queue consumed one entry per ``POST /v1/points``:
     ``("ok",)``, ``("shed", retry_after)``, ``("error", status)``, or
     ``("gate", asyncio.Event)`` (answer ok once the event is set).
-    When the queue runs dry, ``default`` applies.
+    When the queue runs dry, ``default`` applies.  ``keep_alive=False``
+    answers every request with ``Connection: close`` and hangs up.
+    ``accepted`` counts the connections accepted, ``open`` holds the
+    writers of those still open.
     """
 
     def __init__(self, behaviors=(), default=("ok",), ready=True,
-                 stats_payload=None):
+                 stats_payload=None, keep_alive=True):
         self.behaviors = list(behaviors)
         self.default = default
         self.ready = ready
         self.stats_payload = stats_payload or {}
         self.point_requests = []
         self.point_headers = []      # lowercased, one dict per POST
+        self.keep_alive = keep_alive
+        self.accepted = 0
+        self.open = set()
         self.server = None
         self.port = None
 
-    async def start(self):
+    async def start(self, port=0):
         self.server = await asyncio.start_server(
-            self._handle, "127.0.0.1", 0)
+            self._handle, "127.0.0.1", port)
         self.port = self.server.sockets[0].getsockname()[1]
         return self
 
@@ -217,10 +227,19 @@ class StubNode:
         self.server.close()
         await self.server.wait_closed()
 
+    async def kill(self):
+        """Stop like a killed process: the listener and every open
+        connection close."""
+        for writer in list(self.open):
+            writer.close()
+        await self.stop()
+
     def info(self, node_id):
         return NodeInfo(node_id, "127.0.0.1", self.port)
 
     async def _handle(self, reader, writer):
+        self.accepted += 1
+        self.open.add(writer)
         try:
             while True:
                 request = await read_http_request(reader)
@@ -231,11 +250,15 @@ class StubNode:
                     method, target.split("?", 1)[0], body,
                     headers=headers)
                 await write_http_response(writer, status, payload,
-                                          extra, keep_alive=True)
+                                          extra,
+                                          keep_alive=self.keep_alive)
+                if not self.keep_alive:
+                    break
         except (asyncio.IncompleteReadError, ConnectionError,
                 ValueError):
             pass
         finally:
+            self.open.discard(writer)
             writer.close()
 
     async def _respond(self, method, target, body, headers=None):
@@ -536,6 +559,139 @@ class TestRouter:
 
 
 # ---------------------------------------------------------------------------
+# the router's pool of keep-alive connections to its nodes
+# ---------------------------------------------------------------------------
+async def _until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _idle(router, info):
+    return router.pool.idle(info.host, info.port)
+
+
+def _forward_spans(router):
+    return [event for event in router.spans.events()
+            if event["name"] == "forward"]
+
+
+class TestRouterConnectionPool:
+    def test_forwards_and_probes_share_one_connection(self):
+        async def scenario():
+            stub = await StubNode().start()
+            info = stub.info("only")
+            router, task = await _start_router(
+                [info], replication=1, health_interval_seconds=30)
+            try:
+                # the health loop probes once at start-up
+                await _until(lambda: _idle(router, info) == 1)
+                for seed in (1, 2):
+                    status, _headers, _payload = await _post(
+                        router, dict(SPEC, seed=seed))
+                    assert status == 200
+                assert await router.membership.probe("only")
+                assert len(stub.point_requests) == 2
+                assert stub.accepted == 1
+                assert _idle(router, info) == 1
+            finally:
+                await _stop_router(router, task)
+                await stub.stop()
+        run_async(scenario())
+
+    def test_connection_close_answer_is_not_pooled(self):
+        async def scenario():
+            stub = await StubNode(keep_alive=False).start()
+            info = stub.info("only")
+            router, task = await _start_router(
+                [info], replication=1, health_interval_seconds=30)
+            try:
+                for seed in (1, 2):
+                    status, _headers, _payload = await _post(
+                        router, dict(SPEC, seed=seed))
+                    assert status == 200
+                    assert _idle(router, info) == 0
+                # the start-up probe and each forward had their own
+                assert stub.accepted == 3
+            finally:
+                await _stop_router(router, task)
+                await stub.stop()
+        run_async(scenario())
+
+    def test_timed_out_forward_closes_its_connection(self):
+        async def scenario():
+            gate = asyncio.Event()
+            stub = await StubNode(behaviors=[("gate", gate)]).start()
+            info = stub.info("only")
+            router, task = await _start_router(
+                [info], replication=1, retries=0, request_timeout=0.3,
+                health_interval_seconds=30)
+            try:
+                await _until(lambda: _idle(router, info) == 1)
+                status, _headers, _payload = await _post(router, SPEC)
+                assert status == 503
+                assert router.stats.counter("cluster.forward.errors") == 1
+                assert _idle(router, info) == 0
+                gate.set()      # the node wakes up, as after SIGCONT
+                status, _headers, payload = await _post(router, SPEC)
+                assert status == 200
+                assert payload["node"] == "only"
+                assert stub.accepted == 2
+            finally:
+                await _stop_router(router, task)
+                await stub.stop()
+        run_async(scenario())
+
+    def test_restarted_node_answers_on_first_candidate(self):
+        async def scenario():
+            stubs = [await StubNode().start() for _ in range(2)]
+            infos = [stub.info(f"node{i}")
+                     for i, stub in enumerate(stubs)]
+            router, task = await _start_router(
+                infos, replication=2, health_interval_seconds=30)
+            restarted = None
+            try:
+                await _until(lambda: all(_idle(router, info) == 1
+                                         for info in infos))
+                first = router.candidates(parse_request(SPEC).key)[0]
+                index = [info.node_id for info in infos].index(first)
+                # same port, new process: the pooled connection is stale
+                await stubs[index].kill()
+                restarted = await StubNode().start(port=stubs[index].port)
+                status, _headers, payload = await _post(router, SPEC)
+                assert status == 200
+                assert payload["node"] == first
+                assert len(restarted.point_requests) == 1
+                assert router.stats.counter("cluster.forward.errors") == 0
+                assert router.membership.snapshot()[first][
+                    "consecutive_failures"] == 0
+                assert len(_forward_spans(router)) == 1
+            finally:
+                await _stop_router(router, task)
+                for stub in stubs:
+                    await stub.stop()
+                if restarted is not None:
+                    await restarted.stop()
+        run_async(scenario())
+
+    def test_router_shutdown_closes_pooled_connections(self):
+        async def scenario():
+            stub = await StubNode().start()
+            router, task = await _start_router(
+                [stub.info("only")], replication=1)
+            try:
+                status, _headers, _payload = await _post(router, SPEC)
+                assert status == 200
+                assert stub.open
+            finally:
+                await _stop_router(router, task)
+            await _until(lambda: not stub.open)
+            await stub.stop()
+        run_async(scenario())
+
+
+# ---------------------------------------------------------------------------
 # chaos plans
 # ---------------------------------------------------------------------------
 class TestChaosPlans:
@@ -588,6 +744,38 @@ class TestClusterChaosAcceptance:
         actions = [action.action for action in report.plan]
         assert actions == ["kill", "restart"]
         assert 0 < report.plan[0].after_request < len(specs)
+
+
+class TestPooledConnectionsOnRealNodes:
+    def test_killed_then_restarted_node_answers_next_request(
+            self, tmp_path):
+        specs = default_grid(points=2, operations=6)
+        fleet = LocalFleet(nodes=1, cache_root=tmp_path)
+        fleet.start()
+        router = thread = None
+        try:
+            router = RouterService(fleet.infos(), replication=1, port=0,
+                                   health_interval_seconds=30,
+                                   request_timeout=60.0)
+            thread, port = run_in_thread(router)
+            client = ServeClient(port=port, timeout=60)
+            assert client.submit(specs[0])["node"] == "node0"
+            node = fleet.nodes[0]
+            node.kill()
+            node.restart()
+            answer = client.submit(specs[1])
+            _key, payload, _seconds = execute_point(
+                parse_request(specs[1]).point)
+            assert json.dumps(answer["payload"]) == json.dumps(payload)
+            assert router.stats.counter("cluster.forward.errors") == 0
+            assert router.membership.snapshot()["node0"][
+                "consecutive_failures"] == 0
+        finally:
+            if router is not None:
+                router.request_shutdown()
+            if thread is not None:
+                thread.join(timeout=30)
+            fleet.shutdown()
 
 
 # ---------------------------------------------------------------------------
