@@ -149,6 +149,3 @@ class CacheArray:
 
     def resident_count(self) -> int:
         return sum(len(cache_set) for cache_set in self._sets)
-
-    def pinned_count(self) -> int:
-        return sum(1 for entry in self.iter_lines() if entry.pinned)

@@ -349,10 +349,6 @@ class Stats:
             if name.startswith(prefix)
         }
 
-    def counter_sum(self, prefix: str) -> float:
-        """Sum of all counters whose name starts with ``prefix``."""
-        return sum(self.counters(prefix).values())
-
     def as_dict(self) -> Dict[str, float]:
         """Flatten everything into one key-sorted dict (samples expand
         to ``name.mean`` / ``name.count`` / ``name.max`` entries).

@@ -139,10 +139,6 @@ class DurableImage:
     def events(self) -> List[Tuple[int, int, int, Optional[Version]]]:
         return list(self._events)
 
-    @property
-    def last_cycle(self) -> int:
-        return self._events[-1][0] if self._events else 0
-
 
 class MemoryController:
     """One memory channel: queues, scheduler, banks, ack path."""

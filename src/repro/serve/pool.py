@@ -56,8 +56,6 @@ class WorkerFleet:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             self.stats.inc("pool.spawned")
-        if request_id is None:
-            return self._pool.submit(execute_point, point)
         return self._pool.submit(execute_point, point, request_id)
 
     def _discard_pool(self) -> None:
@@ -87,12 +85,8 @@ class WorkerFleet:
         last_error: Optional[BaseException] = None
         for attempt in range(1, self.max_retries + 2):
             try:
-                if request_id is None:
-                    future = asyncio.wrap_future(self._submit(point))
-                else:
-                    future = asyncio.wrap_future(
-                        self._submit(point, request_id))
-                return await future
+                return await asyncio.wrap_future(
+                    self._submit(point, request_id))
             except BrokenProcessPool as error:
                 last_error = error
                 self.stats.inc("pool.broken")

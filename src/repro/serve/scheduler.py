@@ -226,12 +226,8 @@ class Scheduler:
                 entry.started = True
                 with self.spans.span("pool", "pool.execute",
                                      request_id=rid, key=entry.key):
-                    if rid is not None:
-                        key, payload, seconds = await self.fleet.execute(
-                            entry.point, request_id=rid)
-                    else:
-                        key, payload, seconds = \
-                            await self.fleet.execute(entry.point)
+                    key, payload, seconds = await self.fleet.execute(
+                        entry.point, request_id=rid)
                 self.stats.inc("serve.executed")
                 self.stats.hist("serve.point.seconds", seconds)
                 if self.cache is not None:

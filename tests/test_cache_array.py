@@ -77,12 +77,6 @@ class TestPinning:
         with pytest.raises(EvictionImpossible):
             array.insert(addr_for_set(3, ASSOC))
 
-    def test_pinned_count(self):
-        array = make_array()
-        array.insert(addr_for_set(0, 0), pinned=True)
-        array.insert(addr_for_set(1, 0))
-        assert array.pinned_count() == 1
-
 
 class TestInvalidate:
     def test_invalidate_removes_line(self):

@@ -216,7 +216,7 @@ class GatedFleet:
 class FailingFleet:
     jobs = 1
 
-    async def execute(self, point):
+    async def execute(self, point, request_id=None):
         raise RuntimeError("simulated execution bug")
 
 
@@ -411,7 +411,7 @@ class BrokenPoolFleet(WorkerFleet):
         self.failures = failures
         self.submissions = 0
 
-    def _submit(self, point):
+    def _submit(self, point, request_id=None):
         self.submissions += 1
         if self.submissions <= self.failures:
             future = Future()

@@ -37,7 +37,6 @@ def test_counters_prefix_filter():
     stats.inc("l1.1.hit", 2)
     stats.inc("l2.0.hit", 9)
     assert stats.counters("l1.") == {"l1.0.hit": 3, "l1.1.hit": 2}
-    assert stats.counter_sum("l1.") == 5
 
 
 def test_scoped_prefixes_names():
