@@ -96,6 +96,24 @@ class TestPairedRatio:
             timings["parent"], timings["change"], ["a", "b"])
         assert failures == [f"b: missing from the {side} run"]
 
+    def test_keys_restricts_comparison_to_claimed_points(self):
+        """A smoke run covers a subset of the full baseline -- only the
+        points it claims must be present and within tolerance."""
+        timings = {"a": [1e6]}
+        counts = {"a": _counts()}
+        base = _baseline(["a", "b"])
+        assert bench.compare(base, counts, timings, timings, ["a"]) == []
+        failures = bench.compare(base, counts, timings, timings,
+                                 ["a", "b"])
+        assert failures
+        assert all(f.startswith("b:") and "missing" in f for f in failures)
+
+    def test_extra_points_outside_keys_are_ignored(self):
+        timings = {"a": [1e6], "new": [1.0]}
+        counts = {"a": _counts(), "new": _counts(ticks=1)}
+        assert bench.compare(_baseline(["a"]), counts, timings, timings,
+                             ["a"]) == []
+
     def test_key_absent_from_baseline_is_a_failure(self):
         """Claiming a point the baseline never counted means the
         baseline is stale -- surface it, don't skip it."""
