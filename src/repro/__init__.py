@@ -27,54 +27,28 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from .common import (
-    CACHE_LINE_SIZE,
-    NVM_BASE,
-    MachineConfig,
-    SchemeName,
-    Simulator,
-    Stats,
-    TxCacheConfig,
-    Version,
-    paper_machine_config,
-    small_machine_config,
-)
-from .core import (
-    PersistentMemoryAccelerator,
-    TransactionCache,
-    TxState,
-    hardware_overhead,
-)
-from .cpu import Trace, TraceBuilder
-from .pheap import (
-    PersistentArena,
-    PersistentCounter,
-    PersistentDict,
-    PersistentList,
-)
-from .persistence import (
-    KilnScheme,
-    OptimalScheme,
-    PersistenceScheme,
-    SoftwareScheme,
-    TxCacheScheme,
-    create_scheme,
-)
-from .sim import (
-    CrashReport,
-    SimulationResult,
-    System,
-    crash_sweep,
-    run_comparison,
-    run_experiment,
-    run_with_crash,
-)
-from .workloads import (
-    PAPER_WORKLOADS,
-    WORKLOADS,
-    Workload,
-    create_workload,
-)
+from ._lazy import lazy_exports
+
+# The simulator loads on first use of one of its names, so a process
+# that only routes or serves (``repro serve``, ``repro cluster``) never
+# imports it; see repro._lazy.
+_LAZY = {
+    "common": ("CACHE_LINE_SIZE", "NVM_BASE", "MachineConfig", "SchemeName",
+               "Simulator", "Stats", "TxCacheConfig", "Version",
+               "paper_machine_config", "small_machine_config"),
+    "core": ("PersistentMemoryAccelerator", "TransactionCache", "TxState",
+             "hardware_overhead"),
+    "cpu": ("Trace", "TraceBuilder"),
+    "pheap": ("PersistentArena", "PersistentCounter", "PersistentDict",
+              "PersistentList"),
+    "persistence": ("KilnScheme", "OptimalScheme", "PersistenceScheme",
+                    "SoftwareScheme", "TxCacheScheme", "create_scheme"),
+    "sim": ("CrashReport", "SimulationResult", "System", "crash_sweep",
+            "run_comparison", "run_experiment", "run_with_crash"),
+    "workloads": ("PAPER_WORKLOADS", "WORKLOADS", "Workload",
+                  "create_workload"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "CACHE_LINE_SIZE",

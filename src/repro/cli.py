@@ -55,20 +55,11 @@ import json
 import sys
 from typing import List, Optional
 
+# Only what build_parser needs loads with the module: each command
+# imports the simulator modules it runs, so ``repro serve`` and
+# ``repro cluster`` boot without the model.
 from .common.config import paper_machine_config, small_machine_config
 from .common.types import SchemeName
-from .sim.crash import crash_sweep
-from .sim.report import (
-    FIGURES,
-    REUSE_LLC_BYTES,
-    format_figure,
-    format_stall_breakdown,
-    format_table1,
-    format_table2,
-    format_table3,
-)
-from .sim.runner import SCHEME_ORDER, run_comparison, run_experiment, run_grid
-from .sim.sweep import llc_size_sweep, nvm_write_latency_sweep, tc_size_sweep
 from .workloads import PAPER_WORKLOADS, WORKLOADS, create_workload
 
 #: every scheme name, negative controls included
@@ -94,11 +85,12 @@ def package_version() -> str:
     from . import __version__
     return __version__
 
-#: name → (ready-made sweep factory, knob value parser) for ``sweep``
+#: name → knob value parser for ``sweep``; the ready-made sweep is
+#: ``repro.sim.sweep.<name>_sweep``
 READY_SWEEPS = {
-    "tc_size": (tc_size_sweep, int),
-    "llc_size": (llc_size_sweep, int),
-    "nvm_write_latency": (nvm_write_latency_sweep, float),
+    "tc_size": int,
+    "llc_size": int,
+    "nvm_write_latency": float,
 }
 
 
@@ -452,6 +444,8 @@ def _print_result(result, as_json: bool) -> None:
 
 
 def cmd_tables(_args) -> int:
+    from .sim.report import format_table1, format_table2, format_table3
+
     config = paper_machine_config()
     print(format_table1(config))
     print()
@@ -470,6 +464,8 @@ def cmd_workloads(_args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .sim.runner import run_experiment
+
     result = run_experiment(args.workload, args.scheme,
                             num_cores=args.cores,
                             operations=args.operations, seed=args.seed)
@@ -478,6 +474,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .sim.runner import SCHEME_ORDER, run_comparison
+
     config = small_machine_config(num_cores=args.cores)
     results = run_comparison(args.workload, config=config,
                              operations=args.operations, seed=args.seed)
@@ -499,6 +497,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from .sim.report import (FIGURES, REUSE_LLC_BYTES, format_figure,
+                             format_stall_breakdown)
+    from .sim.runner import SCHEME_ORDER, run_grid
+
     engine = _engine_from_args(args)
     schemes = list(SCHEME_ORDER)
     if args.schemes:
@@ -526,7 +528,10 @@ def cmd_figures(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    factory, parse_value = READY_SWEEPS[args.sweep_name]
+    from .sim import sweep as sweeps
+
+    factory = getattr(sweeps, f"{args.sweep_name}_sweep")
+    parse_value = READY_SWEEPS[args.sweep_name]
     sweep = (factory(tuple(parse_value(v) for v in args.values))
              if args.values else factory())
     engine = _engine_from_args(args)
@@ -545,6 +550,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crash(args) -> int:
+    from .sim.crash import crash_sweep
+
     engine = _engine_from_args(args)
     reports = crash_sweep(args.workload, args.scheme,
                           fractions=args.fractions,
@@ -711,6 +718,7 @@ def _cmd_trace_simulation(args, workload_name: str) -> int:
     """
     from .obs import (Observability, StallReport, merge_chrome_traces,
                       validate_chrome_trace)
+    from .sim.runner import run_experiment
 
     obs = Observability(epoch=args.epoch, ring_capacity=args.ring,
                         sample_every=args.sample_every)
@@ -792,8 +800,6 @@ def cmd_serve(args) -> int:
 def cmd_cluster(args) -> int:
     import tempfile
 
-    from .cluster import LocalFleet, RouterService, default_grid, run_chaos
-
     if args.nodes < 1:
         print("repro cluster: error: --nodes must be >= 1",
               file=sys.stderr)
@@ -805,6 +811,8 @@ def cmd_cluster(args) -> int:
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-cluster-")
 
     if args.cluster_mode == "chaos":
+        from .cluster.chaos import default_grid, run_chaos
+
         specs = default_grid(points=args.points,
                              operations=args.operations)
         report = run_chaos(
@@ -820,6 +828,8 @@ def cmd_cluster(args) -> int:
 
     # run: boot the fleet, put a router in front, serve until SIGTERM
     import asyncio
+
+    from .cluster import LocalFleet, RouterService
 
     fleet = LocalFleet(nodes=args.nodes, jobs=args.jobs,
                        cache_root=cache_dir, host=args.host)

@@ -29,17 +29,19 @@ Pieces:
 See ``docs/cluster.md`` for topology and failover semantics.
 """
 
-from .chaos import (
-    ChaosAction,
-    ClusterChaosReport,
-    default_grid,
-    make_plan,
-    run_chaos,
-)
-from .fleet import LocalFleet, NodeProcess
-from .membership import Membership, NodeInfo
-from .placement import HashRing
-from .router import ReplicasExhausted, RouterService
+from .._lazy import lazy_exports
+
+# ``repro cluster run`` imports the fleet and the router, not the chaos
+# harness; see repro._lazy.
+_LAZY = {
+    "chaos": ("ChaosAction", "ClusterChaosReport", "default_grid",
+              "make_plan", "run_chaos"),
+    "fleet": ("LocalFleet", "NodeProcess"),
+    "membership": ("Membership", "NodeInfo"),
+    "placement": ("HashRing",),
+    "router": ("ReplicasExhausted", "RouterService"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "ChaosAction",

@@ -14,7 +14,10 @@ and turns them into a degradable fleet:
   set as a last ditch.  A shed (503), a 5xx, a timeout, or a
   connection failure moves to the next candidate; a connection-level
   failure also marks the node, so a SIGKILLed process leaves the
-  rotation on the very next request.
+  rotation on the very next request.  A forward still waiting on a
+  node when the health loop takes it out of rotation (a hung node) is
+  abandoned and moves on as a connection failure, without waiting
+  out its timeout.
 * **Retry discipline** — after one full pass over the candidates the
   router sleeps the repo's one shared backoff curve
   (:func:`repro.faults.exponential_backoff`), stretched to the largest

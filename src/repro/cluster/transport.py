@@ -16,16 +16,20 @@ answer or ``Connection: close`` closes it instead.  A reused
 connection that fails before the first response byte (EOF or a reset:
 the node closed it, or was restarted on the same port) is retried once
 on a new connection, inside the same timeout and invisible to the
-caller.  The blocking :class:`~repro.serve.client.ServeClient` stays
-the external client; this one exists so the router can hold many
-forwards in flight on one event loop.
+caller.  The pool also knows which connections an exchange is waiting
+on: :meth:`ConnectionPool.abandon` fails every exchange with a node
+at once, with :class:`NodeAbandoned`, when the router takes the node
+out of rotation.  The blocking
+:class:`~repro.serve.client.ServeClient` stays the external client;
+this one exists so the router can hold many forwards in flight on one
+event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..serve.http import read_http_headers
 
@@ -42,6 +46,12 @@ class ConnectionLost(ConnectionError):
     byte arrived."""
 
 
+class NodeAbandoned(OSError):
+    """The router gave up on the node while an exchange waited on it
+    (:meth:`ConnectionPool.abandon`).  Not a :class:`ConnectionLost`,
+    so it is never retried on a new connection to the same node."""
+
+
 class ConnectionPool:
     """Idle keep-alive connections by node address.
 
@@ -50,6 +60,8 @@ class ConnectionPool:
 
     def __init__(self) -> None:
         self._idle: Dict[Address, List[Connection]] = {}
+        #: connections an exchange is using, by node address
+        self._busy: Dict[Address, Set[Connection]] = {}
         self._closed = False
 
     def idle(self, host: str, port: int) -> int:
@@ -69,6 +81,24 @@ class ConnectionPool:
             return False
         idle.append(connection)
         return True
+
+    def busy(self, address: Address) -> Set[Connection]:
+        """The set an exchange adds its connection to while it uses
+        it."""
+        return self._busy.setdefault(address, set())
+
+    def abandon(self, host: str, port: int) -> None:
+        """Give up on ``host:port``: close its idle connections, and
+        abort every connection an exchange is waiting on, so that the
+        exchange raises :class:`NodeAbandoned` now instead of waiting
+        out its timeout."""
+        address = (host, port)
+        for _reader, writer in self._idle.pop(address, ()):
+            writer.close()
+        for reader, writer in self._busy.pop(address, ()):
+            reader.set_exception(
+                NodeAbandoned(f"{host}:{port} left the rotation"))
+            writer.transport.abort()
 
     def close(self) -> None:
         """Close every idle connection; connections given back later
@@ -128,12 +158,17 @@ async def _exchange(address: Address, connection: Connection,
     connection then goes back to ``pool`` or is closed."""
     reader, writer = connection
     reusable = False
+    busy = pool.busy(address) if pool is not None else set()
+    busy.add(connection)
     try:
         try:
             writer.write(request)
             await writer.drain()
             status_line = await reader.readline()
         except ConnectionError as error:
+            if reader.exception() is not None:
+                # abandon() set it before aborting the connection
+                raise reader.exception() from error
             raise ConnectionLost(f"{type(error).__name__}: {error}") \
                 from error
         if not status_line:
@@ -147,8 +182,11 @@ async def _exchange(address: Address, connection: Connection,
         length = headers.get("content-length")
         raw = (await reader.readexactly(int(length)) if length
                else await reader.read())
+        # not writer.is_closing(): abandon() may have aborted the
+        # connection after its last read
         reusable = (pool is not None and bool(length) and
-                    headers.get("connection", "").lower() == "keep-alive")
+                    headers.get("connection", "").lower() == "keep-alive"
+                    and not writer.is_closing())
         try:
             payload = json.loads(raw) if raw else {}
         except ValueError:
@@ -157,6 +195,7 @@ async def _exchange(address: Address, connection: Connection,
             payload = {"value": payload}
         return status, headers, payload
     finally:
+        busy.discard(connection)
         if not (reusable and pool.give(address, connection)):
             writer.close()
             try:

@@ -1,6 +1,14 @@
 """CPU layer: trace ISA, trace containers, and the core timing model."""
 
-from .core import Core
-from .trace import OpType, Trace, TraceBuilder, TraceOp
+from .._lazy import lazy_exports
+
+# The trace ISA loads without the core timing model (and the
+# persistence, cache and memory layers behind it): workloads and the
+# heap build traces in processes that never simulate them.
+_LAZY = {
+    "core": ("Core",),
+    "trace": ("OpType", "Trace", "TraceBuilder", "TraceOp"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = ["Core", "OpType", "Trace", "TraceBuilder", "TraceOp"]

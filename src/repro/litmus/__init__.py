@@ -11,6 +11,7 @@ the oracle without an import cycle; the simulation-facing pieces
 (runner, minimizer) load lazily on first attribute access.
 """
 
+from .._lazy import lazy_exports
 from ..common.types import SchemeName
 from .generator import (CLASSIC_SHAPES, default_suite, message_passing,
                         overlapping_tx, private_chain, random_program,
@@ -24,28 +25,12 @@ from .program import LitmusOp, LitmusProgram, line_address
 BROKEN_COMMIT = SchemeName.BROKEN_COMMIT.value
 
 _LAZY = {
-    "run_litmus": "runner",
-    "run_litmus_matrix": "runner",
-    "iter_crash_states": "runner",
-    "check_crash_states": "runner",
-    "LitmusResult": "runner",
-    "LitmusMatrixReport": "runner",
-    "minimize_program": "minimize",
-    "minimize_violation": "minimize",
-    "reduction_candidates": "minimize",
+    "runner": ("run_litmus", "run_litmus_matrix", "iter_crash_states",
+               "check_crash_states", "LitmusResult", "LitmusMatrixReport"),
+    "minimize": ("minimize_program", "minimize_violation",
+                 "reduction_candidates"),
 }
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
-
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "BROKEN_COMMIT",
@@ -68,4 +53,4 @@ __all__ = [
     "shared_counter",
     "store_buffering",
     "tx_summaries",
-] + sorted(_LAZY)
+] + sorted(name for names in _LAZY.values() for name in names)

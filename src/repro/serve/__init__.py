@@ -26,12 +26,19 @@ See ``docs/service.md`` for the protocol reference and capacity
 tuning guidance.
 """
 
-from .client import ServeClient, ServeError
-from .http import read_http_request, run_in_thread, write_http_response
-from .pool import WorkerCrashed, WorkerFleet
-from .protocol import PointRequest, ProtocolError, parse_request
-from .scheduler import DeadlineExpired, Draining, QueueFull, Scheduler
-from .server import ServeService, serve_forever
+from .._lazy import lazy_exports
+
+# A router imports the shell and the protocol without the node's
+# scheduler and pool; see repro._lazy.
+_LAZY = {
+    "client": ("ServeClient", "ServeError"),
+    "http": ("read_http_request", "run_in_thread", "write_http_response"),
+    "pool": ("WorkerCrashed", "WorkerFleet"),
+    "protocol": ("PointRequest", "ProtocolError", "parse_request"),
+    "scheduler": ("DeadlineExpired", "Draining", "QueueFull", "Scheduler"),
+    "server": ("ServeService", "serve_forever"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "DeadlineExpired",

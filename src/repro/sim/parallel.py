@@ -40,7 +40,6 @@ import os
 import pathlib
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..common.config import MachineConfig, config_fingerprint
 from ..common.stats import Stats
 from ..obs.jsonlog import get_logger
-from .runner import SimulationResult, run_experiment
 
 #: Bump whenever the timing model or a result schema changes in a way
 #: that makes previously cached payloads wrong.  Folded into every
@@ -151,6 +149,8 @@ class ExperimentPoint(_Point):
         return _workload_spec(self)
 
     def execute(self) -> Dict[str, object]:
+        from .runner import run_experiment
+
         obs = _capture_obs(self)
         result = run_experiment(
             self.workload, self.scheme, config=self.config,
@@ -160,7 +160,9 @@ class ExperimentPoint(_Point):
         return result.to_dict(include_raw=True)
 
     @staticmethod
-    def deserialize(payload: Dict[str, object]) -> SimulationResult:
+    def deserialize(payload: Dict[str, object]):
+        from .runner import SimulationResult
+
         return SimulationResult.from_dict(payload)
 
 
@@ -551,6 +553,9 @@ class ExperimentEngine:
                                                     float]]:
         if self.jobs == 1 or len(pending) == 1:
             return [execute_point(point) for point in pending]
+        # a router imports this module for its point classes only
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(execute_point, point)

@@ -35,17 +35,82 @@ class TestParser:
         assert "--check-every: must be >= 1" in capsys.readouterr().err
 
 
+#: the model: a process that only routes or serves loads none of it
+SIMULATOR_MODULES = (
+    "repro.cpu.core", "repro.cache.hierarchy", "repro.memory.controller",
+    "repro.persistence", "repro.core.txcache", "repro.sim.runner",
+    "repro.sim.system", "repro.litmus.runner")
+
+#: packages whose re-exports load on first access (repro._lazy)
+LAZY_PACKAGES = ("repro", "repro.sim", "repro.cpu", "repro.serve",
+                 "repro.cluster", "repro.litmus")
+
+
+def _fresh(probe: str) -> str:
+    """The last line ``probe`` prints, run in a fresh interpreter."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestImport:
     def test_cli_import_keeps_numpy_out(self):
         """The package declares no dependencies: importing the CLI in a
         fresh interpreter must not load numpy, even where it is
         installed (every serve and cluster process pays its import)."""
-        src = pathlib.Path(repro.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
         probe = "import sys, repro.cli; print('numpy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert _fresh(probe) == "False"
+
+    @pytest.mark.parametrize("boot", [
+        "import repro",
+        "import repro.serve.server",
+        "import repro.cluster",
+        "from repro.cli import build_parser\n"
+        "try:\n    build_parser().parse_args(['serve', '--help'])\n"
+        "except SystemExit:\n    pass",
+        "from repro.cli import build_parser\n"
+        "try:\n    build_parser().parse_args(['cluster', '--help'])\n"
+        "except SystemExit:\n    pass",
+    ], ids=["repro", "serve.server", "cluster", "serve-help",
+            "cluster-help"])
+    def test_boot_path_loads_no_simulator(self, boot):
+        """The router and the node boot without the model; a node's
+        pool worker imports it on its first point."""
+        probe = (f"{boot}\nimport sys\n"
+                 f"print([name for name in {SIMULATOR_MODULES!r} "
+                 f"if name in sys.modules])")
+        assert _fresh(probe) == "[]"
+
+    def test_lazy_names_resolve_to_their_submodule_objects(self):
+        """Every exported name of a lazy package is listed by ``dir``
+        before it loads, and is the very object its submodule
+        defines."""
+        probe = f"""
+import importlib
+for package in {LAZY_PACKAGES!r}:
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module)), package
+    lazy = {{name for names in module._LAZY.values() for name in names}}
+    assert lazy <= set(module.__all__), (package, lazy - set(module.__all__))
+    for submodule, names in module._LAZY.items():
+        source = importlib.import_module(f"{{package}}.{{submodule}}")
+        for name in names:
+            assert getattr(module, name) is getattr(source, name), name
+    for name in module.__all__:
+        getattr(module, name)
+print("ok")
+"""
+        assert _fresh(probe) == "ok"
+
+    def test_star_import_binds_exactly_all(self):
+        probe = ("import repro\nnames = {}\n"
+                 "exec('from repro import *', names)\n"
+                 "names.pop('__builtins__')\n"
+                 "print(sorted(names) == sorted(repro.__all__))")
+        assert _fresh(probe) == "True"
 
 
 class TestTables:

@@ -195,8 +195,10 @@ class StubNode:
     """A scripted fake serve node speaking the real wire protocol.
 
     ``behaviors`` is a queue consumed one entry per ``POST /v1/points``:
-    ``("ok",)``, ``("shed", retry_after)``, ``("error", status)``, or
-    ``("gate", asyncio.Event)`` (answer ok once the event is set).
+    ``("ok",)``, ``("shed", retry_after)``, ``("error", status)``,
+    ``("gate", asyncio.Event)`` (answer ok once the event is set), or
+    ``("hang",)``: from then on the node answers nothing, probes
+    included, as a SIGSTOPped process (``stop`` releases it).
     When the queue runs dry, ``default`` applies.  ``keep_alive=False``
     answers every request with ``Connection: close`` and hangs up.
     ``accepted`` counts the connections accepted, ``open`` holds the
@@ -216,6 +218,8 @@ class StubNode:
         self.open = set()
         self.server = None
         self.port = None
+        self.hung = False
+        self.released = asyncio.Event()
 
     async def start(self, port=0):
         self.server = await asyncio.start_server(
@@ -224,6 +228,7 @@ class StubNode:
         return self
 
     async def stop(self):
+        self.released.set()
         self.server.close()
         await self.server.wait_closed()
 
@@ -262,6 +267,8 @@ class StubNode:
             writer.close()
 
     async def _respond(self, method, target, body, headers=None):
+        if self.hung:
+            await self.released.wait()
         if target == "/healthz":
             return 200, {"status": "ok", "live": True,
                          "ready": self.ready}, {}
@@ -271,6 +278,10 @@ class StubNode:
         self.point_headers.append(dict(headers or {}))
         behavior = (self.behaviors.pop(0) if self.behaviors
                     else self.default)
+        if behavior[0] == "hang":
+            self.hung = True
+            await self.released.wait()
+            behavior = ("ok",)
         if behavior[0] == "gate":
             await behavior[1].wait()
             behavior = ("ok",)
@@ -691,6 +702,108 @@ class TestRouterConnectionPool:
         run_async(scenario())
 
 
+class TestHungNodeFailover:
+    """A forward waiting on a node that the health loop takes out of
+    rotation is abandoned and fails over; a draining node keeps its
+    in-flight work; a healthy forward is untouched by either."""
+
+    def test_hung_node_fails_over_well_inside_request_timeout(self):
+        async def scenario():
+            stubs = [await StubNode().start() for _ in range(2)]
+            infos = [stub.info(f"node{i}")
+                     for i, stub in enumerate(stubs)]
+            router, task = await _start_router(
+                infos, replication=2, health_interval_seconds=0.05,
+                probe_timeout=0.2, request_timeout=30.0)
+            try:
+                order = router.candidates(parse_request(SPEC).key)
+                by_id = dict(zip([info.node_id for info in infos],
+                                 stubs))
+                by_id[order[0]].behaviors = [("hang",)]
+                began = time.monotonic()
+                status, _headers, payload = await _post(router, SPEC)
+                assert status == 200
+                assert payload["node"] == order[1]
+                assert time.monotonic() - began < 5.0
+                assert not router.membership.is_ready(order[0])
+                assert router.stats.counter("cluster.forward.errors") == 1
+                assert router.stats.counter("cluster.forward.ok") == 1
+                outcomes = [event["args"].get("outcome")
+                            for event in _forward_spans(router)]
+                assert outcomes == ["NodeAbandoned", None]
+                hung = router.membership.node(order[0])
+                assert _idle(router, hung) == 0
+                assert not router.pool.busy((hung.host, hung.port))
+            finally:
+                await _stop_router(router, task)
+                for stub in stubs:
+                    await stub.stop()
+        run_async(scenario())
+
+    def test_draining_node_finishes_its_inflight_forward(self):
+        async def scenario():
+            gate = asyncio.Event()
+            stubs = [await StubNode().start() for _ in range(2)]
+            infos = [stub.info(f"node{i}")
+                     for i, stub in enumerate(stubs)]
+            router, task = await _start_router(
+                infos, replication=2, health_interval_seconds=0.05,
+                probe_timeout=0.2)
+            try:
+                first = router.candidates(parse_request(SPEC).key)[0]
+                stub = dict(zip([info.node_id for info in infos],
+                                stubs))[first]
+                stub.behaviors = [("gate", gate)]
+                post = asyncio.create_task(_post(router, SPEC))
+                await _until(lambda: stub.point_requests)
+                stub.ready = False          # the node starts draining
+                await _until(lambda: not router.membership.is_ready(first))
+                await asyncio.sleep(0.3)    # several more probes
+                gate.set()
+                status, _headers, payload = await post
+                assert status == 200
+                assert payload["node"] == first
+                assert router.stats.counter("cluster.forward.errors") == 0
+                assert len(_forward_spans(router)) == 1
+            finally:
+                await _stop_router(router, task)
+                for stub in stubs:
+                    await stub.stop()
+        run_async(scenario())
+
+    def test_healthy_forward_records_unchanged_spans_and_counters(self):
+        async def scenario():
+            stub = await StubNode().start()
+            info = stub.info("only")
+            router, task = await _start_router(
+                [info], replication=1, health_interval_seconds=30)
+            try:
+                await _until(lambda: _idle(router, info) == 1)
+                status, _headers, _payload = await _post_with_id(
+                    router, SPEC, "req-1")
+                assert status == 200
+                counters = {name: value for name, value
+                            in router.stats.dump().items()
+                            if not name.startswith("cluster.request.ms.")}
+                assert counters == {"cluster.forward.ok": 1,
+                                    "cluster.http.200": 1,
+                                    "cluster.http.requests": 1}
+                spans = {event["name"]: event["args"]
+                         for event in router.spans.events()}
+                assert spans == {
+                    "forward": {"request_id": "req-1",
+                                "key": parse_request(SPEC).key,
+                                "node": "only", "round": 1,
+                                "status": 200},
+                    "route": {"request_id": "req-1", "status": 200}}
+                assert _idle(router, info) == 1
+                assert not router.pool.busy((info.host, info.port))
+            finally:
+                await _stop_router(router, task)
+                await stub.stop()
+        run_async(scenario())
+
+
 # ---------------------------------------------------------------------------
 # chaos plans
 # ---------------------------------------------------------------------------
@@ -770,6 +883,43 @@ class TestPooledConnectionsOnRealNodes:
             assert router.stats.counter("cluster.forward.errors") == 0
             assert router.membership.snapshot()["node0"][
                 "consecutive_failures"] == 0
+        finally:
+            if router is not None:
+                router.request_shutdown()
+            if thread is not None:
+                thread.join(timeout=30)
+            fleet.shutdown()
+
+    def test_crash_and_litmus_points_match_the_in_process_engine(
+            self, tmp_path):
+        """A real node boots without the simulator (see
+        tests/test_cli.py::TestImport), so its pool worker imports the
+        model on its first point; the crash and litmus kinds must still
+        answer byte-identically to in-process ``execute_point``."""
+        from repro.litmus import default_suite
+
+        specs = [
+            {"kind": "crash", "workload": "sps", "scheme": "txcache",
+             "operations": 6, "crash_cycle": 300, "total_cycles": 600,
+             "config": {"num_cores": 1}},
+            {"kind": "litmus", "program": default_suite(0)[0].to_dict(),
+             "scheme": "txcache"},
+        ]
+        fleet = LocalFleet(nodes=1, cache_root=tmp_path)
+        fleet.start()
+        router = thread = None
+        try:
+            router = RouterService(fleet.infos(), replication=1, port=0,
+                                   health_interval_seconds=30,
+                                   request_timeout=60.0)
+            thread, port = run_in_thread(router)
+            client = ServeClient(port=port, timeout=60)
+            for spec in specs:
+                answer = client.submit(spec)
+                assert answer["cached"] is False
+                _key, payload, _seconds = execute_point(
+                    parse_request(spec).point)
+                assert json.dumps(answer["payload"]) == json.dumps(payload)
         finally:
             if router is not None:
                 router.request_shutdown()
