@@ -48,44 +48,4 @@ _LAZY = {
     "workloads": ("PAPER_WORKLOADS", "WORKLOADS", "Workload",
                   "create_workload"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
-
-__all__ = [
-    "CACHE_LINE_SIZE",
-    "NVM_BASE",
-    "PAPER_WORKLOADS",
-    "WORKLOADS",
-    "CrashReport",
-    "KilnScheme",
-    "MachineConfig",
-    "OptimalScheme",
-    "PersistenceScheme",
-    "PersistentArena",
-    "PersistentCounter",
-    "PersistentDict",
-    "PersistentList",
-    "PersistentMemoryAccelerator",
-    "SchemeName",
-    "SimulationResult",
-    "Simulator",
-    "SoftwareScheme",
-    "Stats",
-    "System",
-    "Trace",
-    "TraceBuilder",
-    "TransactionCache",
-    "TxCacheConfig",
-    "TxCacheScheme",
-    "TxState",
-    "Version",
-    "Workload",
-    "crash_sweep",
-    "create_scheme",
-    "create_workload",
-    "hardware_overhead",
-    "paper_machine_config",
-    "run_comparison",
-    "run_experiment",
-    "run_with_crash",
-    "small_machine_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _LAZY)

@@ -16,14 +16,16 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 
 def lazy_exports(package: str, exports: Dict[str, Sequence[str]]
-                 ) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """The ``__getattr__`` and ``__dir__`` of ``package``.
+                 ) -> Tuple[Callable[[str], object], Callable[[], List[str]],
+                            List[str]]:
+    """The ``__getattr__``, ``__dir__`` and ``__all__`` of ``package``.
 
     ``exports`` maps a submodule, relative to ``package`` (``"runner"``
     for ``package.runner``), to the names the package re-exports from
     it.  A resolved name is bound on the package, so later lookups are
     plain attribute reads.  ``__dir__`` lists every exported name,
-    loaded or not.
+    loaded or not, and ``__all__`` is the exported names in table
+    order, so the table is the one list to keep.
     """
     where = {name: submodule for submodule, names in exports.items()
              for name in names}
@@ -41,4 +43,4 @@ def lazy_exports(package: str, exports: Dict[str, Sequence[str]]
     def __dir__() -> List[str]:
         return sorted(set(vars(sys.modules[package])) | set(where))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(where)

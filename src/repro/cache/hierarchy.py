@@ -12,10 +12,10 @@ hierarchy *differently*:
   data) and installs :attr:`llc_probe` so LLC misses on persistent
   lines consult the transaction cache for the newest version
   (paper §3, "Persistent Memory Accelerator Working Flow").
-* **Kiln** pins uncommitted lines in the (nonvolatile) LLC via
-  :meth:`pin_llc_line` / :meth:`unpin_llc_line`, flushes on commit with
-  :meth:`flush_to_llc`, and blocks the hierarchy during commit with
-  :meth:`block_until`.
+* **Kiln** pins uncommitted lines in the (nonvolatile) LLC through
+  :attr:`llc_pin_predicate`, unpins them with :meth:`unpin_llc_line`,
+  flushes on commit with :meth:`flush_to_llc`, and blocks the
+  hierarchy during commit with :meth:`block_until`.
 * **SP** uses :meth:`writeback_line` for ``clwb`` semantics.
 * **Optimal** uses none of the hooks.
 
@@ -362,9 +362,9 @@ class CacheHierarchy:
                              persistent=victim.persistent, tx_id=victim.tx_id)
 
     def _insert_llc(self, line, version, dirty=False,
-                    persistent=False, tx_id=None, pinned=False) -> None:
-        if (not pinned and dirty and persistent
-                and self.llc_pin_predicate is not None
+                    persistent=False, tx_id=None) -> None:
+        pinned = False
+        if (dirty and persistent and self.llc_pin_predicate is not None
                 and self.llc_pin_predicate(tx_id)):
             pinned = True
         # index the set once for the untimed probe and the fill, as
@@ -535,7 +535,7 @@ class CacheHierarchy:
                           on_complete=lambda req, cycle: on_complete(cycle),
                           source="clwb")
 
-    def flush_to_llc(self, core_id: int, addr: int, *, pin: bool = False) -> int:
+    def flush_to_llc(self, core_id: int, addr: int) -> int:
         """Kiln commit flush: push the line's newest copy from L1/L2
         into the (nonvolatile) LLC.  Returns the charged latency."""
         line = line_addr(addr)
@@ -560,25 +560,9 @@ class CacheHierarchy:
                 entry.version = newest
                 entry.tx_id = tx_id
         self._insert_llc(line, newest, dirty=True, persistent=True,
-                         tx_id=tx_id, pinned=pin)
+                         tx_id=tx_id)
         self._counts.kiln_commit_flushes += 1
         return self.llc.latency
-
-    def pin_llc_line(self, addr: int, version: Optional[Version] = None,
-                     tx_id: Optional[int] = None) -> None:
-        """Kiln: install/pin an uncommitted line in the NV-LLC."""
-        line = line_addr(addr)
-        entry = self.llc.probe(line)
-        if entry is not None:
-            entry.pinned = True
-            if version is not None:
-                entry.version = version
-                entry.dirty = True
-            entry.persistent = True
-            entry.tx_id = tx_id if tx_id is not None else entry.tx_id
-            return
-        self._insert_llc(line, version, dirty=version is not None,
-                         persistent=True, tx_id=tx_id, pinned=True)
 
     def unpin_llc_line(self, addr: int) -> None:
         entry = self.llc.probe(line_addr(addr))

@@ -44,7 +44,8 @@ disk (omit it to re-simulate every point).  Parallel and
 cached runs produce byte-identical output to serial ones; the engine
 prints a ``hits=``/``executed=`` summary to stderr.  They also accept
 ``--trace DIR`` to capture one Chrome trace per experiment point
-(named by the point's cache key) and ``--epoch N`` to sample
+(named by the point's cache key; crash sweeps write one per crash,
+with the fraction index after the key) and ``--epoch N`` to sample
 occupancies/queue depths every N cycles into those traces.
 """
 
@@ -60,6 +61,7 @@ from typing import List, Optional
 # ``repro cluster`` boot without the model.
 from .common.config import paper_machine_config, small_machine_config
 from .common.types import SchemeName
+from .sim.parallel import CRASH_FRACTIONS
 from .workloads import PAPER_WORKLOADS, WORKLOADS, create_workload
 
 #: every scheme name, negative controls included
@@ -114,7 +116,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="capture one Chrome trace per experiment point "
-                             "into DIR, named by the point's cache key")
+                             "(per crash in a crash sweep) into DIR, named "
+                             "by the point's cache key")
     parser.add_argument("--epoch", type=int, default=0,
                         help="sample occupancies/queue depths into the trace "
                              "every N cycles (0 = off)")
@@ -192,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     crash_parser.add_argument("--cores", type=int, default=1)
     crash_parser.add_argument("--seed", type=int, default=42)
     crash_parser.add_argument(
-        "--fractions", type=float, nargs="+",
-        default=[0.1, 0.25, 0.5, 0.75, 0.9],
+        "--fractions", type=float, nargs="+", default=list(CRASH_FRACTIONS),
         help="crash points as fractions of the uninterrupted run")
     _add_engine_args(crash_parser)
     _add_obs_args(crash_parser)
@@ -220,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--seed", type=int, default=42)
     chaos_parser.add_argument("--fault-seed", type=int, default=0)
     chaos_parser.add_argument(
-        "--fractions", type=float, nargs="+",
-        default=[0.1, 0.25, 0.5, 0.75, 0.9],
+        "--fractions", type=float, nargs="+", default=list(CRASH_FRACTIONS),
         help="crash points as fractions of the fault-free run")
     _add_engine_args(chaos_parser)
     _add_obs_args(chaos_parser)

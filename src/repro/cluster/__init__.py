@@ -41,19 +41,4 @@ _LAZY = {
     "placement": ("HashRing",),
     "router": ("ReplicasExhausted", "RouterService"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
-
-__all__ = [
-    "ChaosAction",
-    "ClusterChaosReport",
-    "HashRing",
-    "LocalFleet",
-    "Membership",
-    "NodeInfo",
-    "NodeProcess",
-    "ReplicasExhausted",
-    "RouterService",
-    "default_grid",
-    "make_plan",
-    "run_chaos",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _LAZY)

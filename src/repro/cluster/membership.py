@@ -17,10 +17,10 @@ directions:
 
 Transitions are asymmetric by design: ``fail_threshold`` consecutive
 failures take a node out of rotation, one successful ``ready: true``
-probe puts it back.  Failures taking a node out also abandon the
-forwards still waiting on it, so they fail over at once; a node that
-reports itself draining is only left out of new routing, and finishes
-the work it holds.  Flapping costs little — the ring's preference
+probe puts it back.  A failure that takes a node out, or that befalls
+a node already out, also abandons the forwards still waiting on it, so
+they fail over at once; a node that reports itself draining is only
+left out of new routing, and finishes the work it holds.  Flapping costs little — the ring's preference
 order is stable, so a wrongly-unready node only shifts keys one
 replica down, and every node can compute any point (caches make homes
 *warm*, not *authoritative*).
@@ -118,9 +118,11 @@ class Membership:
 
     def mark_failure(self, node_id: str, error: str = "") -> None:
         """A probe or forward failed; past the threshold the node
-        leaves the routing rotation until a probe succeeds, and every
-        exchange still waiting on it through ``pool`` is abandoned (a
-        hung node's forwards fail over now, not at their timeout)."""
+        leaves the routing rotation until a probe succeeds.  Every
+        failure of a node out of rotation abandons the exchanges still
+        waiting on it through ``pool``: a hung node's forwards fail
+        over now, not at their timeout, including a last-ditch forward
+        sent to it after it left the rotation."""
         health = self._health[node_id]
         health.failures += 1
         health.last_error = error
@@ -128,8 +130,8 @@ class Membership:
         if health.ready and health.failures >= self.fail_threshold:
             health.ready = False
             self.stats.inc("cluster.node.unready")
-            if self.pool is not None:
-                self.pool.abandon(health.info.host, health.info.port)
+        if not health.ready and self.pool is not None:
+            self.pool.abandon(health.info.host, health.info.port)
 
     # -- active probing ------------------------------------------------
     async def probe(self, node_id: str) -> bool:

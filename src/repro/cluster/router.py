@@ -15,9 +15,10 @@ and turns them into a degradable fleet:
   connection failure moves to the next candidate; a connection-level
   failure also marks the node, so a SIGKILLed process leaves the
   rotation on the very next request.  A forward still waiting on a
-  node when the health loop takes it out of rotation (a hung node) is
-  abandoned and moves on as a connection failure, without waiting
-  out its timeout.
+  node when the health loop takes it out of rotation (a hung node), or
+  sent to it as a last ditch while it is out, is abandoned at the
+  node's next failed probe and moves on as a connection failure,
+  without waiting out its timeout.
 * **Retry discipline** — after one full pass over the candidates the
   router sleeps the repo's one shared backoff curve
   (:func:`repro.faults.exponential_backoff`), stretched to the largest
@@ -96,7 +97,6 @@ class RouterService(HttpService):
                  fail_threshold: int = 2,
                  probe_timeout: float = 2.0,
                  request_timeout: float = 120.0,
-                 epoch_ms: int = 1000,
                  ready_callback=None) -> None:
         nodes = list(nodes)
         if replication < 1:
@@ -108,7 +108,7 @@ class RouterService(HttpService):
                 f"{len(nodes)}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        super().__init__(host, port, "router", epoch_ms, ready_callback)
+        super().__init__(host, port, "router", ready_callback)
         self.replication = replication
         self.retries = retries
         self.retry_backoff_seconds = retry_backoff_seconds

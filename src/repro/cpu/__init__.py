@@ -9,6 +9,4 @@ _LAZY = {
     "core": ("Core",),
     "trace": ("OpType", "Trace", "TraceBuilder", "TraceOp"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
-
-__all__ = ["Core", "OpType", "Trace", "TraceBuilder", "TraceOp"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _LAZY)

@@ -30,7 +30,7 @@ _LAZY = {
     "minimize": ("minimize_program", "minimize_violation",
                  "reduction_candidates"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "BROKEN_COMMIT",
@@ -53,4 +53,4 @@ __all__ = [
     "shared_counter",
     "store_buffering",
     "tx_summaries",
-] + sorted(name for names in _LAZY.values() for name in names)
+] + sorted(_lazy_names)

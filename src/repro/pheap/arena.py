@@ -123,17 +123,11 @@ class PersistentArena:
                    config: Optional[MachineConfig] = None) -> List:
         """Crash the recorded program at several points and check that
         recovery is atomic; returns the list of CrashReports."""
-        from ..sim.crash import measure_run_length, run_with_crash
+        from ..sim.crash import crash_at_fractions
 
-        config = config or small_machine_config(num_cores=1)
-        trace = self.trace()
-        total = measure_run_length(self.name, scheme, config=config,
-                                   traces=[trace])
-        return [run_with_crash(self.name, scheme,
-                               max(1, int(total * fraction)),
-                               config=config, total_cycles=total,
-                               traces=[trace])
-                for fraction in fractions]
+        return crash_at_fractions(
+            self.name, scheme, config or small_machine_config(num_cores=1),
+            fractions, traces=[self.trace()])
 
 
 class _ArenaTx:

@@ -1,7 +1,7 @@
 """repro.serve — the always-on simulation service.
 
 Turns the repo's one-shot experiment pipeline into a long-lived
-server: clients POST JSON point specs (the same four point kinds the
+server: clients POST JSON point specs (the same three point kinds the
 batch engine runs) and get cached-or-computed payloads back over a
 minimal hand-rolled HTTP/1.1 JSON protocol.  Pieces:
 
@@ -38,23 +38,4 @@ _LAZY = {
     "scheduler": ("DeadlineExpired", "Draining", "QueueFull", "Scheduler"),
     "server": ("ServeService", "serve_forever"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
-
-__all__ = [
-    "DeadlineExpired",
-    "Draining",
-    "PointRequest",
-    "ProtocolError",
-    "QueueFull",
-    "Scheduler",
-    "ServeClient",
-    "ServeError",
-    "ServeService",
-    "WorkerCrashed",
-    "WorkerFleet",
-    "parse_request",
-    "read_http_request",
-    "run_in_thread",
-    "serve_forever",
-    "write_http_response",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _LAZY)

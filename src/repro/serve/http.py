@@ -113,14 +113,14 @@ class HttpService:
     request_log_fields: Tuple[str, ...]
 
     def __init__(self, host: str, port: int, process_name: str,
-                 epoch_ms: int, ready_callback) -> None:
+                 ready_callback) -> None:
         self.host = host
         self.port = port          # requested; 0 = ephemeral
         self.bound_port: Optional[int] = None
         self.stats = Stats()
         self.spans = SpanRecorder(process_name)
         self.log = get_logger()
-        self.slicer = TimeSlicer(epoch_ms=epoch_ms)
+        self.slicer = TimeSlicer()
         self._ready_callback = ready_callback
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None

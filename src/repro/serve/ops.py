@@ -26,20 +26,22 @@ from ..obs.sampler import EpochSampler
 from ..obs.tracer import Tracer
 
 
+#: wall-clock sampling period of the /stats time series
+EPOCH_MS = 1000
+
+
 class TimeSlicer:
     """Wall-clock driver for an :class:`EpochSampler`.
 
-    Probes are zero-argument callables; every ``epoch_ms`` of wall
+    Probes are zero-argument callables; every :data:`EPOCH_MS` of wall
     time a periodic tick records one value per probe into a bounded
     tracer ring (newest kept), giving /stats a fixed-memory sliding
     window regardless of uptime.
     """
 
-    def __init__(self, epoch_ms: int = 1000,
-                 capacity: int = 1024) -> None:
-        self.epoch_ms = epoch_ms
+    def __init__(self, capacity: int = 1024) -> None:
         self.tracer = Tracer(capacity=capacity)
-        self.sampler = EpochSampler(self.tracer, epoch=epoch_ms)
+        self.sampler = EpochSampler(self.tracer, epoch=EPOCH_MS)
         self._start = time.monotonic()
 
     def add_probe(self, name: str, probe: Callable[[], object]) -> None:
@@ -76,7 +78,7 @@ async def tick_forever(slicer: TimeSlicer) -> None:
     as its own asyncio task."""
     while True:
         slicer.tick()
-        await asyncio.sleep(slicer.epoch_ms / 1000)
+        await asyncio.sleep(EPOCH_MS / 1000)
 
 
 #: accepted caller-supplied request-id shape: opaque but greppable,

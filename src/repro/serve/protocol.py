@@ -5,8 +5,7 @@ same frozen point kinds the batch engine runs
 (:data:`repro.sim.parallel.POINT_KINDS`)::
 
     {
-      "kind": "experiment",            // experiment | run_length |
-                                       //   crash | chaos | litmus
+      "kind": "experiment",            // experiment | crash | litmus
       "workload": "hashtable",
       "scheme": "txcache",
       "operations": 100,               // optional (kind default)
@@ -17,8 +16,7 @@ same frozen point kinds the batch engine runs
         "num_cores": 1,                //   shortcut for the common knob
         "overrides": {"txcache": {"size_bytes": 8192}}
       },
-      "crash_cycle": 1200,             // crash/chaos kinds only
-      "total_cycles": 4800,            //   (both required there)
+      "fractions": [0.1, 0.5, 0.9],    // optional, crash kind only
       "deadline_ms": 30000             // optional per-request deadline
     }
 
@@ -69,14 +67,13 @@ CONFIG_PRESETS = ("small", "paper")
 
 _TOP_KEYS = frozenset({
     "kind", "workload", "scheme", "operations", "seed",
-    "workload_params", "config", "crash_cycle", "total_cycles",
-    "deadline_ms", "program", "check_every",
+    "workload_params", "config", "fractions", "deadline_ms", "program",
+    "check_every",
 })
 _CONFIG_KEYS = frozenset({"preset", "num_cores", "overrides"})
-_CRASH_KINDS = frozenset({"crash", "chaos"})
 _LITMUS_ONLY_KEYS = ("program", "check_every")
 _LITMUS_REJECTED_KEYS = ("workload", "operations", "seed",
-                         "workload_params", "crash_cycle", "total_cycles")
+                         "workload_params", "fractions")
 
 
 class ProtocolError(ValueError):
@@ -88,7 +85,7 @@ class PointRequest:
     """One parsed request: the point to run plus request options."""
 
     point: object                      # one of the POINT_KINDS classes
-    deadline: Optional[float] = None   # seconds, None = server default
+    deadline: Optional[float] = None   # seconds, None = no deadline
 
     @property
     def key(self) -> str:
@@ -224,21 +221,19 @@ def parse_request(data: object) -> PointRequest:
                     f"got {value!r}")
         kwargs["workload_params"] = make_params(dict(params))
 
-    if kind in _CRASH_KINDS:
-        for name in ("crash_cycle", "total_cycles"):
-            if name not in data:
-                raise ProtocolError(f"kind {kind!r} requires {name}")
-            kwargs[name] = _require_int(data, name, minimum=1)
-    else:
-        for name in ("crash_cycle", "total_cycles"):
-            if name in data:
-                raise ProtocolError(
-                    f"{name} only applies to crash/chaos points")
+    if "fractions" in data:
+        if kind != "crash":
+            raise ProtocolError("fractions only applies to crash points")
+        kwargs["fractions"] = data["fractions"]
 
     deadline = None
     if "deadline_ms" in data:
         deadline = _require_int(data, "deadline_ms", minimum=1) / 1000.0
-    return PointRequest(point=point_cls(**kwargs), deadline=deadline)
+    try:
+        point = point_cls(**kwargs)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
+    return PointRequest(point=point, deadline=deadline)
 
 
 def _parse_litmus_request(data: Mapping, point_cls) -> PointRequest:

@@ -53,15 +53,12 @@ class ServeService(HttpService):
                  jobs: int = 2, cache_dir=None,
                  max_queue: int = 64, max_inflight: Optional[int] = None,
                  cache_max_bytes: Optional[int] = None,
-                 default_deadline: Optional[float] = None,
-                 epoch_ms: int = 1000,
                  node_id: Optional[str] = None,
                  ready_callback=None) -> None:
         super().__init__(host, port,
                          f"serve:{node_id}" if node_id else "serve",
-                         epoch_ms, ready_callback)
+                         ready_callback)
         self.node_id = node_id    # cluster identity; None = standalone
-        self.default_deadline = default_deadline
         self.fleet = WorkerFleet(jobs=jobs, stats=self.stats)
         cache = (ResultCache(cache_dir, max_bytes=cache_max_bytes)
                  if cache_dir is not None else None)
@@ -166,11 +163,9 @@ class ServeService(HttpService):
 
     async def _submit(self, request: PointRequest, body: bytes,
                       request_id: str) -> Response:
-        deadline = (request.deadline if request.deadline is not None
-                    else self.default_deadline)
         try:
             result = await self.scheduler.submit(request.point,
-                                                 deadline=deadline,
+                                                 deadline=request.deadline,
                                                  request_id=request_id)
         except Draining:
             return 503, {"error": "service is draining"}, \

@@ -8,12 +8,11 @@ _LAZY = {
     "analytic": ("TraceProfile", "compare_with_simulation",
                  "predict_overhead_cycles", "predict_relative_performance"),
     "crash": ("CrashReport", "check_recovery", "crash_and_check",
-              "crash_sweep", "expected_image", "measure_run_length",
-              "run_with_crash"),
+              "crash_at_fractions", "crash_sweep", "expected_image",
+              "measure_run_length", "run_with_crash"),
     "energy": ("EnergyBreakdown", "EnergyModel", "estimate_energy"),
-    "parallel": ("ChaosPoint", "CrashPoint", "ExperimentEngine",
-                 "ExperimentPoint", "LitmusPoint", "ResultCache",
-                 "RunLengthPoint"),
+    "parallel": ("CrashPoint", "ExperimentEngine", "ExperimentPoint",
+                 "LitmusPoint", "ResultCache"),
     "report": ("figure6_ipc", "figure7_throughput", "figure8_llc_miss_rate",
                "figure9_write_traffic", "figure10_load_latency",
                "format_figure", "format_table1", "format_table2",
@@ -25,55 +24,4 @@ _LAZY = {
     "system": ("System",),
     "validate": ("ValidationReport", "validate_config", "validate_setup"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
-
-__all__ = [
-    "SCHEME_ORDER",
-    "ChaosPoint",
-    "CrashPoint",
-    "CrashReport",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "ExperimentEngine",
-    "ExperimentPoint",
-    "LitmusPoint",
-    "ResultCache",
-    "RunLengthPoint",
-    "SimulationResult",
-    "Sweep",
-    "SweepOutcome",
-    "System",
-    "TraceProfile",
-    "ValidationReport",
-    "compare_with_simulation",
-    "predict_overhead_cycles",
-    "predict_relative_performance",
-    "estimate_energy",
-    "llc_size_sweep",
-    "make_mixed_traces",
-    "tc_size_sweep",
-    "validate_config",
-    "validate_setup",
-    "check_recovery",
-    "collect_result",
-    "crash_and_check",
-    "crash_sweep",
-    "expected_image",
-    "figure6_ipc",
-    "figure7_throughput",
-    "figure8_llc_miss_rate",
-    "figure9_write_traffic",
-    "figure10_load_latency",
-    "format_figure",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "geomean",
-    "make_traces",
-    "measure_run_length",
-    "normalized_rows",
-    "run_comparison",
-    "run_experiment",
-    "run_grid",
-    "run_with_crash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _LAZY)

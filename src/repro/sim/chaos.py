@@ -5,14 +5,14 @@ The crash tests (:mod:`repro.sim.crash`) prove failure atomicity under
 the second assumption: it sweeps fault-injection configurations
 (stochastic NVM write failures, lost/delayed/duplicated acks, TC bit
 flips) × crash fractions × schemes × workloads.  A chaos sweep is a
-crash sweep over faulty configs: every point is one
-:func:`~repro.sim.crash.run_with_crash` on a machine config whose
-``faults`` field carries the rates, checked by the same
-legal-persist-set oracle as the crash and litmus harnesses
-(:mod:`repro.litmus.oracle`).  The report aggregates each run's
-``fault_stats`` — retries, remaps, ack timeouts/reissues, ECC
-corrections, COW degradations — so a sweep shows not only *that*
-every run recovered consistently but *what it cost*.
+crash sweep over faulty configs: every (workload, scheme) pair is one
+crash point on a machine config whose ``faults`` field carries the
+rates, each crash checked by the same legal-persist-set oracle as the
+crash and litmus harnesses (:mod:`repro.litmus.oracle`).  The report
+aggregates each run's ``fault_stats`` — retries, remaps, ack
+timeouts/reissues, ECC corrections, COW degradations — so a sweep
+shows not only *that* every run recovered consistently but *what it
+cost*.
 
 Determinism: the injector's per-site streams derive from
 ``FaultConfig.seed``, so a chaos sweep is exactly reproducible.
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName
 from .crash import CrashReport
-from .parallel import ChaosPoint, ExperimentEngine, RunLengthPoint
+from .parallel import CRASH_FRACTIONS, CrashPoint, ExperimentEngine
 
 
 @dataclass
@@ -95,7 +95,7 @@ def chaos_sweep(
     workloads: Sequence[str],
     schemes: Sequence[Union[str, SchemeName]] = (SchemeName.TXCACHE,),
     fault_config: Optional[FaultConfig] = None,
-    fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9),
+    fractions: Sequence[float] = CRASH_FRACTIONS,
     *,
     config: Optional[MachineConfig] = None,
     num_cores: int = 1,
@@ -107,44 +107,37 @@ def chaos_sweep(
 ) -> ChaosReport:
     """Sweep fault injection × crash fractions × schemes × workloads.
 
-    Crash points are placed as fractions of each experiment's
-    *fault-free* run length, so a sweep at different fault rates
-    crashes at comparable execution points.  The run-length points and
-    then the chaos points run on ``engine`` (by default an inline
+    Each (workload, scheme) pair is one crash point on the faulty
+    config (:func:`~repro.sim.crash.crash_at_fractions`): crashes are
+    placed as fractions of the *fault-free* run length, so a sweep at
+    different fault rates crashes at comparable execution points.  The
+    points run as one batch on ``engine`` (by default an inline
     :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
     cache); every point regenerates its traces from the same seed.
 
     Each run gets its own fault seed (``fault_config.seed`` + run
-    index) so the sweep explores distinct fault timings instead of
-    replaying one draw sequence 5×N times — while staying exactly
-    reproducible for a given base seed.
+    index, pair by pair and fraction by fraction) so the sweep explores
+    distinct fault timings instead of replaying one draw sequence 5×N
+    times — while staying exactly reproducible for a given base seed.
 
-    Every per-run config (derived fault seed) is built up front, so a
-    bad fault knob raises before any point simulates.
+    Every pair's config is built up front, so a bad fault knob raises
+    before any point simulates.
     """
     fault_config = fault_config or FaultConfig()
     base = config or small_machine_config(num_cores=num_cores)
-    clean = replace(base, faults=FaultConfig())
-    # fail fast: build every run's config (replace() re-runs the
-    # FaultConfig validators) before the first — potentially
-    # minutes-long — simulation
     pairs = [(workload, SchemeName.parse(scheme).value)
              for workload in workloads for scheme in schemes]
-    faulty_configs = [
-        replace(base, faults=replace(fault_config,
-                                     seed=fault_config.seed + index))
-        for index in range(len(pairs) * len(fractions))
-    ]
+    # fail fast: replace() re-runs the FaultConfig validators before
+    # the first — potentially minutes-long — simulation
+    points = [
+        CrashPoint(workload, scheme,
+                   replace(base, faults=replace(
+                       fault_config,
+                       seed=fault_config.seed + index * len(fractions))),
+                   tuple(fractions), operations=operations, seed=seed,
+                   trace_dir=trace_dir, trace_epoch=trace_epoch)
+        for index, (workload, scheme) in enumerate(pairs)]
     engine = engine or ExperimentEngine()
-    totals = engine.run([RunLengthPoint(workload, scheme, clean,
-                                        operations=operations, seed=seed)
-                         for workload, scheme in pairs])
-    crashes = [(workload, scheme, total, max(1, int(total * fraction)))
-               for (workload, scheme), total in zip(pairs, totals)
-               for fraction in fractions]
-    points = [ChaosPoint(workload, scheme, crash_cycle, total, faulty,
-                         operations=operations, seed=seed,
-                         trace_dir=trace_dir, trace_epoch=trace_epoch)
-              for (workload, scheme, total, crash_cycle), faulty
-              in zip(crashes, faulty_configs)]
-    return ChaosReport(fault_config=fault_config, runs=engine.run(points))
+    return ChaosReport(fault_config=fault_config,
+                       runs=[run for reports in engine.run(points)
+                             for run in reports])

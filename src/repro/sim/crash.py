@@ -10,11 +10,13 @@ program order (write-order control, paper §2).
 :func:`run_with_crash` builds a fresh system, pauses the event loop at
 the crash cycle, asks the scheme's recovery model for the recovered
 image and the durably-committed set, and checks both against the
-scheme-independent expectation derived from the workload traces.  The
-machine config's ``faults`` field decides whether the hardware is
-perfect or lossy, so the same call is one point of a crash sweep on a
-clean config and one point of a chaos sweep (:mod:`repro.sim.chaos`)
-on a faulty one; either way the report carries the resilience
+scheme-independent expectation derived from the workload traces.
+:func:`crash_at_fractions` does the same at several fractions of one
+experiment's run, stepping one system through every crash on a clean
+config; it is the one body behind :func:`crash_sweep`, the chaos sweep
+(:mod:`repro.sim.chaos`) and the persistent heap's ``crash_test``.
+The machine config's ``faults`` field decides whether the hardware is
+perfect or lossy; either way each report carries the resilience
 machinery's counters (all 0 on a clean run).
 
 The expectation machinery itself lives in :mod:`repro.litmus.oracle`
@@ -28,16 +30,16 @@ the litmus matrix exercises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Union
 
-from ..common.config import MachineConfig, small_machine_config
+from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName, Version
 from ..cpu.trace import Trace
 from ..litmus.oracle import (check_membership, expected_image_from_summaries,
                              tx_summaries)
-from .parallel import (CrashPoint, ExperimentEngine, RunLengthPoint,
-                       make_params)
+from .parallel import (CRASH_FRACTIONS, CrashPoint, ExperimentEngine,
+                       capture_obs, make_params, write_trace)
 from .runner import make_traces
 from .system import System
 
@@ -176,6 +178,26 @@ def measure_run_length(
     return system.sim.now
 
 
+def _crash_report(system: System, workload: str,
+                  scheme: Union[str, SchemeName], traces: Sequence[Trace],
+                  crash_cycle: int, total_cycles: int) -> CrashReport:
+    """Crash the loaded ``system`` at ``crash_cycle``, recover, check."""
+    committed, recovered, violations = crash_and_check(
+        system, traces, crash_cycle)
+    return CrashReport(
+        workload=workload,
+        scheme=SchemeName.parse(scheme),
+        crash_cycle=crash_cycle,
+        total_cycles=total_cycles,
+        committed=set(committed),
+        program_committed=sum(core.committed_transactions
+                              for core in system.cores),
+        recovered_lines=len(recovered),
+        violations=violations,
+        fault_stats=_collect_fault_stats(system),
+    )
+
+
 def run_with_crash(
     workload: str,
     scheme: Union[str, SchemeName],
@@ -205,27 +227,78 @@ def run_with_crash(
         traces = make_traces(workload, config.num_cores, operations,
                              seed=seed, **workload_params)
     system.load_traces(traces)
-    committed, recovered, violations = crash_and_check(
-        system, traces, crash_cycle)
-    program_committed = sum(core.committed_transactions
-                            for core in system.cores)
-    return CrashReport(
-        workload=workload,
-        scheme=SchemeName.parse(scheme),
-        crash_cycle=crash_cycle,
-        total_cycles=total_cycles or crash_cycle,
-        committed=set(committed),
-        program_committed=program_committed,
-        recovered_lines=len(recovered),
-        violations=violations,
-        fault_stats=_collect_fault_stats(system),
-    )
+    return _crash_report(system, workload, scheme, traces, crash_cycle,
+                         total_cycles or crash_cycle)
+
+
+def crash_at_fractions(
+    workload: str,
+    scheme: Union[str, SchemeName],
+    config: MachineConfig,
+    fractions: Sequence[float],
+    *,
+    operations: int = 50,
+    seed: int = 42,
+    traces: Optional[Sequence[Trace]] = None,
+    trace_dir=None,
+    trace_epoch: int = 0,
+    trace_stem: str = "crash",
+    **workload_params,
+) -> List[CrashReport]:
+    """Crash one experiment at each fraction of its run; one report
+    per fraction, in fraction order.
+
+    The traces are built once.  An uninterrupted run of ``config`` with
+    its faults cleared gives the length; fraction ``f`` crashes at
+    cycle ``max(1, int(length * f))``, so a sweep at different fault
+    rates crashes at comparable execution points.  On a fault-free
+    config one system is stepped through the sorted crash cycles, as
+    the litmus runner steps through every cycle (a crash pauses the
+    run; it does not end it), and equal cycles share one check.  With
+    faults on, fraction ``j`` runs a fresh system with fault seed
+    ``config.faults.seed + j``, so each crash sees its own fault draws.
+
+    ``trace_dir`` writes one Chrome trace per crash, taken at its
+    pause, as ``<trace_stem>.<j>.trace.json``; ``trace_epoch`` turns
+    on occupancy sampling.
+    """
+    if traces is None:
+        traces = make_traces(workload, config.num_cores, operations,
+                             seed=seed, **workload_params)
+    total = measure_run_length(workload, scheme,
+                               config=replace(config, faults=FaultConfig()),
+                               traces=traces)
+    cycles = [max(1, int(total * fraction)) for fraction in fractions]
+
+    if config.faults.enabled:
+        reports = []
+        for index, cycle in enumerate(cycles):
+            faults = replace(config.faults, seed=config.faults.seed + index)
+            obs = capture_obs(trace_dir, trace_epoch)
+            reports.append(run_with_crash(
+                workload, scheme, cycle,
+                config=replace(config, faults=faults), total_cycles=total,
+                traces=traces, obs=obs))
+            write_trace(trace_dir, f"{trace_stem}.{index}", obs)
+        return reports
+
+    obs = capture_obs(trace_dir, trace_epoch)
+    system = System(config, scheme, obs=obs)
+    system.load_traces(traces)
+    by_cycle: Dict[int, CrashReport] = {}
+    for cycle in sorted(set(cycles)):
+        by_cycle[cycle] = _crash_report(system, workload, scheme, traces,
+                                        cycle, total)
+        for index, at in enumerate(cycles):
+            if at == cycle:
+                write_trace(trace_dir, f"{trace_stem}.{index}", obs)
+    return [by_cycle[cycle] for cycle in cycles]
 
 
 def crash_sweep(
     workload: str,
     scheme: Union[str, SchemeName],
-    fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9),
+    fractions: Sequence[float] = CRASH_FRACTIONS,
     *,
     config: Optional[MachineConfig] = None,
     num_cores: int = 1,
@@ -238,29 +311,24 @@ def crash_sweep(
 ) -> List[CrashReport]:
     """Crash the same experiment at several points of its execution.
 
-    A run-length point places the crash cycles as fractions of an
-    uninterrupted run, then one crash point per fraction runs on
-    ``engine`` (by default an inline
+    The sweep is one :class:`~repro.sim.parallel.CrashPoint` (see
+    :func:`crash_at_fractions`) run on ``engine`` (by default an inline
     :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
-    cache).  Every point regenerates its deterministic traces from the
-    seed, so a pooled sweep reports exactly what an inline one does.
+    cache).  The point regenerates its deterministic traces from the
+    seed, so a pooled or cached sweep reports exactly what an inline
+    one does.
 
-    ``trace_dir`` writes one Chrome trace per crash point, named by the
-    point's cache key; ``trace_epoch`` turns on occupancy sampling.
+    ``trace_dir`` writes one Chrome trace per crash, named by the
+    point's cache key and the fraction index; ``trace_epoch`` turns on
+    occupancy sampling.
     """
     if workload_params.pop("traces", None) is not None:
         raise ValueError("crash sweep points regenerate traces per point; "
                          "pass seed/operations instead of traces")
-    config = config or small_machine_config(num_cores=num_cores)
-    engine = engine or ExperimentEngine()
-    scheme_value = SchemeName.parse(scheme).value
-    params = make_params(workload_params)
-    total = engine.run([RunLengthPoint(
-        workload, scheme_value, config, operations=operations, seed=seed,
-        workload_params=params)])[0]
-    return engine.run([
-        CrashPoint(workload, scheme_value, max(1, int(total * fraction)),
-                   total, config, operations=operations, seed=seed,
-                   workload_params=params, trace_dir=trace_dir,
-                   trace_epoch=trace_epoch)
-        for fraction in fractions])
+    point = CrashPoint(
+        workload, SchemeName.parse(scheme).value,
+        config or small_machine_config(num_cores=num_cores),
+        tuple(fractions), operations=operations, seed=seed,
+        workload_params=make_params(workload_params), trace_dir=trace_dir,
+        trace_epoch=trace_epoch)
+    return (engine or ExperimentEngine()).run([point])[0]

@@ -3,7 +3,7 @@
 Every figure, ablation, sweep, and chaos run in this repo is a grid of
 *independent* experiment points — a point is fully described by
 ``(workload, scheme, machine config, operation count, seed)`` plus the
-point kind (plain run, crash run, chaos run, run-length measurement).
+point kind (plain run, crash sweep, litmus program).
 This module fans such grids out over a :class:`ProcessPoolExecutor`
 and memoizes finished points on disk, so re-running the figure
 pipeline or a CI sweep skips everything already computed.
@@ -36,6 +36,7 @@ result schema changes, invalidating stale caches wholesale.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import threading
@@ -73,28 +74,29 @@ def point_key(kind: str, spec: Dict[str, object]) -> str:
     return sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _capture_obs(point):
-    """Build the point's observability bundle, or None when tracing is
-    off.  ``trace_dir``/``trace_epoch`` are deliberately **excluded**
-    from every point spec: tracing is read-only instrumentation, so a
-    traced run and an untraced run share one cache key (the engine
-    instead bypasses cache *reads* for traced points, so asking for a
-    trace always re-simulates and captures it)."""
-    if getattr(point, "trace_dir", None) is None:
+def capture_obs(trace_dir, trace_epoch: int):
+    """A traced point's observability bundle, or None when tracing is
+    off (``trace_dir`` None).  ``trace_dir``/``trace_epoch`` are
+    deliberately **excluded** from every point spec: tracing is
+    read-only instrumentation, so a traced run and an untraced run
+    share one cache key (the engine instead bypasses cache *reads* for
+    traced points, so asking for a trace always re-simulates and
+    captures it)."""
+    if trace_dir is None:
         return None
     from ..obs import Observability
 
-    return Observability(epoch=point.trace_epoch)
+    return Observability(epoch=trace_epoch)
 
 
-def _write_trace(point, obs) -> None:
-    """Write a traced point's Chrome trace next to its cache entry
-    naming: ``<trace_dir>/<point.key>.trace.json``."""
+def write_trace(trace_dir, name: str, obs) -> None:
+    """Write a captured Chrome trace as
+    ``<trace_dir>/<name>.trace.json`` (nothing when ``obs`` is None)."""
     if obs is None:
         return
-    root = pathlib.Path(point.trace_dir)
+    root = pathlib.Path(trace_dir)
     root.mkdir(parents=True, exist_ok=True)
-    obs.write(root / f"{point.key}.trace.json")
+    obs.write(root / f"{name}.trace.json")
 
 
 def make_params(params: Dict[str, object]) -> WorkloadParams:
@@ -116,8 +118,8 @@ class _Point:
 
 
 def _workload_spec(point, **crash) -> Dict[str, object]:
-    """The spec of a workload point kind; the crash kinds pass their
-    ``crash_cycle`` and ``total_cycles``, which sit after the scheme."""
+    """The spec of a workload point kind; the crash kind passes its
+    ``fractions``, which sit after the scheme."""
     return {
         "workload": point.workload,
         "scheme": point.scheme,
@@ -139,7 +141,7 @@ class ExperimentPoint(_Point):
     operations: int = 300
     seed: int = 42
     workload_params: WorkloadParams = ()
-    #: trace capture (not part of the spec/cache key — see _capture_obs)
+    #: trace capture (not part of the spec/cache key — see capture_obs)
     trace_dir: Optional[str] = None
     trace_epoch: int = 0
 
@@ -151,12 +153,12 @@ class ExperimentPoint(_Point):
     def execute(self) -> Dict[str, object]:
         from .runner import run_experiment
 
-        obs = _capture_obs(self)
+        obs = capture_obs(self.trace_dir, self.trace_epoch)
         result = run_experiment(
             self.workload, self.scheme, config=self.config,
             operations=self.operations, seed=self.seed, obs=obs,
             **dict(self.workload_params))
-        _write_trace(self, obs)
+        write_trace(self.trace_dir, self.key, obs)
         return result.to_dict(include_raw=True)
 
     @staticmethod
@@ -166,88 +168,60 @@ class ExperimentPoint(_Point):
         return SimulationResult.from_dict(payload)
 
 
-@dataclass(frozen=True)
-class RunLengthPoint(_Point):
-    """Cycle count of an uninterrupted run (places crash points)."""
-
-    workload: str
-    scheme: str
-    config: MachineConfig
-    operations: int = 50
-    seed: int = 42
-    workload_params: WorkloadParams = ()
-
-    kind = "run_length"
-
-    def spec(self) -> Dict[str, object]:
-        return _workload_spec(self)
-
-    def execute(self) -> Dict[str, object]:
-        from .crash import measure_run_length
-
-        total = measure_run_length(
-            self.workload, self.scheme, config=self.config,
-            operations=self.operations, seed=self.seed,
-            **dict(self.workload_params))
-        return {"total_cycles": total}
-
-    @staticmethod
-    def deserialize(payload: Dict[str, object]) -> int:
-        return int(payload["total_cycles"])
+#: crash points of a sweep, as fractions of the uninterrupted run
+CRASH_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 @dataclass(frozen=True)
 class CrashPoint(_Point):
-    """One crash-injection run checked by the atomicity oracle."""
+    """A crash sweep of one experiment, checked by the atomicity
+    oracle: one report per fraction, in fraction order (see
+    :func:`repro.sim.crash.crash_at_fractions`)."""
 
     workload: str
     scheme: str
-    crash_cycle: int
-    total_cycles: int
     config: MachineConfig
+    fractions: Tuple[float, ...] = CRASH_FRACTIONS
     operations: int = 50
     seed: int = 42
     workload_params: WorkloadParams = ()
-    #: trace capture (not part of the spec/cache key — see _capture_obs)
+    #: trace capture (not part of the spec/cache key — see capture_obs)
     trace_dir: Optional[str] = None
     trace_epoch: int = 0
 
     kind = "crash"
 
+    def __post_init__(self) -> None:
+        fractions = self.fractions
+        if (not isinstance(fractions, (list, tuple)) or not fractions
+                or not all(isinstance(f, (int, float))
+                           and not isinstance(f, bool) and math.isfinite(f)
+                           for f in fractions)):
+            raise ValueError("fractions must be a non-empty list of "
+                             f"finite numbers, got {fractions!r}")
+        # 1 and 1.0 place the same crash, so they share a key
+        object.__setattr__(self, "fractions",
+                           tuple(float(f) for f in fractions))
+
     def spec(self) -> Dict[str, object]:
-        # total_cycles is an *input* echoed into the payload, so it
-        # must be part of the key for the cache to stay truthful
-        return _workload_spec(self, crash_cycle=self.crash_cycle,
-                              total_cycles=self.total_cycles)
+        return _workload_spec(self, fractions=list(self.fractions))
 
     def execute(self) -> Dict[str, object]:
-        from .crash import run_with_crash
+        from .crash import crash_at_fractions
 
-        obs = _capture_obs(self)
-        report = run_with_crash(
-            self.workload, self.scheme, self.crash_cycle,
-            config=self.config, operations=self.operations,
-            seed=self.seed, total_cycles=self.total_cycles, obs=obs,
-            **dict(self.workload_params))
-        _write_trace(self, obs)
-        return report.to_dict()
+        reports = crash_at_fractions(
+            self.workload, self.scheme, self.config, self.fractions,
+            operations=self.operations, seed=self.seed,
+            trace_dir=self.trace_dir, trace_epoch=self.trace_epoch,
+            trace_stem=self.key, **dict(self.workload_params))
+        return {"reports": [report.to_dict() for report in reports]}
 
     @staticmethod
     def deserialize(payload: Dict[str, object]):
         from .crash import CrashReport
 
-        return CrashReport.from_dict(payload)
-
-
-@dataclass(frozen=True)
-class ChaosPoint(CrashPoint):
-    """A crash point under fault injection: ``config.faults`` carries
-    the rates and the per-run derived fault seed, so the inherited
-    :meth:`CrashPoint.execute` runs the faulty machine."""
-
-    operations: int = 40
-
-    kind = "chaos"
+        return [CrashReport.from_dict(report)
+                for report in payload["reports"]]
 
 
 @dataclass(frozen=True)
@@ -299,8 +273,7 @@ class LitmusPoint(_Point):
 
 #: kind string → point dataclass, for callers (the serving layer's wire
 #: protocol, notebooks) that build points from external descriptions
-POINT_KINDS = {cls.kind: cls for cls in (ExperimentPoint, RunLengthPoint,
-                                         CrashPoint, ChaosPoint,
+POINT_KINDS = {cls.kind: cls for cls in (ExperimentPoint, CrashPoint,
                                          LitmusPoint)}
 
 

@@ -202,16 +202,26 @@ class TestSchemeHooks:
     def test_flush_to_llc_moves_dirty_data_down(self):
         sim, stats, memory, hierarchy = build()
         run_store(sim, hierarchy, 0, NVM_BASE, Version(4, 0), persistent=True)
-        latency = hierarchy.flush_to_llc(0, NVM_BASE, pin=True)
+        latency = hierarchy.flush_to_llc(0, NVM_BASE)
         assert latency == hierarchy.llc.latency
         entry = hierarchy.llc.probe(NVM_BASE)
-        assert entry.dirty and entry.pinned and entry.version == Version(4, 0)
+        assert entry.dirty and entry.version == Version(4, 0)
+        assert not entry.pinned     # no pin predicate installed
         assert not hierarchy.l1[0].probe(NVM_BASE).dirty
 
     def test_pin_and_unpin(self):
+        """Kiln's path: the pin predicate pins an uncommitted line as
+        it lands in the LLC, and commit unpins it."""
         sim, stats, memory, hierarchy = build()
-        hierarchy.pin_llc_line(NVM_BASE, Version(1, 0), tx_id=1)
+        hierarchy.llc_pin_predicate = lambda tx_id: tx_id == 1
+        run_store(sim, hierarchy, 0, NVM_BASE, Version(1, 0),
+                  persistent=True, tx_id=1)
+        run_store(sim, hierarchy, 0, NVM_BASE + 64, Version(2, 0),
+                  persistent=True, tx_id=2)
+        hierarchy.flush_to_llc(0, NVM_BASE)
+        hierarchy.flush_to_llc(0, NVM_BASE + 64)
         assert hierarchy.llc.probe(NVM_BASE).pinned
+        assert not hierarchy.llc.probe(NVM_BASE + 64).pinned
         hierarchy.unpin_llc_line(NVM_BASE)
         assert not hierarchy.llc.probe(NVM_BASE).pinned
 

@@ -740,6 +740,47 @@ class TestHungNodeFailover:
                     await stub.stop()
         run_async(scenario())
 
+    def test_last_ditch_forward_to_unready_home_fails_over(self):
+        """The first home is hung and already out of rotation, the
+        other sheds: the request's last-ditch forward to the hung home
+        is abandoned at its next failed probe, and the retry round
+        lands on the shedding node, long before request_timeout."""
+        async def scenario():
+            stubs = [await StubNode().start() for _ in range(2)]
+            infos = [stub.info(f"node{i}")
+                     for i, stub in enumerate(stubs)]
+            router, task = await _start_router(
+                infos, replication=2, health_interval_seconds=0.05,
+                probe_timeout=0.2, request_timeout=8.0)
+            try:
+                order = router.candidates(parse_request(SPEC).key)
+                by_id = dict(zip([info.node_id for info in infos],
+                                 stubs))
+                hung, shedding = by_id[order[0]], by_id[order[1]]
+                hung.hung = True
+                await _until(lambda: not router.membership.is_ready(
+                    order[0]))
+                shedding.behaviors = [("shed", 0)]
+                began = time.monotonic()
+                status, _headers, payload = await _post(router, SPEC)
+                assert status == 200
+                assert payload["node"] == order[1]
+                assert time.monotonic() - began < 4.0
+                outcomes = [(event["args"]["node"],
+                             event["args"].get("outcome"))
+                            for event in _forward_spans(router)]
+                assert outcomes == [(order[1], None),
+                                    (order[0], "NodeAbandoned"),
+                                    (order[1], None)]
+                assert router.stats.counter("cluster.forward.503") == 1
+                assert router.stats.counter("cluster.forward.ok") == 1
+                assert not hung.point_requests
+            finally:
+                await _stop_router(router, task)
+                for stub in stubs:
+                    await stub.stop()
+        run_async(scenario())
+
     def test_draining_node_finishes_its_inflight_forward(self):
         async def scenario():
             gate = asyncio.Event()
@@ -900,7 +941,7 @@ class TestPooledConnectionsOnRealNodes:
 
         specs = [
             {"kind": "crash", "workload": "sps", "scheme": "txcache",
-             "operations": 6, "crash_cycle": 300, "total_cycles": 600,
+             "operations": 6, "fractions": [0.75, 0.25, 0.75],
              "config": {"num_cores": 1}},
             {"kind": "litmus", "program": default_suite(0)[0].to_dict(),
              "scheme": "txcache"},

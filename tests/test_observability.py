@@ -346,13 +346,15 @@ class TestEngineTraceCapture:
 
 
 class TestTraceCaptureWithoutEngine:
-    """The sweeps capture per-point traces on their default engine too:
-    one ``<point.key>.trace.json`` per traced point, nothing else."""
+    """The sweeps capture traces on their default engine too: one
+    ``<point.key>.trace.json`` per traced experiment point, and one
+    ``<point.key>.<fraction index>.trace.json`` per crash of a traced
+    crash point; nothing else."""
 
     @staticmethod
-    def assert_traced(trace_dir, points):
-        names = sorted(path.name for path in trace_dir.iterdir())
-        assert names == sorted(f"{point.key}.trace.json" for point in points)
+    def assert_traced(trace_dir, names):
+        assert sorted(path.name for path in trace_dir.iterdir()) == \
+            sorted(f"{name}.trace.json" for name in names)
         for path in trace_dir.iterdir():
             assert validate_chrome_trace(json.loads(path.read_text())) == []
 
@@ -361,32 +363,26 @@ class TestTraceCaptureWithoutEngine:
         from repro.sim.parallel import CrashPoint
 
         config = small_machine_config(num_cores=1)
-        reports = crash_sweep(WORKLOAD, "txcache", fractions=(0.3, 0.7),
-                              config=config, operations=OPS, seed=SEED,
-                              trace_dir=str(tmp_path))
-        self.assert_traced(tmp_path, [
-            CrashPoint(WORKLOAD, "txcache", report.crash_cycle,
-                       report.total_cycles, config, operations=OPS,
-                       seed=SEED)
-            for report in reports])
+        crash_sweep(WORKLOAD, "txcache", fractions=(0.3, 0.7),
+                    config=config, operations=OPS, seed=SEED,
+                    trace_dir=str(tmp_path))
+        key = CrashPoint(WORKLOAD, "txcache", config, (0.3, 0.7),
+                         operations=OPS, seed=SEED).key
+        self.assert_traced(tmp_path, [f"{key}.0", f"{key}.1"])
 
     def test_chaos_sweep(self, tmp_path):
         from repro.sim.chaos import chaos_sweep
-        from repro.sim.parallel import ChaosPoint
+        from repro.sim.parallel import CrashPoint
 
         config = small_machine_config(num_cores=1)
         fault_config = FaultConfig(seed=5, nvm_write_fail_rate=1e-3)
-        report = chaos_sweep([WORKLOAD], fault_config=fault_config,
-                             fractions=(0.3, 0.7), config=config,
-                             operations=OPS, seed=SEED,
-                             trace_dir=str(tmp_path))
-        self.assert_traced(tmp_path, [
-            ChaosPoint(WORKLOAD, "txcache", run.crash_cycle,
-                       run.total_cycles,
-                       replace(config, faults=replace(
-                           fault_config, seed=fault_config.seed + index)),
-                       operations=OPS, seed=SEED)
-            for index, run in enumerate(report.runs)])
+        chaos_sweep([WORKLOAD], fault_config=fault_config,
+                    fractions=(0.3, 0.7), config=config,
+                    operations=OPS, seed=SEED, trace_dir=str(tmp_path))
+        key = CrashPoint(WORKLOAD, "txcache",
+                         replace(config, faults=fault_config), (0.3, 0.7),
+                         operations=OPS, seed=SEED).key
+        self.assert_traced(tmp_path, [f"{key}.0", f"{key}.1"])
 
     def test_sweep_run(self, tmp_path):
         from repro.sim.parallel import ExperimentPoint
@@ -399,5 +395,5 @@ class TestTraceCaptureWithoutEngine:
         self.assert_traced(tmp_path, [
             ExperimentPoint(WORKLOAD, "txcache",
                             sweep.configure(config, value),
-                            operations=OPS, seed=SEED)
+                            operations=OPS, seed=SEED).key
             for value in sweep.values])

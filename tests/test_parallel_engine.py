@@ -27,14 +27,12 @@ from repro.litmus.generator import message_passing
 from repro.sim.chaos import chaos_sweep
 from repro.sim.crash import CrashReport, crash_sweep, run_with_crash
 from repro.sim.parallel import (
-    ChaosPoint,
     CrashPoint,
     ExperimentEngine,
     ExperimentPoint,
     LitmusPoint,
     CACHE_SCHEMA_VERSION,
     ResultCache,
-    RunLengthPoint,
     point_key,
 )
 from repro.sim.runner import (
@@ -78,8 +76,8 @@ class TestPointKeys:
 
     def test_kinds_never_collide(self):
         exp = ExperimentPoint("sps", "txcache", CONFIG, operations=20)
-        length = RunLengthPoint("sps", "txcache", CONFIG, operations=20)
-        assert exp.key != length.key
+        crash = CrashPoint("sps", "txcache", CONFIG, operations=20)
+        assert exp.key != crash.key
 
     def test_point_specs_are_pinned(self):
         """One fixed point of each kind: the exact spec dict (key order
@@ -96,22 +94,19 @@ class TestPointKeys:
              {"workload": "sps", "scheme": "txcache",
               "config": fingerprint, "operations": 20, "seed": 7,
               "workload_params": [["array_elements", 64]]}),
-            (RunLengthPoint("sps", "sp", CONFIG),
-             "run_length",
-             {"workload": "sps", "scheme": "sp", "config": fingerprint,
-              "operations": 50, "seed": 42, "workload_params": []}),
-            (CrashPoint("hashtable", "txcache", 900, 4000, CONFIG,
+            (CrashPoint("hashtable", "txcache", CONFIG,
                         workload_params=params),
              "crash",
              {"workload": "hashtable", "scheme": "txcache",
-              "crash_cycle": 900, "total_cycles": 4000,
+              "fractions": [0.1, 0.25, 0.5, 0.75, 0.9],
               "config": fingerprint, "operations": 50, "seed": 42,
               "workload_params": [["array_elements", 64]]}),
-            (ChaosPoint("queue", "kiln", 300, 1200, CONFIG, seed=3),
-             "chaos",
-             {"workload": "queue", "scheme": "kiln", "crash_cycle": 300,
-              "total_cycles": 1200, "config": fingerprint,
-              "operations": 40, "seed": 3, "workload_params": []}),
+            (CrashPoint("queue", "kiln", CONFIG, (0.9, 1), operations=40,
+                        seed=3),
+             "crash",
+             {"workload": "queue", "scheme": "kiln", "fractions": [0.9, 1.0],
+              "config": fingerprint, "operations": 40, "seed": 3,
+              "workload_params": []}),
             (LitmusPoint(program.canonical_json(), "txcache", CONFIG,
                          check_every=2),
              "litmus",
@@ -174,17 +169,19 @@ class TestRoundTrips:
 
 
 class TestChaosIsCrash:
-    """A chaos point is a crash point whose config carries fault
-    rates: one harness, one payload shape."""
+    """A chaos run is a crash whose config carries fault rates: one
+    harness, one payload shape."""
 
     FAULTY = replace(CONFIG, faults=FaultConfig(
         seed=5, nvm_write_fail_rate=1e-2, ack_loss_rate=1e-2,
         tc_bit_flip_rate=1e-3))
 
-    def test_chaos_point_equals_crash_point_on_faulty_config(self):
-        spec = ("hashtable", "txcache", 18924, 37848, self.FAULTY)
-        chaos = ChaosPoint(*spec).execute()
-        assert chaos == CrashPoint(*spec, operations=40).execute()
+    def test_faulty_crash_point_equals_run_with_crash(self):
+        (chaos,) = CrashPoint("hashtable", "txcache", self.FAULTY, (0.5,),
+                              operations=40).execute()["reports"]
+        assert chaos == run_with_crash(
+            "hashtable", "txcache", 18924, config=self.FAULTY,
+            operations=40, total_cycles=37848).to_dict()
         assert any(chaos["fault_stats"].values())
 
     def test_clean_crash_run_has_zero_fault_stats(self):

@@ -46,6 +46,7 @@ from repro.serve import (
     run_in_thread,
 )
 from repro.sim.parallel import (
+    CrashPoint,
     ExperimentEngine,
     ExperimentPoint,
     ResultCache,
@@ -114,19 +115,44 @@ class TestProtocol:
         # everything else still the small preset
         assert request.point.config.l1 == CONFIG.l1
 
-    def test_crash_kind_requires_cycle_fields(self):
-        base = {"kind": "crash", "workload": "sps", "scheme": "txcache"}
-        with pytest.raises(ProtocolError, match="crash_cycle"):
-            parse_request(base)
-        request = parse_request(
-            dict(base, crash_cycle=100, total_cycles=400,
-                 config={"num_cores": 1}))
+    def test_crash_kind_takes_optional_fractions(self):
+        base = {"kind": "crash", "workload": "sps", "scheme": "txcache",
+                "config": {"num_cores": 1}}
+        request = parse_request(base)
         assert request.point.kind == "crash"
+        assert request.point == CrashPoint("sps", "txcache", CONFIG)
+        request = parse_request(dict(base, fractions=[0.9, 1, 0.9]))
+        assert request.point.fractions == (0.9, 1.0, 0.9)
+        assert request.key == CrashPoint("sps", "txcache", CONFIG,
+                                         (0.9, 1.0, 0.9)).key
 
-    def test_cycle_fields_rejected_on_plain_points(self):
-        with pytest.raises(ProtocolError, match="crash/chaos"):
-            parse_request({"workload": "sps", "scheme": "txcache",
-                           "crash_cycle": 5})
+    @pytest.mark.parametrize("fractions", [
+        [], ["0.5"], [True], [0.5, False], 0.5, "0.5", None, {"a": 1},
+        [float("nan")], [float("inf")]])
+    def test_bad_fractions_rejected(self, fractions):
+        with pytest.raises(ProtocolError, match="fractions"):
+            parse_request({"kind": "crash", "workload": "sps",
+                           "scheme": "txcache", "fractions": fractions})
+
+    @pytest.mark.parametrize("request_", [
+        {"workload": "sps", "scheme": "txcache", "fractions": [0.5]},
+        {"kind": "litmus", "program": {}, "scheme": "txcache",
+         "fractions": [0.5]}])
+    def test_fractions_rejected_off_crash_points(self, request_):
+        with pytest.raises(ProtocolError, match="fractions"):
+            parse_request(request_)
+
+    @pytest.mark.parametrize("kind", ["run_length", "chaos"])
+    def test_deleted_kinds_rejected(self, kind):
+        with pytest.raises(ProtocolError, match="kind must be one of"):
+            parse_request({"kind": kind, "workload": "sps",
+                           "scheme": "txcache"})
+
+    @pytest.mark.parametrize("name", ["crash_cycle", "total_cycles"])
+    def test_cycle_fields_are_unknown_keys(self, name):
+        with pytest.raises(ProtocolError, match="unknown keys"):
+            parse_request({"kind": "crash", "workload": "sps",
+                           "scheme": "txcache", name: 5})
 
     def test_deadline_ms_converts_to_seconds(self):
         request = parse_request({"workload": "sps", "scheme": "txcache",
@@ -153,11 +179,9 @@ class TestProtocol:
             parse_request(bad)
 
     @pytest.mark.parametrize("scheme", ["broken_commit", "Broken_Commit"])
-    @pytest.mark.parametrize("kind", ["experiment", "crash", "chaos"])
+    @pytest.mark.parametrize("kind", ["experiment", "crash"])
     def test_negative_control_is_not_served(self, kind, scheme):
         request = {"kind": kind, "workload": "sps", "scheme": scheme}
-        if kind != "experiment":
-            request.update(crash_cycle=100, total_cycles=400)
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(request)
         assert str(excinfo.value) == (
