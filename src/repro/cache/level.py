@@ -22,17 +22,20 @@ class CacheLevel:
         stats: ScopedStats,
         freq_ghz: float,
     ) -> None:
+        geometry = config.geometry(freq_ghz)  # computed once per config
         self.name = config.name
         self.config = config
         self.stats = stats
-        self.latency = config.latency_cycles(freq_ghz)
-        self.array = CacheArray(config.num_sets, config.assoc, CACHE_LINE_SIZE)
+        # per level, not per config: Kiln rewrites its LLC's latency
+        self.latency = geometry.latency
+        self.array = CacheArray(geometry.num_sets, config.assoc,
+                                CACHE_LINE_SIZE)
         # every cache access records 2 counters: cells, not registry calls
         self._counts = stats.cells("access", "miss", "hit")
         # access() is the hottest cache call: keep direct references to
         # the array internals so a timed lookup is one dict probe
         self._sets = self.array._sets
-        self._num_sets = config.num_sets
+        self._num_sets = geometry.num_sets
 
     def access(self, line: int) -> Optional[CacheLine]:
         """Timed lookup: counts an access and a hit or miss.

@@ -21,13 +21,37 @@ figures from the paper are converted at the configured core frequency.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import typing
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping
+from typing import Callable, Dict, Mapping, NamedTuple, TypeVar
 
 from .types import CACHE_LINE_SIZE, ns_to_cycles
+
+_T = TypeVar("_T")
+
+
+def _derived(config: object, key: object, compute: Callable[[], _T]) -> _T:
+    """``compute()``, computed once per frozen ``config`` and ``key``.
+
+    A frozen config never changes, so a table derived from it can be
+    computed once and shared by every component built from it.  The
+    memo sits in the instance dict beside the fields, where ``==``,
+    ``hash``, ``repr``, ``replace`` and ``asdict`` do not look; every
+    value stored in it is immutable, so no system can change what
+    another one reads.  Threads racing on a first call compute equal
+    values, and keeping either is correct."""
+    memo = config.__dict__.get("_derived")
+    if memo is None:
+        memo = {}
+        object.__setattr__(config, "_derived", memo)
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute()
+        return value
 
 
 @dataclass(frozen=True)
@@ -49,6 +73,12 @@ class CacheLevelConfig:
     def latency_cycles(self, freq_ghz: float) -> int:
         return ns_to_cycles(self.latency_ns, freq_ghz)
 
+    def geometry(self, freq_ghz: float) -> "CacheGeometry":
+        """Latency and set count at ``freq_ghz``, computed once per
+        config and frequency."""
+        return _derived(self, ("geometry", freq_ghz), lambda: CacheGeometry(
+            self.latency_cycles(freq_ghz), self.num_sets))
+
     @property
     def num_lines(self) -> int:
         return self.size_bytes // CACHE_LINE_SIZE
@@ -56,6 +86,14 @@ class CacheLevelConfig:
     @property
     def num_sets(self) -> int:
         return self.num_lines // self.assoc
+
+
+class CacheGeometry(NamedTuple):
+    """One cache level's cycle latency and set count at one core
+    frequency (see :meth:`CacheLevelConfig.geometry`)."""
+
+    latency: int
+    num_sets: int
 
 
 @dataclass(frozen=True)
@@ -137,6 +175,37 @@ class MemTimingConfig:
     def write_cycles(self, freq_ghz: float, row_hit: bool) -> int:
         extra = self.row_hit_ns if row_hit else self.row_miss_ns
         return ns_to_cycles(self.write_ns + extra, freq_ghz)
+
+    def cycles(self, freq_ghz: float) -> "MemCycles":
+        """Every bank timing in cycles at ``freq_ghz``, computed once
+        per config and frequency."""
+        def compute() -> MemCycles:
+            refreshes = self.refresh_interval_ns > 0
+            return MemCycles(
+                read_hit=self.read_cycles(freq_ghz, row_hit=True),
+                read_miss=self.read_cycles(freq_ghz, row_hit=False),
+                write_hit=self.write_cycles(freq_ghz, row_hit=True),
+                write_miss=self.write_cycles(freq_ghz, row_hit=False),
+                refresh_interval=(
+                    ns_to_cycles(self.refresh_interval_ns, freq_ghz)
+                    if refreshes else 0),
+                refresh_cycles=(ns_to_cycles(self.refresh_ns, freq_ghz)
+                                if refreshes else 0))
+
+        return _derived(self, ("cycles", freq_ghz), compute)
+
+
+class MemCycles(NamedTuple):
+    """One memory technology's bank timings in cycles at one core
+    frequency (see :meth:`MemTimingConfig.cycles`).  A refresh interval
+    of 0 means the banks never refresh."""
+
+    read_hit: int
+    read_miss: int
+    write_hit: int
+    write_miss: int
+    refresh_interval: int
+    refresh_cycles: int
 
 
 @dataclass(frozen=True)
@@ -398,8 +467,13 @@ def config_from_dict(data: Mapping) -> MachineConfig:
     return _dataclass_from_dict(MachineConfig, data, "config")
 
 
+@functools.lru_cache(maxsize=None)
 def paper_machine_config() -> MachineConfig:
-    """The exact configuration of the paper's Table 2."""
+    """The exact configuration of the paper's Table 2.
+
+    Built on the first call and shared after it: the config is frozen,
+    so every caller may hold the same instance (and every system built
+    from it shares its derived tables)."""
     return MachineConfig()
 
 
@@ -409,8 +483,14 @@ def small_machine_config(num_cores: int = 4) -> MachineConfig:
     Cache capacities shrink by ~64x so that 10^4-10^5-operation traces
     exercise misses, evictions, and LLC pressure the way the paper's
     0.7-billion-instruction runs exercised the full-size hierarchy.
-    Latencies and policies are unchanged.
+    Latencies and policies are unchanged.  Built once per core count,
+    like :func:`paper_machine_config`.
     """
+    return _small_machine_config(num_cores)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _small_machine_config(num_cores: int) -> MachineConfig:
     base = paper_machine_config()
     return replace(
         base,

@@ -52,9 +52,18 @@ logger = logging.getLogger("repro.stats")
 
 @functools.lru_cache(maxsize=None)
 def _counts_type(names: Tuple[str, ...]) -> type:
-    """The record class of :meth:`Stats.cells`: one slot per counter."""
-    return type("Counts", (), {
-        "__slots__": tuple(name.replace(".", "_") for name in names)})
+    """The record class of :meth:`Stats.cells`: one slot per counter,
+    each set to 0 by a generated ``__init__`` (one plain store per
+    slot, as a hand-written one would do)."""
+    attrs = tuple(name.replace(".", "_") for name in names)
+    for attr in attrs:
+        if not attr.isidentifier():
+            raise ValueError(f"counter name {attr!r} is not a cell name")
+    body = "".join(f"    self.{attr} = 0\n" for attr in attrs) or "    pass\n"
+    namespace: Dict[str, object] = {}
+    exec(f"def __init__(self):\n{body}", namespace)
+    return type("Counts", (), {"__slots__": attrs,
+                               "__init__": namespace["__init__"]})
 
 
 @dataclass
@@ -193,8 +202,6 @@ class Stats:
         """A record of counter cells, one int attribute per name (dots
         become underscores), each starting at 0."""
         record = _counts_type(names)()
-        for attr in record.__slots__:
-            setattr(record, attr, 0)
         self._records.append((prefix, names, record))
         return record
 

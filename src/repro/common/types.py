@@ -10,7 +10,6 @@ paper's hybrid memory bus with one controller per space.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 #: Cache line size in bytes (paper: 64 B lines).
@@ -59,7 +58,6 @@ def is_home_line(addr: int) -> bool:
     return NVM_BASE <= addr < HOME_REGION_LIMIT
 
 
-@dataclass(frozen=True)
 class Version:
     """A logical data version used by the crash-consistency checker.
 
@@ -68,10 +66,33 @@ class Version:
     that transaction's program order the write sits.  The recovery
     checker compares recovered versions against the set of durable
     transactions.  ``tx_id`` is ``None`` for non-transactional writes.
+
+    A value type: equal when both fields are, hashed as the tuple
+    ``(tx_id, seq)``.  A plain ``__slots__`` class, not a
+    dataclass or a tuple: a trace set-up builds tens of thousands of
+    versions, a frozen dataclass's ``__init__`` costs over twice a
+    plain one, and ``json.dumps(default=str)`` must keep writing the
+    repr rather than a list.  Treat instances as immutable: nothing
+    stops an assignment, because refusing one would cost every
+    construction a descriptor call.
     """
 
-    tx_id: Optional[int]
-    seq: int
+    __slots__ = ("tx_id", "seq")
+
+    def __init__(self, tx_id: Optional[int], seq: int) -> None:
+        self.tx_id = tx_id
+        self.seq = seq
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.tx_id == other.tx_id and self.seq == other.seq
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tx_id, self.seq))
+
+    def __reduce__(self):
+        return (self.__class__, (self.tx_id, self.seq))
 
     def __repr__(self) -> str:  # compact for test failure output
         return f"V(tx={self.tx_id},seq={self.seq})"

@@ -88,7 +88,12 @@ class Bank:
 
 
 class BankArray:
-    """All banks of one memory controller, plus the address map."""
+    """All banks of one memory controller, plus the address map.
+
+    A bank is created the first time a request maps to it: a short run
+    touches a few of the 32 banks.  Refresh is caught up lazily from
+    cycle 0, so a bank first touched at any cycle is in the state an
+    untouched bank built up front would be in by then."""
 
     LINE_STRIPE = 64  # bank-interleave granularity (one cache line)
 
@@ -98,18 +103,27 @@ class BankArray:
         self._lines_per_row = max(1, self._row_size // self.LINE_STRIPE)
         self._num_banks = config.num_banks
         self._interleave = config.interleave
-        from ..common.types import ns_to_cycles
+        cycles = config.timing.cycles(freq_ghz)
+        self._refresh_interval = cycles.refresh_interval
+        self._refresh_cycles = cycles.refresh_cycles
+        #: bank ``i``, or None until a request first maps to it; public
+        #: for the controller's enqueue path, read-only outside this
+        #: class (:meth:`bank` creates)
+        self.by_index: List[Optional[Bank]] = [None] * self._num_banks
 
-        interval = 0
-        refresh = 0
-        if config.timing.refresh_interval_ns > 0:
-            interval = ns_to_cycles(config.timing.refresh_interval_ns,
-                                    freq_ghz)
-            refresh = ns_to_cycles(config.timing.refresh_ns, freq_ghz)
-        self.banks: List[Bank] = [
-            Bank(i, refresh_interval=interval, refresh_cycles=refresh)
-            for i in range(self._num_banks)
-        ]
+    def bank(self, index: int) -> Bank:
+        """Bank ``index``, created on first use."""
+        bank = self.by_index[index]
+        if bank is None:
+            bank = self.by_index[index] = Bank(
+                index, refresh_interval=self._refresh_interval,
+                refresh_cycles=self._refresh_cycles)
+        return bank
+
+    @property
+    def banks(self) -> List[Bank]:
+        """Every bank, in index order (creating any not yet used)."""
+        return [self.bank(index) for index in range(self._num_banks)]
 
     def map_address(self, addr: int) -> Tuple[int, int]:
         """Map a byte address to (bank index, row index).
@@ -131,7 +145,7 @@ class BankArray:
 
     def bank_for(self, addr: int) -> Bank:
         bank, _row = self.map_address(addr)
-        return self.banks[bank]
+        return self.bank(bank)
 
     def row_for(self, addr: int) -> int:
         _bank, row = self.map_address(addr)
@@ -139,8 +153,8 @@ class BankArray:
 
     @property
     def row_hits(self) -> int:
-        return sum(b.row_hits for b in self.banks)
+        return sum(b.row_hits for b in self.by_index if b is not None)
 
     @property
     def row_misses(self) -> int:
-        return sum(b.row_misses for b in self.banks)
+        return sum(b.row_misses for b in self.by_index if b is not None)

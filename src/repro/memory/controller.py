@@ -44,6 +44,8 @@ from ..common.event import Simulator
 from ..common.stats import ScopedStats
 from ..common.types import MemReqType, MemRequest, Version, is_home_line
 from ..obs.tracer import NULL_TRACER, NullTracer
+from .bank import BankArray
+from .queues import RequestQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
@@ -163,9 +165,6 @@ class MemoryController:
         faults: Optional["FaultInjector"] = None,
         tracer: NullTracer = NULL_TRACER,
     ) -> None:
-        from .bank import BankArray
-        from .queues import RequestQueue
-
         self.sim = sim
         self.config = config
         self.stats = stats
@@ -176,7 +175,7 @@ class MemoryController:
         self.tracer = tracer
         self._track = config.name  # tracer thread label for this channel
         self.banks = BankArray(config, freq_ghz=freq_ghz)
-        self._bank_list = self.banks.banks
+        self._bank_list = self.banks.by_index
         self.read_queue = RequestQueue(f"{config.name}.rq", config.read_queue_entries)
         self.write_queue = RequestQueue(f"{config.name}.wq", config.write_queue_entries)
         self._drain_mode = False
@@ -185,13 +184,14 @@ class MemoryController:
         self._last_write_service = 0
         self._last_grant = -self.SCHEDULER_PERIOD
         # Hot-path precomputation: bank timings (pure functions of the
-        # frozen config) are resolved once here instead of per event,
-        # and per-request statistics are cells and tallies.
-        timing = config.timing
-        self._write_hit_cycles = timing.write_cycles(freq_ghz, row_hit=True)
-        self._write_miss_cycles = timing.write_cycles(freq_ghz, row_hit=False)
-        self._read_hit_cycles = timing.read_cycles(freq_ghz, row_hit=True)
-        self._read_miss_cycles = timing.read_cycles(freq_ghz, row_hit=False)
+        # frozen config, computed once per config) are read here
+        # instead of per event, and per-request statistics are cells
+        # and tallies.
+        cycles = config.timing.cycles(freq_ghz)
+        self._write_hit_cycles = cycles.write_hit
+        self._write_miss_cycles = cycles.write_miss
+        self._read_hit_cycles = cycles.read_hit
+        self._read_miss_cycles = cycles.read_miss
         self._drain_high = config.write_drain_threshold
         self._drain_low = self._drain_high / 2
         self._counts = stats.cells(
@@ -212,7 +212,7 @@ class MemoryController:
         # Resolve the address map once; every scheduler scan after this
         # reads the cached (bank, row) instead of redoing the division.
         bank, request.row = self.banks.map_address(request.line)
-        request.bank = self._bank_list[bank]
+        request.bank = self._bank_list[bank] or self.banks.bank(bank)
         if request.is_write:
             counts = self._counts
             counts.write_requests += 1

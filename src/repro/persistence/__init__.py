@@ -8,6 +8,7 @@ member to its class; each name is written once, on its class.
 from typing import Union
 
 from ..common.types import SchemeName
+from ..obs.tracer import NULL_TRACER
 from .base import OptimalScheme, PersistenceScheme
 from .broken import CommitBeforeFlushScheme
 from .kiln import KilnScheme
@@ -32,8 +33,6 @@ def create_scheme(
 ) -> PersistenceScheme:
     """Instantiate a persistence scheme by name, wiring its hierarchy
     and memory-system hooks (and the observability tracer, if any)."""
-    from ..obs.tracer import NULL_TRACER
-
     cls = _SCHEMES[SchemeName.parse(name)]
     return cls(sim, config, stats, hierarchy, memory,
                tracer=tracer if tracer is not None else NULL_TRACER)

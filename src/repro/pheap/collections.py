@@ -18,6 +18,7 @@ Layouts (all fields 64-bit):
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -28,6 +29,21 @@ _NODE_KEY = 0
 _NODE_VALUE = 8
 _NODE_NEXT = 16
 _NODE_SIZE = 24
+
+
+def _stable_hash(key: object) -> int:
+    """``hash(key)``, except that ``str`` and ``bytes`` keys hash
+    through ``hashlib``: Python salts their built-in hash per process,
+    which would give a string-keyed program a different bucket layout,
+    and so a different trace, in every interpreter.  Int keys keep
+    ``hash(int)``; keys of other types (a tuple holding a string, say)
+    are still salted."""
+    if isinstance(key, str):
+        key = key.encode("utf-8")
+    if isinstance(key, bytes):
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        return int.from_bytes(digest, "little")
+    return hash(key)
 
 
 @dataclass
@@ -63,7 +79,7 @@ class PersistentDict:
 
     def _bucket_of(self, key: object) -> int:
         self.arena.compute(3)  # hash
-        return hash(key) % self.num_buckets
+        return _stable_hash(key) % self.num_buckets
 
     def _bucket_addr(self, index: int) -> int:
         return self._buckets_base + index * WORD
