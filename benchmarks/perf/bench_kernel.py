@@ -27,6 +27,20 @@ Two gates, one per kind of number:
   the committed ``BENCH_kernel.json``: a change that re-adds polling
   fails here even when it runs faster.
 
+One report, not gated:
+
+* **Calls.**  ``calls_by_package`` maps each ``repro`` package (the
+  event kernel and the stats registry split out of ``repro.common``)
+  to the Python calls one drain of a point makes into it under
+  cProfile; ``builtins`` counts calls of C functions and methods, and
+  ``other`` calls into the standard library.  Each side's counts come
+  from one profiled child process per point.  Without ``--against``
+  the script prints this tree's counts; with it, both sides' counts
+  and the change's delta per package.  The counts are exact and the
+  same from one run to the next, so a delta names the package whose
+  work moved; they are neither stored in ``BENCH_kernel.json`` nor
+  gated, because nearly every refactor moves them.
+
 ``--update`` rewrites ``BENCH_kernel.json`` from the full point set.
 It holds only deterministic counts, so it writes the same bytes on any
 host; commit the diff with whatever change moved them.
@@ -126,18 +140,99 @@ print(collect_result(system).instructions_executed / best)
 """
 
 
+#: a call-counting child: argv is ``workload scheme cores operations
+#: seed``; drains the point once under cProfile and prints the
+#: ``repro`` it imported and its Python calls per package as JSON.
+#: Like :data:`CHILD` it uses only names every revision has, and it
+#: groups files as ``perfbench/harness.py``'s ``package_of`` does.
+CALLS_CHILD = """
+import cProfile, json, pathlib, pstats, sys
+import repro
+from repro.common.config import small_machine_config
+from repro.sim.runner import make_traces
+from repro.sim.system import System
+
+def package_of(filename):
+    if filename == "~":
+        return "builtins"
+    parts = pathlib.PurePath(filename).parts
+    if "repro" not in parts:
+        return "other"
+    rest = parts[len(parts) - parts[::-1].index("repro"):]
+    if len(rest) < 2:
+        return "other"
+    if rest[0] == "common":
+        stem = rest[1].rsplit(".", 1)[0]
+        return stem if stem in ("event", "stats") else "common"
+    return rest[0]
+
+workload, scheme = sys.argv[1:3]
+cores, operations, seed = map(int, sys.argv[3:6])
+system = System(small_machine_config(num_cores=cores), scheme)
+system.load_traces(make_traces(workload, cores, operations, seed=seed))
+profiler = cProfile.Profile()
+profiler.runcall(system.run)
+calls = {}
+for (filename, _line, _name), row in pstats.Stats(profiler).stats.items():
+    package = package_of(filename)
+    calls[package] = calls.get(package, 0) + row[1]
+print(repro.__file__)
+print(json.dumps(dict(sorted(calls.items()))))
+"""
+
+
+def _child(src: pathlib.Path, script: str, args: Sequence[str]) -> str:
+    """Run ``script`` in a fresh interpreter importing ``repro`` from
+    ``src``; returns what it printed after the imported file's path."""
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, text=True, check=True).stdout
+    imported, _, rest = out.partition("\n")
+    if not pathlib.Path(imported).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"child imported {imported}, not from {src}")
+    return rest
+
+
+def _point_args(point: BenchPoint) -> List[str]:
+    return [point.workload, point.scheme, str(point.cores),
+            str(point.operations), str(point.seed)]
+
+
 def time_point(src: pathlib.Path, point: BenchPoint) -> float:
     """Best instructions/sec of ``point`` in a fresh child process
     that imports ``repro`` from ``src``."""
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, point.workload, point.scheme,
-         str(point.cores), str(point.operations), str(point.seed),
-         str(RUNS_PER_CHILD)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        stdout=subprocess.PIPE, text=True, check=True).stdout.split()
-    if not pathlib.Path(out[0]).resolve().is_relative_to(src.resolve()):
-        raise RuntimeError(f"child imported {out[0]}, not from {src}")
-    return float(out[1])
+    return float(_child(src, CHILD,
+                        _point_args(point) + [str(RUNS_PER_CHILD)]))
+
+
+def calls_by_package(src: pathlib.Path, point: BenchPoint) -> Dict[str, int]:
+    """Python calls per package of one drain of ``point``, profiled in
+    a fresh child process that imports ``repro`` from ``src``."""
+    return json.loads(_child(src, CALLS_CHILD, _point_args(point)))
+
+
+def calls_table(key: str, sides: Dict[str, Dict[str, int]]) -> List[str]:
+    """``calls_by_package`` of one point as printed lines: one column
+    per side, in the order given, and a ``delta`` column (the last
+    side minus the first) when there are two."""
+    names = list(sides)
+    packages = sorted(set().union(*sides.values()))
+    header = f"    {'package':<12}" + "".join(f"{name:>12}" for name in names)
+    if len(names) == 2:
+        header += f"{'delta':>12}"
+    lines = [f"  calls_by_package {key}", header]
+    for package in packages + ["total"]:
+        counts = [sum(side.values()) if package == "total"
+                  else side.get(package, 0) for side in sides.values()]
+        line = f"    {package:<12}" + "".join(f"{n:>12,}" for n in counts)
+        if len(names) == 2:
+            was, now = counts
+            line += f"{now - was:>+12,}"
+            if was:
+                line += f"{(now - was) / was:>+9.1%}"
+        lines.append(line)
+    return lines
 
 
 def time_pairs(parent_src: pathlib.Path, change_src: pathlib.Path,
@@ -306,11 +401,18 @@ def main(argv=None) -> int:
             print(f"  {point.key:<34} {rec['events']:>8,} ev  "
                   f"{rec['instructions']:>9,} instr  "
                   f"{speed:>12,.0f} instr/s")
+        for point in points:
+            print()
+            print("\n".join(calls_table(point.key, {
+                "calls": calls_by_package(change_src, point)})))
         return 0
 
     with tempfile.TemporaryDirectory() as tmp:
-        timings = time_pairs(extract_src(args.against, pathlib.Path(tmp)),
-                             change_src, points, args.repeats)
+        parent_src = extract_src(args.against, pathlib.Path(tmp))
+        timings = time_pairs(parent_src, change_src, points, args.repeats)
+        calls = {point.key: {"parent": calls_by_package(parent_src, point),
+                             "change": calls_by_package(change_src, point)}
+                 for point in points}
     parent, change = timings["parent"], timings["change"]
     for point in points:
         ratios = pair_ratios(parent, change, point.key)
@@ -319,6 +421,9 @@ def main(argv=None) -> int:
               f"{statistics.median(change[point.key]):>12,.0f} instr/s  "
               f"median ratio {statistics.median(ratios):.3f}  "
               f"({' '.join(f'{r:.3f}' for r in ratios)})")
+    for point in points:
+        print()
+        print("\n".join(calls_table(point.key, calls[point.key])))
     failures = compare(load_baseline(), counts, parent, change,
                        [point.key for point in points])
     if failures:

@@ -34,6 +34,8 @@ from ..common.event import Simulator
 from ..common.stats import Stats
 from ..common.types import (
     CACHE_LINE_SIZE,
+    LINE_MASK,
+    NVM_BASE,
     Version,
     is_persistent_addr,
     line_addr,
@@ -54,23 +56,11 @@ StoreCallback = Callable[[int], None]
 _NO_HOLDERS: Dict[int, CoherenceState] = {}
 _MODIFIED = CoherenceState.MODIFIED
 
-
-class _MissWaiter:
-    """Bookkeeping for one access waiting on a memory fill."""
-
-    __slots__ = ("core_id", "start_cycle", "is_store", "persistent",
-                 "tx_id", "store_version", "on_load", "on_store")
-
-    def __init__(self, core_id, start_cycle, is_store, persistent,
-                 tx_id, store_version, on_load, on_store):
-        self.core_id = core_id
-        self.start_cycle = start_cycle
-        self.is_store = is_store
-        self.persistent = persistent
-        self.tx_id = tx_id
-        self.store_version = store_version
-        self.on_load = on_load
-        self.on_store = on_store
+#: One access waiting on a memory fill, a plain tuple: ``(core_id,
+#: start_cycle, is_store, persistent, tx_id, store_version, on_load,
+#: on_store)``.
+_MissWaiter = Tuple[int, int, bool, bool, Optional[int], Optional[Version],
+                    Optional[LoadCallback], Optional[StoreCallback]]
 
 
 class CacheHierarchy:
@@ -137,50 +127,47 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def load(self, core_id: int, addr: int, on_complete: LoadCallback) -> None:
         """Load one line for ``core_id``; ``on_complete(latency, version)``."""
-        line = line_addr(addr)
-        start = self.sim.now
-        latency = self.l1[core_id].latency
-        entry = self.l1[core_id].access(line)
+        line = addr & LINE_MASK
+        l1 = self.l1[core_id]
+        latency = l1.latency
+        entry = l1.access(line)
         if entry is not None:
             on_complete(latency, entry.version)
             return
+        start = self.sim.now
         outcome = self.coherence.on_read(core_id, line)
         if outcome.supplier_was_dirty:
             # another core owns the line MODIFIED: snoop its data into
             # the shared level before this read proceeds
             self._snoop_dirty(outcome.supplier, line)
-        latency += self.l2[core_id].latency
-        entry = self.l2[core_id].access(line)
+        l2 = self.l2[core_id]
+        latency += l2.latency
+        entry = l2.access(line)
         if entry is not None:
-            self._fill_l1(core_id, line, entry.version,
-                          persistent=entry.persistent, tx_id=entry.tx_id)
+            self._fill_private(l1, l2, line, entry.version, False,
+                               entry.persistent, entry.tx_id)
             on_complete(latency, entry.version)
             return
         # the shared LLC honours commit blocking (Kiln)
-        latency += self._block_wait() + self.llc.latency
+        if self._blocked_until > start:
+            latency += self._block_wait()
+        latency += self.llc.latency
         entry = self.llc.access(line)
+        persistent = line >= NVM_BASE
         if entry is not None:
             version = entry.version
-            self._fill_l2(core_id, line, version,
-                          persistent=entry.persistent, tx_id=entry.tx_id)
-            self._fill_l1(core_id, line, version,
-                          persistent=entry.persistent, tx_id=entry.tx_id)
-            if is_persistent_addr(line):
+            self._fill_private(l2, None, line, version, False,
+                               entry.persistent, entry.tx_id)
+            self._fill_private(l1, l2, line, version, False,
+                               entry.persistent, entry.tx_id)
+            if persistent:
                 # Fig. 10 metric: persistent loads served at/below the LLC
                 self._persist_llc_latency[latency] += 1
             on_complete(latency, version)
             return
-        if is_persistent_addr(line):
-            def complete_and_sample(lat: int, version: Optional[Version]) -> None:
-                self._persist_llc_latency[lat] += 1
-                on_complete(lat, version)
-            on_load_cb: LoadCallback = complete_and_sample
-        else:
-            on_load_cb = on_complete
-        self._llc_miss(core_id, line, start, latency,
-                       is_store=False, persistent=is_persistent_addr(line),
-                       tx_id=None, store_version=None,
-                       on_load=on_load_cb, on_store=None)
+        # a persistent load's fill latency is sampled by _fill
+        self._llc_miss(core_id, line, start, latency, False, persistent,
+                       None, None, on_complete, None)
 
     def store(
         self,
@@ -197,8 +184,7 @@ class CacheHierarchy:
         after a fill if the store missed.  The architectural version is
         installed immediately so program order is preserved for any
         probe that observes the hierarchy."""
-        line = line_addr(addr)
-        start = self.sim.now
+        line = addr & LINE_MASK
         self._arch_version[line] = version
         # MESI: take exclusive ownership up front (covers the miss path
         # too — the fill below installs into an already-owned line).  A
@@ -206,8 +192,9 @@ class CacheHierarchy:
         # on_write makes no transition and records nothing for it.
         if self._holders.get(line, _NO_HOLDERS).get(core_id) is not _MODIFIED:
             self._invalidate_other_sharers(core_id, line)
-        latency = self.l1[core_id].latency
-        entry = self.l1[core_id].access(line)
+        l1 = self.l1[core_id]
+        latency = l1.latency
+        entry = l1.access(line)
         if entry is not None:
             entry.dirty = True
             entry.version = version
@@ -216,43 +203,46 @@ class CacheHierarchy:
             if on_complete is not None:
                 on_complete(latency)
             return
-        latency += self.l2[core_id].latency
-        entry = self.l2[core_id].access(line)
+        start = self.sim.now
+        l2 = self.l2[core_id]
+        latency += l2.latency
+        entry = l2.access(line)
         if entry is not None:
-            self._fill_l1(core_id, line, version, dirty=True,
-                          persistent=persistent, tx_id=tx_id)
+            self._fill_private(l1, l2, line, version, True, persistent,
+                               tx_id)
             # L2 copy becomes stale; drop it so write-back comes from L1.
-            self.l2[core_id].invalidate(line)
-            self._fill_l2(core_id, line, version, dirty=False,
-                          persistent=persistent, tx_id=tx_id)
+            l2.invalidate(line)
+            self._fill_private(l2, None, line, version, False, persistent,
+                               tx_id)
             if on_complete is not None:
                 on_complete(latency)
             return
-        latency += self._block_wait() + self.llc.latency
+        if self._blocked_until > start:
+            latency += self._block_wait()
+        latency += self.llc.latency
         entry = self.llc.access(line)
         if entry is not None:
-            self._fill_l2(core_id, line, entry.version,
-                          persistent=persistent, tx_id=tx_id)
-            self._fill_l1(core_id, line, version, dirty=True,
-                          persistent=persistent, tx_id=tx_id)
+            self._fill_private(l2, None, line, entry.version, False,
+                               persistent, tx_id)
+            self._fill_private(l1, l2, line, version, True, persistent,
+                               tx_id)
             if on_complete is not None:
                 on_complete(latency)
             return
-        self._llc_miss(core_id, line, start, latency,
-                       is_store=True, persistent=persistent, tx_id=tx_id,
-                       store_version=version,
-                       on_load=None, on_store=on_complete)
+        self._llc_miss(core_id, line, start, latency, True, persistent,
+                       tx_id, version, None, on_complete)
 
     # ------------------------------------------------------------------
     # LLC miss handling (memory fill + TC probe)
     # ------------------------------------------------------------------
-    def _llc_miss(self, core_id, line, start, latency, *, is_store,
-                  persistent, tx_id, store_version, on_load, on_store) -> None:
+    def _llc_miss(self, core_id, line, start, latency, is_store,
+                  persistent, tx_id, store_version, on_load,
+                  on_store) -> None:
         if self.tracer.enabled:
             self.tracer.instant("cache", "llc", "miss", self.sim.now,
                                 line=line, core=core_id,
                                 store=int(is_store))
-        if self.llc_probe is not None and is_persistent_addr(line):
+        if self.llc_probe is not None and line >= NVM_BASE:
             # Paper §3: the LLC issues the miss toward *both* the NVM and
             # the transaction cache.  The TC buffers the written words of
             # the line, so its (newer) data is merged over the NVM line
@@ -265,8 +255,8 @@ class CacheHierarchy:
                 self._probe_override[line] = version
             else:
                 self._counts.llc_probe_miss += 1
-        waiter = _MissWaiter(core_id, start, is_store, persistent, tx_id,
-                             store_version, on_load, on_store)
+        waiter = (core_id, start, is_store, persistent, tx_id,
+                  store_version, on_load, on_store)
         waiters = self._pending.get(line)
         if waiters is not None:
             waiters.append(waiter)
@@ -275,61 +265,63 @@ class CacheHierarchy:
         self._pending[line] = [waiter]
         # the miss leaves the chip only after the L1/L2/LLC lookups
         # (and any commit-block wait) have elapsed
-        self.sim.schedule(
-            latency, self.memory.read, line,
-            lambda version, cycle: self._fill(line, version),
-            self._fill_sources[core_id])
+        self.sim.schedule_at(self.sim.now + latency, self.memory.read, line,
+                             self._fill, self._fill_sources[core_id])
 
-    def _fill(self, line: int, version: Optional[Version]) -> None:
+    def _fill(self, line: int, version: Optional[Version],
+              _cycle: int) -> None:
+        """The memory read of ``line`` returned: install it for every
+        waiter in arrival order (inclusive: LLC, L2, L1), applying each
+        waiting store over the data the waiters before it saw."""
         now = self.sim.now
         if line in self._probe_override:
             # merge the transaction cache's newer data over the NVM line
             version = self._probe_override.pop(line)
-        waiters = self._pending.pop(line, [])
         current = version  # newest data as waiters apply in order
-        for waiter in waiters:
-            self._install_all(waiter.core_id, line, current,
-                              persistent=waiter.persistent, tx_id=waiter.tx_id)
-            latency = now - waiter.start_cycle
-            if waiter.is_store:
-                self._apply_store(waiter.core_id, line, waiter.store_version,
-                                  waiter.persistent, waiter.tx_id)
-                current = waiter.store_version
-                if waiter.on_store is not None:
-                    waiter.on_store(latency)
-            else:
-                if waiter.on_load is not None:
-                    waiter.on_load(latency, current)
-
-    def _apply_store(self, core_id, line, version, persistent, tx_id) -> None:
-        entry = self.l1[core_id].probe(line)
-        if entry is None:  # pathological: L1 victimized by a same-set fill
-            self._fill_l1(core_id, line, version, dirty=True,
-                          persistent=persistent, tx_id=tx_id)
-            return
-        entry.dirty = True
-        entry.version = version
-        entry.persistent = persistent or entry.persistent
-        entry.tx_id = tx_id
+        for (core_id, start, is_store, persistent, tx_id, store_version,
+             on_load, on_store) in self._pending.pop(line, ()):
+            l1 = self.l1[core_id]
+            l2 = self.l2[core_id]
+            self._insert_llc(line, current, False, persistent, tx_id)
+            self._fill_private(l2, None, line, current, False, persistent,
+                               tx_id)
+            self._fill_private(l1, l2, line, current, False, persistent,
+                               tx_id)
+            latency = now - start
+            if is_store:
+                entry = l1.probe(line)
+                if entry is None:
+                    # pathological: L1 victimized by a same-set fill
+                    self._fill_private(l1, l2, line, store_version, True,
+                                       persistent, tx_id)
+                else:
+                    entry.dirty = True
+                    entry.version = store_version
+                    entry.persistent = persistent or entry.persistent
+                    entry.tx_id = tx_id
+                current = store_version
+                if on_store is not None:
+                    on_store(latency)
+            elif on_load is not None:
+                if persistent:
+                    # Fig. 10 metric: a persistent load's fill latency
+                    self._persist_llc_latency[latency] += 1
+                on_load(latency, current)
 
     # ------------------------------------------------------------------
     # fills and evictions (inclusive hierarchy)
     # ------------------------------------------------------------------
-    def _install_all(self, core_id, line, version, *, persistent, tx_id) -> None:
-        self._insert_llc(line, version, dirty=False,
-                         persistent=persistent, tx_id=tx_id)
-        self._fill_l2(core_id, line, version, persistent=persistent, tx_id=tx_id)
-        self._fill_l1(core_id, line, version, persistent=persistent, tx_id=tx_id)
-
-    def _fill_private(self, level: CacheLevel, core_id, line, version,
-                      dirty, persistent, tx_id) -> Optional[CacheLine]:
+    def _fill_private(self, level: CacheLevel, below: Optional[CacheLevel],
+                      line, version, dirty, persistent, tx_id) -> None:
         """Install a line into a private level without ever downgrading
         a resident copy: a fill must not clear the dirty bit or clobber
         newer store data already applied by an earlier MSHR waiter.
 
-        The set is indexed once for the lookup and the insert; the LRU
-        clock ticks as ``CacheArray.lookup`` and ``CacheArray.fill``
-        tick it."""
+        A dirty victim moves down a level: into ``below`` (the core's
+        L2, when filling its L1) or, when ``below`` is None (filling
+        the L2), into the LLC.  The set is indexed once for the lookup
+        and the insert; the LRU clock ticks as ``CacheArray.lookup``
+        and ``CacheArray.fill`` tick it."""
         array = level.array
         cache_set = level._sets[(line // CACHE_LINE_SIZE) % level._num_sets]
         existing = cache_set.get(line)
@@ -341,25 +333,16 @@ class CacheHierarchy:
                 existing.dirty = True
                 existing.version = version
                 existing.tx_id = tx_id
-            return None
-        return array.fill(line, dirty, persistent, False, tx_id, version,
-                          cache_set)
-
-    def _fill_l1(self, core_id, line, version, dirty=False,
-                 persistent=False, tx_id=None) -> None:
-        victim = self._fill_private(self.l1[core_id], core_id, line,
-                                    version, dirty, persistent, tx_id)
+            return
+        victim = array.fill(line, dirty, persistent, False, tx_id, version,
+                            cache_set)
         if victim is not None and victim.dirty:
-            self._fill_l2(core_id, victim.tag, victim.version, dirty=True,
-                          persistent=victim.persistent, tx_id=victim.tx_id)
-
-    def _fill_l2(self, core_id, line, version, dirty=False,
-                 persistent=False, tx_id=None) -> None:
-        victim = self._fill_private(self.l2[core_id], core_id, line,
-                                    version, dirty, persistent, tx_id)
-        if victim is not None and victim.dirty:
-            self._insert_llc(victim.tag, victim.version, dirty=True,
-                             persistent=victim.persistent, tx_id=victim.tx_id)
+            if below is not None:
+                self._fill_private(below, None, victim.tag, victim.version,
+                                   True, victim.persistent, victim.tx_id)
+            else:
+                self._insert_llc(victim.tag, victim.version, True,
+                                 victim.persistent, victim.tx_id)
 
     def _insert_llc(self, line, version, dirty=False,
                     persistent=False, tx_id=None) -> None:
@@ -462,9 +445,10 @@ class CacheHierarchy:
     # scheme hooks
     # ------------------------------------------------------------------
     def _block_wait(self) -> int:
-        wait = max(0, self._blocked_until - self.sim.now)
-        if wait:
-            self._counts.blocked_cycles += wait
+        """Cycles left of a commit block (Kiln), counted as blocked;
+        the access paths call it only while a block is in force."""
+        wait = self._blocked_until - self.sim.now
+        self._counts.blocked_cycles += wait
         return wait
 
     def block_until(self, cycle: int) -> None:

@@ -30,15 +30,18 @@ class CacheLevel:
         self.latency = geometry.latency
         self.array = CacheArray(geometry.num_sets, config.assoc,
                                 CACHE_LINE_SIZE)
-        # every cache access records 2 counters: cells, not registry calls
-        self._counts = stats.cells("access", "miss", "hit")
+        # every cache access records at most 2 counters: cells, not
+        # registry calls; ``hit`` is derived as access - miss when the
+        # stats are read
+        self._counts = stats.cells("access", "miss",
+                                   derived=(("hit", "access", "miss"),))
         # access() is the hottest cache call: keep direct references to
         # the array internals so a timed lookup is one dict probe
         self._sets = self.array._sets
         self._num_sets = geometry.num_sets
 
     def access(self, line: int) -> Optional[CacheLine]:
-        """Timed lookup: counts an access and a hit or miss.
+        """Timed lookup: counts an access, and a miss on a miss.
 
         Inlines :meth:`CacheArray.lookup` (same set index, same LRU
         touch) — this method runs a few times per simulated memory op.
@@ -51,15 +54,16 @@ class CacheLevel:
         array = self.array
         array._use_clock += 1
         entry.last_use = array._use_clock
-        self._counts.hit += 1
         return entry
 
     def probe(self, line: int) -> Optional[CacheLine]:
         """Untimed lookup (no stats, no LRU update)."""
-        return self.array.lookup(line, touch=False)
+        return self._sets[(line // CACHE_LINE_SIZE) % self._num_sets].get(line)
 
     def insert(self, line: int, **attrs) -> Optional[CacheLine]:
         return self.array.insert(line, **attrs)
 
     def invalidate(self, line: int) -> Optional[CacheLine]:
-        return self.array.invalidate(line)
+        """Remove a line; returns it (with its dirty state) if present."""
+        return self._sets[(line // CACHE_LINE_SIZE) % self._num_sets].pop(
+            line, None)

@@ -179,10 +179,11 @@ class Stats:
         self._events: Dict[str, List[str]] = {}
         self._suppressed: Dict[str, int] = {}
         self._suppressed_reported: Dict[str, int] = {}
-        # cells handed out: (prefix, names, record) of every counter
-        # record, (name, tally, feeds a histogram) of every tally, and
-        # (name, tally) of every counter map
-        self._records: List[Tuple[str, Tuple[str, ...], object]] = []
+        # cells handed out: (prefix, names, record, derived) of every
+        # counter record, (name, tally, feeds a histogram) of every
+        # tally, and (name, tally) of every counter map
+        self._records: List[Tuple[str, Tuple[str, ...], object,
+                                  Tuple[Tuple[str, str, str], ...]]] = []
         self._tallies: List[Tuple[str, Tally, bool]] = []
         self._counter_maps: List[Tuple[str, Tally]] = []
 
@@ -198,11 +199,21 @@ class Stats:
             self._counters[name] = amount
 
     # -- cells ---------------------------------------------------------
-    def cells(self, *names: str, prefix: str = "") -> object:
+    def cells(self, *names: str, prefix: str = "",
+              derived: Tuple[Tuple[str, str, str], ...] = ()) -> object:
         """A record of counter cells, one int attribute per name (dots
-        become underscores), each starting at 0."""
+        become underscores), each starting at 0.
+
+        ``derived`` holds ``(name, minuend, subtrahend)`` triples of
+        counters that are not recorded at all: each is folded in as
+        the difference of two of the record's cells (a cache level's
+        ``hit`` is ``access - miss``), so the hot path records one
+        cell fewer."""
         record = _counts_type(names)()
-        self._records.append((prefix, names, record))
+        derived = tuple((name, minuend.replace(".", "_"),
+                         subtrahend.replace(".", "_"))
+                        for name, minuend, subtrahend in derived)
+        self._records.append((prefix, names, record, derived))
         return record
 
     def tally(self, name: str, histogram: bool = False) -> Tally:
@@ -221,7 +232,13 @@ class Stats:
 
     def _sync(self) -> None:
         """Fold every cell into the registry and reset it."""
-        for prefix, names, record in self._records:
+        for prefix, names, record, derived in self._records:
+            # derived counters first: they read cells the loop below
+            # resets
+            for name, minuend, subtrahend in derived:
+                value = getattr(record, minuend) - getattr(record, subtrahend)
+                if value:
+                    self.inc(prefix + name, value)
             for name, attr in zip(names, record.__slots__):
                 value = getattr(record, attr)
                 if value:
@@ -474,8 +491,10 @@ class ScopedStats:
     def prefix(self) -> str:
         return self._prefix
 
-    def cells(self, *names: str) -> object:
-        return self._parent.cells(*names, prefix=self._prefix + ".")
+    def cells(self, *names: str,
+              derived: Tuple[Tuple[str, str, str], ...] = ()) -> object:
+        return self._parent.cells(*names, prefix=self._prefix + ".",
+                                  derived=derived)
 
     def tally(self, name: str, histogram: bool = False) -> Tally:
         return self._parent.tally(self._name(name), histogram)

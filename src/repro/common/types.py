@@ -32,9 +32,13 @@ class MemSpace(enum.Enum):
         return MemSpace.NVM if addr >= NVM_BASE else MemSpace.DRAM
 
 
+#: ``addr & LINE_MASK`` is :func:`line_addr` inline, for hot paths
+LINE_MASK = ~(CACHE_LINE_SIZE - 1)
+
+
 def line_addr(addr: int) -> int:
     """Round a byte address down to its cache-line address."""
-    return addr & ~(CACHE_LINE_SIZE - 1)
+    return addr & LINE_MASK
 
 
 #: Application persistent heaps live in [NVM_BASE, HOME_REGION_LIMIT);
@@ -137,10 +141,21 @@ class MemRequest:
         ready_cycle: first cycle the owning controller may grant the
             request (set at enqueue to the next cycle; a write-verify
             retry sets it to the end of its backoff).
+        tc_seq: the transaction-cache entry sequence number a TC
+            write-back carries, matched by its acknowledgment (None
+            for every other request).
+        on_read: the requester's callback of a
+            :meth:`~repro.memory.system.MemorySystem.read` (None for
+            writes and for reads enqueued on a controller directly).
+        forwarded: set by the controller when a read is served from
+            a queued write.
+        write_attempts: array write attempts so far, counting the one
+            in flight (a write-verify retry increments it).
     """
 
     __slots__ = ("addr", "req_type", "persistent", "tx_id", "version",
-                 "callback", "issue_cycle", "source", "meta",
+                 "callback", "issue_cycle", "source", "tc_seq", "on_read",
+                 "forwarded", "write_attempts",
                  "line", "is_write", "bank", "row", "ready_cycle")
 
     def __init__(self, addr: int, req_type: MemReqType,
@@ -149,7 +164,7 @@ class MemRequest:
                  version: Optional[Version] = None,
                  callback: Optional[Callable[["MemRequest", int], None]] = None,
                  issue_cycle: int = 0, source: str = "",
-                 meta: Optional[dict] = None) -> None:
+                 tc_seq: Optional[int] = None) -> None:
         self.addr = addr
         self.req_type = req_type
         self.persistent = persistent
@@ -158,8 +173,11 @@ class MemRequest:
         self.callback = callback
         self.issue_cycle = issue_cycle
         self.source = source
-        self.meta = {} if meta is None else meta
-        self.line = addr & ~(CACHE_LINE_SIZE - 1)
+        self.tc_seq = tc_seq
+        self.on_read = None
+        self.forwarded = False
+        self.write_attempts = 1
+        self.line = addr & LINE_MASK
         self.is_write = req_type is MemReqType.WRITE
         self.bank = None
         self.row = 0

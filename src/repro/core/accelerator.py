@@ -167,7 +167,7 @@ class PersistentMemoryAccelerator:
                 entry.tag, entry.version,
                 persistent=True, tx_id=entry.tx_id,
                 source=f"tc.{core_id}",
-                meta={"tc_seq": entry.seq},
+                tc_seq=entry.seq,
             )
             if self.faults is not None:
                 entry.issue_cycle = self.sim.now
@@ -184,7 +184,7 @@ class PersistentMemoryAccelerator:
             return
         tc = self.tcs[core_id]
         was_full = tc.is_full()
-        entry = tc.ack(request.line, seq=request.meta.get("tc_seq"))
+        entry = tc.ack(request.line, seq=request.tc_seq)
         if entry is not None and self._outstanding[core_id] > 0:
             self._outstanding[core_id] -= 1
         self._issue(core_id)
@@ -221,7 +221,7 @@ class PersistentMemoryAccelerator:
             entry.tag, entry.version,
             persistent=True, tx_id=entry.tx_id,
             source=f"tc.{core_id}",
-            meta={"tc_seq": entry.seq},
+            tc_seq=entry.seq,
         )
         self.sim.schedule(self.ack_timeout, self._check_ack,
                           core_id, entry, entry.issue_cycle)

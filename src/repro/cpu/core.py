@@ -60,7 +60,7 @@ class Core:
         "_stall_reason", "_tx_begin_cycle", "instructions_retired",
         "committed_transactions", "_handlers", "_issue_width",
         "_stalls", "_load_latency", "_persist_load_latency",
-        "_cur_op", "_cur_issued", "_stepping",
+        "_cur_op", "_cur_issued", "_stepping", "_hide_cycles",
     )
 
     def __init__(
@@ -120,6 +120,7 @@ class Core:
         handlers[KIND_SFENCE] = self._do_sfence
         self._handlers = handlers
         self._issue_width = config.issue_width
+        self._hide_cycles = config.hide_cycles
         self._stalls = stats.counter_map("stall")
         self._load_latency = stats.tally("load.latency")
         self._persist_load_latency = stats.tally("persist_load.latency")
@@ -146,10 +147,12 @@ class Core:
 
         A trampoline: an op whose completion fires synchronously (a
         cache hit, a fence with nothing to order) only marks itself
-        retired (:meth:`_advance`), and this loop goes on with the next
-        op.  COMPUTE runs retire from the compiled flat arrays — two
-        int list reads per op, with cycle/retired-instruction totals
-        folded back into the instance before the next timed op.
+        retired (``_ip += 1``), and this loop goes on with the next
+        op; a completion that fires later, from another component's
+        event, re-enters the loop itself.  COMPUTE runs retire from the
+        compiled flat arrays — two int list reads per op, with
+        cycle/retired-instruction totals folded back into the instance
+        before the next timed op.
 
         ``dispatched`` is True when the kernel runs this call as an
         event (the core schedules itself as ``self._step``) and False
@@ -211,13 +214,6 @@ class Core:
         if self._on_done is not None:
             self._on_done()
 
-    def _advance(self) -> None:
-        """Move past the current op: the retire loop picks up from
-        there, or, when the op completed asynchronously, is resumed."""
-        self._ip += 1
-        if not self._stepping:
-            self._step(False)
-
     # -- stall attribution ---------------------------------------------
     def attribute_stall(self, reason: str) -> None:
         """Called by the persistence scheme *before* it delays this
@@ -231,7 +227,11 @@ class Core:
         issue slot) to one reason, and maintain ``stall.total`` at the
         same site — so per-kind counters sum to the total *by
         construction* (the invariant :class:`repro.obs.StallReport`
-        asserts)."""
+        asserts).
+
+        Completions call it only when there is something to do: a
+        stall to charge or a pending reason to clear.  Every other
+        completion (most cache hits) skips the call."""
         reason = self._stall_reason or default_reason
         self._stall_reason = None
         stall = self.cycle - issued - 1
@@ -252,19 +252,24 @@ class Core:
 
     def _load_complete(self, latency: int, version) -> None:
         issued = self._cur_issued
-        if self.sim.now == issued:
+        now = self.sim.now
+        if now == issued:
             # Synchronous (cache hit): the OoO window hides part of it.
-            cost = max(1, latency - self.config.hide_cycles)
-            self.cycle = issued + cost
+            cost = latency - self._hide_cycles
+            cycle = issued + cost if cost > 1 else issued + 1
         else:
             # Memory miss: resumed by the fill event.
-            self.cycle = max(self.sim.now, issued + 1)
-        self._account_stall(issued, "load")
+            cycle = now if now > issued else issued + 1
+        self.cycle = cycle
+        if cycle - issued > 1 or self._stall_reason is not None:
+            self._account_stall(issued, "load")
         self._load_latency[latency] += 1
         if self._cur_op.persistent:
             self._persist_load_latency[latency] += 1
         self.instructions_retired += 1
-        self._advance()
+        self._ip += 1
+        if not self._stepping:
+            self._step(False)
 
     # -- stores ----------------------------------------------------------
     def _do_store(self, op: TraceOp) -> None:
@@ -280,20 +285,27 @@ class Core:
 
     def _store_issued(self, latency: int) -> None:
         issued = self._cur_issued
-        if self.sim.now == issued:
-            self.cycle = issued + max(1, latency)
+        now = self.sim.now
+        if now == issued:
+            cycle = issued + latency if latency > 1 else issued + 1
         else:
-            self.cycle = max(self.sim.now, issued + 1)
-        self._account_stall(issued, "store_issue")
+            cycle = now if now > issued else issued + 1
+        self.cycle = cycle
+        if cycle - issued > 1 or self._stall_reason is not None:
+            self._account_stall(issued, "store_issue")
         self.instructions_retired += 1
-        self._advance()
+        self._ip += 1
+        if not self._stepping:
+            self._step(False)
 
     def _store_retired(self, _latency: int) -> None:
         self._sb_tokens += 1
         if self._sb_waiting:
             self._sb_waiting = False
-            resume_at = max(self.cycle, self.sim.now)
-            stall = resume_at - self.cycle
+            cycle = self.cycle
+            now = self.sim.now
+            resume_at = now if now > cycle else cycle
+            stall = resume_at - cycle
             if stall > 0:
                 stalls = self._stalls
                 stalls["store_buffer"] += stall
@@ -301,7 +313,7 @@ class Core:
                 if self.tracer.enabled:
                     self.tracer.complete("core", self._track,
                                          "stall.store_buffer",
-                                         self.cycle, stall)
+                                         cycle, stall)
             self.cycle = resume_at
             self.sim.schedule_at(resume_at, self._step)
 
@@ -318,10 +330,14 @@ class Core:
 
     def _tx_begin_resume(self) -> None:
         issued = self._cur_issued
-        self.cycle = max(self.sim.now, issued + 1)
-        self._account_stall(issued, "commit")
+        now = self.sim.now
+        cycle = self.cycle = now if now > issued else issued + 1
+        if cycle - issued > 1 or self._stall_reason is not None:
+            self._account_stall(issued, "commit")
         self.instructions_retired += 1
-        self._advance()
+        self._ip += 1
+        if not self._stepping:
+            self._step(False)
 
     def _do_tx_end(self, op: TraceOp) -> None:
         self._cur_issued = self.cycle
@@ -330,8 +346,10 @@ class Core:
 
     def _tx_end_resume(self) -> None:
         issued = self._cur_issued
-        self.cycle = max(self.sim.now, issued + 1)
-        self._account_stall(issued, "commit")
+        now = self.sim.now
+        cycle = self.cycle = now if now > issued else issued + 1
+        if cycle - issued > 1 or self._stall_reason is not None:
+            self._account_stall(issued, "commit")
         if self.tracer.enabled:
             self.tracer.complete(
                 "core", self._track, "tx", self._tx_begin_cycle,
@@ -339,7 +357,9 @@ class Core:
         self.mode_tx = None
         self.committed_transactions += 1
         self.instructions_retired += 1
-        self._advance()
+        self._ip += 1
+        if not self._stepping:
+            self._step(False)
 
     # -- SP instrumentation ops -------------------------------------------
     def _do_clwb(self, op: TraceOp) -> None:
@@ -354,7 +374,11 @@ class Core:
 
     def _fence_resume(self) -> None:
         issued = self._cur_issued
-        self.cycle = max(self.sim.now, issued + 1)
-        self._account_stall(issued, "fence")
+        now = self.sim.now
+        cycle = self.cycle = now if now > issued else issued + 1
+        if cycle - issued > 1 or self._stall_reason is not None:
+            self._account_stall(issued, "fence")
         self.instructions_retired += 1
-        self._advance()
+        self._ip += 1
+        if not self._stepping:
+            self._step(False)

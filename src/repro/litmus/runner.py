@@ -107,9 +107,8 @@ def iter_crash_states(
     cycle = 0
     while True:
         system.run(until=cycle)
-        yield (cycle,
-               system.scheme.durably_committed(cycle),
-               system.scheme.durable_lines(cycle))
+        committed = system.scheme.durably_committed(cycle)
+        yield cycle, committed, system.scheme.durable_lines(cycle, committed)
         next_event = system.sim.next_event_time()
         if next_event is None:
             return

@@ -73,9 +73,12 @@ class Bank:
     def access(self, row: int, now: int, hit_cycles: int, miss_cycles: int) -> int:
         """Perform an access to ``row``; returns the completion cycle.
 
-        The caller must have checked :meth:`available`.
+        The caller must have checked :meth:`available`.  Refresh-free
+        (NVM) banks skip the refresh catch-up call, as the scheduler's
+        scan does.
         """
-        self._catch_up_refresh(now)
+        if self.refresh_interval > 0:
+            self._catch_up_refresh(now)
         if self.open_row == row:
             self.row_hits += 1
             duration = hit_cycles

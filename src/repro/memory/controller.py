@@ -224,7 +224,7 @@ class MemoryController:
             if pending_write is not None:
                 # Serve the read from the queued write (newest data).
                 self._counts.read_forwarded += 1
-                request.meta["forwarded"] = True
+                request.forwarded = True
                 self.sim.schedule(self.FORWARD_LATENCY, self._finish_read, request)
                 return
             self.read_queue.push(request)
@@ -251,8 +251,12 @@ class MemoryController:
     def _kick(self, at_time: int) -> None:
         """Ensure a scheduler tick is pending no later than ``at_time``,
         but not within ``SCHEDULER_PERIOD`` of the last grant."""
-        at_time = max(at_time, self.sim.now,
-                      self._last_grant + self.SCHEDULER_PERIOD)
+        earliest = self._last_grant + self.SCHEDULER_PERIOD
+        if at_time < earliest:
+            at_time = earliest
+        now = self.sim.now
+        if at_time < now:
+            at_time = now
         if self._tick_at is not None and self._tick_at <= at_time:
             return
         self._tick_at = at_time
@@ -412,7 +416,7 @@ class MemoryController:
     def _finish_read(self, request: MemRequest) -> None:
         now = self.sim.now
         self._read_latency[now - request.issue_cycle] += 1
-        if not request.meta.get("forwarded"):
+        if not request.forwarded:
             self._inflight -= 1
         if request.callback is not None:
             request.callback(request, now)
@@ -420,7 +424,7 @@ class MemoryController:
     def _finish_write(self, request: MemRequest) -> None:
         now = self.sim.now
         if self.faults is not None and self.faults.nvm_write_fails():
-            attempt = request.meta.get("write_attempts", 1)
+            attempt = request.write_attempts
             self.stats.inc("write.verify_failures")
             if attempt <= self.faults.config.max_write_retries:
                 # write-verify-retry: the array write failed
@@ -428,7 +432,7 @@ class MemoryController:
                 # the write queue, ahead of newer writes to its line,
                 # and waits out an exponential backoff and then its
                 # bank like any other request.
-                request.meta["write_attempts"] = attempt + 1
+                request.write_attempts = attempt + 1
                 self.stats.inc("write.retries")
                 self._inflight -= 1
                 request.ready_cycle = \

@@ -20,6 +20,7 @@ from ..common.config import MachineConfig
 from ..common.event import Simulator
 from ..common.stats import Stats
 from ..common.types import (
+    LINE_MASK,
     NVM_BASE,
     MemReqType,
     MemRequest,
@@ -32,7 +33,8 @@ from .controller import AckHandler, DurableImage, MemoryController
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
 
-ReadCallback = Callable[[Optional[Version], int], None]
+#: ``on_complete(line, version, cycle)`` of :meth:`MemorySystem.read`
+ReadCallback = Callable[[int, Optional[Version], int], None]
 
 
 class MemorySystem:
@@ -98,17 +100,17 @@ class MemorySystem:
         on_complete: ReadCallback,
         source: str = "",
     ) -> None:
-        """Read one line; ``on_complete(version, cycle)`` fires when the
-        controller delivers the data."""
-        line = line_addr(addr)
+        """Read one line; ``on_complete(line, version, cycle)`` fires
+        when the controller delivers the data."""
+        line = addr & LINE_MASK
+        request = MemRequest(line, MemReqType.READ, callback=self._read_done,
+                             source=source)
+        request.on_read = on_complete
+        (self.nvm if line >= NVM_BASE else self.dram).enqueue(request)
 
-        def finish(request: MemRequest, cycle: int) -> None:
-            on_complete(self._contents.get(line), cycle)
-
-        (self.nvm if line >= NVM_BASE else self.dram).enqueue(
-            MemRequest(addr=line, req_type=MemReqType.READ,
-                       callback=finish, source=source)
-        )
+    def _read_done(self, request: MemRequest, cycle: int) -> None:
+        line = request.line
+        request.on_read(line, self._contents.get(line), cycle)
 
     def write(
         self,
@@ -118,25 +120,16 @@ class MemorySystem:
         tx_id: Optional[int] = None,
         on_complete: Optional[Callable[[MemRequest, int], None]] = None,
         source: str = "",
-        meta: Optional[dict] = None,
+        tc_seq: Optional[int] = None,
     ) -> None:
         """Write one line.  Architectural contents update immediately;
         durability (and the ack, if persistent) happen at the cycle the
         controller finishes the array write."""
-        line = line_addr(addr)
+        line = addr & LINE_MASK
         self._contents[line] = version
-        request = MemRequest(
-            addr=line,
-            req_type=MemReqType.WRITE,
-            persistent=persistent,
-            tx_id=tx_id,
-            version=version,
-            callback=on_complete,
-            source=source,
-        )
-        if meta:
-            request.meta.update(meta)
-        (self.nvm if line >= NVM_BASE else self.dram).enqueue(request)
+        (self.nvm if line >= NVM_BASE else self.dram).enqueue(MemRequest(
+            line, MemReqType.WRITE, persistent, tx_id, version, on_complete,
+            source=source, tc_seq=tc_seq))
 
     # ------------------------------------------------------------------
     def busy(self) -> bool:

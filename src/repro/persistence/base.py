@@ -118,11 +118,19 @@ class PersistenceScheme:
         """True while scheme-owned background work is still in flight."""
         return False
 
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+    def durable_lines(self, crash_cycle: int,
+                      committed: Optional[set] = None,
+                      ) -> Dict[int, Optional[Version]]:
         """Line→version map recovery would reconstruct after a crash at
         ``crash_cycle``.  The Optimal scheme guarantees nothing: it
         returns the raw NVM contents (which may tear transactions —
-        that is exactly the paper's Fig. 2a failure case)."""
+        that is exactly the paper's Fig. 2a failure case).
+
+        ``committed``, when given, must be
+        ``self.durably_committed(crash_cycle)``, which the caller has
+        already computed: a recovery that reads the committed set
+        (undo rollback, Kiln's NV-LLC replay) takes it instead of
+        computing it again."""
         return self.memory.durable_state_at(crash_cycle)
 
     def home_image_at(self, crash_cycle: int) -> Dict[int, Optional[Version]]:

@@ -33,7 +33,9 @@ class CommitBeforeFlushScheme(PersistenceScheme):
         self.commit_cycle[op.tx_id] = self.sim.now
         resume()
 
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+    def durable_lines(self, crash_cycle: int,
+                      committed: Optional[set] = None,
+                      ) -> Dict[int, Optional[Version]]:
         # no recovery story at all: whatever write-backs happened to
         # reach the NVM home region before the crash
         return self.home_image_at(crash_cycle)

@@ -73,7 +73,7 @@ class KilnScheme(PersistenceScheme):
     # ------------------------------------------------------------------
     def store(self, core, op, on_issue: StoreIssue,
               on_retire: StoreRetire) -> None:
-        in_tx_persistent = core.in_transaction and op.persistent
+        in_tx_persistent = core.mode_tx is not None and op.persistent
         self.hierarchy.store(
             core.core_id, op.addr, op.version,
             persistent=in_tx_persistent, tx_id=op.tx_id,
@@ -135,11 +135,14 @@ class KilnScheme(PersistenceScheme):
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+    def durable_lines(self, crash_cycle: int,
+                      committed: Optional[set] = None,
+                      ) -> Dict[int, Optional[Version]]:
         """NV-LLC recovery: the NVM image plus every committed line
         still resident (durably) in the nonvolatile LLC, replayed in
         commit order; pinned (uncommitted) lines are discarded."""
-        committed = self.durably_committed(crash_cycle)
+        if committed is None:
+            committed = self.durably_committed(crash_cycle)
         plan = [(tx, self._tx_committed_writes[tx])
                 for tx in self._commit_order if tx in committed]
         return replay(self.home_image_at(crash_cycle), plan,

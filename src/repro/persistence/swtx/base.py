@@ -301,7 +301,9 @@ class SwTxScheme(PersistenceScheme):
             or self._replay_waiters
         )
 
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+    def durable_lines(self, crash_cycle: int,
+                      committed: Optional[set] = None,
+                      ) -> Dict[int, Optional[Version]]:
         """Redo recovery (redo_log, hybrid_dram): start from the home
         image the crash left behind, then replay the write set of every
         durably-committed transaction in record-durability order.

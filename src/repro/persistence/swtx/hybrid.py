@@ -131,7 +131,7 @@ class HybridDramScheme(SwTxScheme):
             self.memory.write(
                 mirror_addr(line), op.version, persistent=True,
                 tx_id=op.tx_id, on_complete=self._mirror_done,
-                source="swtx.mirror", meta={"swtx_tx": op.tx_id})
+                source="swtx.mirror")
             self.hierarchy.store(
                 core.core_id, op.addr, op.version,
                 persistent=op.persistent, tx_id=op.tx_id,
@@ -149,7 +149,7 @@ class HybridDramScheme(SwTxScheme):
 
     def _mirror_done(self, request, cycle: int) -> None:
         self._mirror_outstanding -= 1
-        tx_id = request.meta["swtx_tx"]
+        tx_id = request.tx_id
         remaining = self._mirror_by_tx.get(tx_id, 0) - 1
         if remaining <= 0:
             self._mirror_by_tx.pop(tx_id, None)

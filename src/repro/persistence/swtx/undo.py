@@ -133,9 +133,13 @@ class UndoLogScheme(SwTxScheme):
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+    def durable_lines(self, crash_cycle: int,
+                      committed: Optional[set] = None,
+                      ) -> Dict[int, Optional[Version]]:
         """Undo recovery: roll back every in-place write of an
         uncommitted transaction that reached the NVM, newest-first
         across all cores (conflicting chains unwind as a stack)."""
+        if committed is None:
+            committed = self.durably_committed(crash_cycle)
         return rollback(self.home_image_at(crash_cycle), self._undo_log,
-                        self.durably_committed(crash_cycle))
+                        committed)

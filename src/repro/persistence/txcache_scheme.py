@@ -79,7 +79,7 @@ class TxCacheScheme(PersistenceScheme):
     # ------------------------------------------------------------------
     def store(self, core, op, on_issue: StoreIssue,
               on_retire: StoreRetire) -> None:
-        in_tx_persistent = core.in_transaction and op.persistent
+        in_tx_persistent = core.mode_tx is not None and op.persistent
         # The L1 write happens in every mode; only transaction-mode
         # persistent stores carry the P/V flag (paper §4.2).
         self.hierarchy.store(
@@ -234,7 +234,9 @@ class TxCacheScheme(PersistenceScheme):
         plan.sort(key=lambda item: self.commit_cycle[item[0]])
         return plan
 
-    def durable_lines(self, crash_cycle: int) -> Dict[int, Optional[Version]]:
+    def durable_lines(self, crash_cycle: int,
+                      committed: Optional[set] = None,
+                      ) -> Dict[int, Optional[Version]]:
         """Recovery output after a crash at ``crash_cycle``.
 
         The simulation must be paused at (or after all activity up to)

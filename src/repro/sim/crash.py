@@ -75,7 +75,7 @@ def crash_and_check(system: System, traces: Sequence[Trace],
     in spirit) is built on."""
     system.run(until=crash_cycle)
     committed = system.scheme.durably_committed(crash_cycle)
-    recovered = system.scheme.durable_lines(crash_cycle)
+    recovered = system.scheme.durable_lines(crash_cycle, committed)
     return committed, recovered, check_recovery(traces, recovered, committed)
 
 

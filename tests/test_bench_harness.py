@@ -210,3 +210,31 @@ class TestCounting:
         point = bench.BenchPoint("hashtable", "txcache", cores=1,
                                  operations=2)
         assert bench.count_point(point) == bench.count_point(point)
+
+
+class TestCallsByPackage:
+    def test_two_runs_on_one_tree_print_identical_counts(self):
+        """The counts are exact: each run profiles the point in a fresh
+        process, and two of them print the same table."""
+        point = bench.BenchPoint("hashtable", "txcache", cores=1,
+                                 operations=2)
+        src = bench.REPO_ROOT / "src"
+        tables = [bench.calls_table(point.key, {
+            "calls": bench.calls_by_package(src, point)})
+            for _ in range(2)]
+        assert tables[0] == tables[1]
+        packages = {line.split()[0] for line in tables[0][2:]}
+        assert {"builtins", "cache", "cpu", "event", "memory",
+                "total"} <= packages
+
+    def test_table_prints_both_sides_and_the_delta(self):
+        table = bench.calls_table("a", {
+            "parent": {"cache": 1000, "cpu": 10},
+            "change": {"cache": 900, "cpu": 10, "memory": 5}})
+        assert table[0] == "  calls_by_package a"
+        assert table[1].split() == ["package", "parent", "change", "delta"]
+        rows = {line.split()[0]: line.split()[1:] for line in table[2:]}
+        assert rows["cache"] == ["1,000", "900", "-100", "-10.0%"]
+        assert rows["cpu"] == ["10", "10", "+0", "+0.0%"]
+        assert rows["memory"] == ["0", "5", "+5"]
+        assert rows["total"] == ["1,010", "915", "-95", "-9.4%"]

@@ -325,6 +325,20 @@ class TestCells:
         assert seen[0] > 0
         assert seen == sorted(seen) and seen[-1] > seen[0]
 
+    def test_derived_cell_reads_as_the_difference(self):
+        """A derived counter is folded in as minuend - subtrahend on
+        every read, and stays absent while that is 0."""
+        stats = Stats()
+        counts = stats.scoped("l1.0").cells(
+            "access", "miss", derived=(("hit", "access", "miss"),))
+        counts.access += 2
+        counts.miss += 2
+        assert stats.counters() == {"l1.0.access": 2, "l1.0.miss": 2}
+        counts.access += 5
+        counts.miss += 1
+        assert stats.counters() == {"l1.0.access": 7, "l1.0.hit": 4,
+                                    "l1.0.miss": 3}
+
     def test_cells_sharing_a_name_add_up(self):
         stats = Stats()
         first, second = stats.cells("hits"), stats.cells("hits")

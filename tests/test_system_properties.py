@@ -108,7 +108,7 @@ class TestControllerCompleteness:
                              on_complete=lambda r, c, i=index:
                              completions.append(i))
             else:
-                memory.read(addr, lambda v, c, i=index:
+                memory.read(addr, lambda _line, v, c, i=index:
                             completions.append(i))
         sim.run(max_events=1_000_000)
         assert sorted(completions) == list(range(len(accesses)))
