@@ -10,6 +10,10 @@ from ..common.types import CACHE_LINE_SIZE
 from .line import CacheArray, CacheLine
 
 
+#: a level's hit count, derived from its access and miss cells
+_HIT = (("hit", "access", "miss"),)
+
+
 class CacheLevel:
     """Thin wrapper binding a :class:`CacheArray` to timing and stats."""
 
@@ -33,8 +37,7 @@ class CacheLevel:
         # every cache access records at most 2 counters: cells, not
         # registry calls; ``hit`` is derived as access - miss when the
         # stats are read
-        self._counts = stats.cells("access", "miss",
-                                   derived=(("hit", "access", "miss"),))
+        self._counts = stats.cells("access", "miss", derived=_HIT)
         # access() is the hottest cache call: keep direct references to
         # the array internals so a timed lookup is one dict probe
         self._sets = self.array._sets

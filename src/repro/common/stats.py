@@ -205,14 +205,12 @@ class Stats:
         become underscores), each starting at 0.
 
         ``derived`` holds ``(name, minuend, subtrahend)`` triples of
-        counters that are not recorded at all: each is folded in as
-        the difference of two of the record's cells (a cache level's
-        ``hit`` is ``access - miss``), so the hot path records one
+        counters that are not recorded at all: counter ``name`` is
+        folded in as the difference of the record's cells ``minuend``
+        and ``subtrahend``, given as attribute names (a cache level's
+        ``("hit", "access", "miss")``), so the hot path records one
         cell fewer."""
         record = _counts_type(names)()
-        derived = tuple((name, minuend.replace(".", "_"),
-                         subtrahend.replace(".", "_"))
-                        for name, minuend, subtrahend in derived)
         self._records.append((prefix, names, record, derived))
         return record
 
