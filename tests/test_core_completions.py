@@ -16,7 +16,7 @@ reason for an op that then does not stall; a scheme whose hooks do
 both, in every combination, covers those edges.
 """
 
-import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,58 +153,45 @@ def test_random_litmus_programs(seed, cores, scheme):
 
 
 def edge_scheme(system: System) -> System:
-    """Patch ``system``'s scheme hooks so that each hook, in turn,
-    resumes its op 0 to 3 cycles late (a store issues after 0 to 3
-    cycles, or at once with an issue latency of 0 to 3) and names no
-    stall reason, ``flush`` or ``tc_full`` first: over 12 calls of a
-    hook every delay meets every reason."""
-    scheme, sim, hierarchy = system.scheme, system.sim, system.hierarchy
+    """Patch ``system``'s scheme hooks so that each call names no stall
+    reason, ``flush`` or ``tc_full`` and resumes its op 0 to 3 cycles
+    late (a store at once with an issue latency of 0 to 3, or 1 to 3
+    cycles late), each drawn from one seeded generator: over the edge
+    trace every op kind meets every pairing, and a reason left pending
+    by one op meets the next op."""
+    sim, hierarchy, rng = system.sim, system.hierarchy, random.Random(7)
 
-    def turns(*values):
-        return itertools.cycle(values).__next__
+    def charge(core):
+        reason = rng.choice((None, "flush", "tc_full"))
+        if reason is not None:
+            core.attribute_stall(reason)
 
-    def charging(reason):
-        def charge(core):
-            name = reason()
-            if name is not None:
-                core.attribute_stall(name)
-        return charge
-
-    def resume_later():
-        charge, delay = charging(turns(None, "flush", "tc_full")), \
-            turns(0, 1, 2, 3)
-
-        def hook(core, op, resume):
-            charge(core)
-            cycles = delay()
-            if cycles:
-                sim.schedule(cycles, resume)
-            else:
-                resume()
-        return hook
-
-    load_charge = charging(turns(None, "flush", "tc_full"))
-    store_charge = charging(turns(None, "flush", "tc_full"))
-    store_delay = turns(0, 1, 2, 3, 0, 0, 0)
-    store_latency = turns(0, 1, 2, 3)
+    def resume_later(core, op, resume):
+        charge(core)
+        delay = rng.randrange(4)
+        if delay:
+            sim.schedule(delay, resume)
+        else:
+            resume()
 
     def load(core, op, on_complete):
-        load_charge(core)
+        charge(core)
         hierarchy.load(core.core_id, op.addr, on_complete)
 
     def store(core, op, on_issue, on_retire):
-        store_charge(core)
+        charge(core)
         hierarchy.store(core.core_id, op.addr, op.version, op.persistent,
                         op.tx_id, on_retire)
-        cycles = store_delay()
-        if cycles:
-            sim.schedule(cycles, on_issue, 1)
+        delay = rng.randrange(-3, 4)
+        if delay > 0:
+            sim.schedule(delay, on_issue, 1)
         else:
-            on_issue(store_latency())
+            on_issue(-delay)
 
+    scheme = system.scheme
     scheme.load, scheme.store = load, store
-    scheme.tx_begin, scheme.tx_end = resume_later(), resume_later()
-    scheme.clwb, scheme.sfence = resume_later(), resume_later()
+    scheme.tx_begin = scheme.tx_end = resume_later
+    scheme.clwb = scheme.sfence = resume_later
     return system
 
 
@@ -214,8 +201,8 @@ def edge_trace():
         addr = NVM_BASE + (index % 5) * 4096
         builder.load(addr)
         builder.begin_tx()
-        builder.store(addr)
         builder.load(addr + 64)
+        builder.store(addr)
         builder.end_tx()
         ops = builder.trace.ops
         ops.append(TraceOp(OpType.CLWB, addr))
