@@ -26,27 +26,28 @@ import hashlib
 import json
 import typing
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, NamedTuple, TypeVar
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, TypeVar
 
 from .types import CACHE_LINE_SIZE, ns_to_cycles
 
 _T = TypeVar("_T")
 
 
-def _derived(config: object, key: object, compute: Callable[[], _T]) -> _T:
-    """``compute()``, computed once per frozen ``config`` and ``key``.
+def _derived(frozen: object, key: object, compute: Callable[[], _T]) -> _T:
+    """``compute()``, computed once per ``frozen`` dataclass and ``key``.
 
-    A frozen config never changes, so a table derived from it can be
-    computed once and shared by every component built from it.  The
-    memo sits in the instance dict beside the fields, where ``==``,
-    ``hash``, ``repr``, ``replace`` and ``asdict`` do not look; every
-    value stored in it is immutable, so no system can change what
-    another one reads.  Threads racing on a first call compute equal
-    values, and keeping either is correct."""
-    memo = config.__dict__.get("_derived")
+    A frozen config (or experiment point) never changes, so a table or
+    digest derived from it can be computed once and shared by every
+    component built from it.  The memo sits in the instance dict beside
+    the fields, where ``==``, ``hash``, ``repr`` and ``replace`` do not
+    look, and travels with the instance when it is pickled; every value
+    stored in it is immutable, so no system can change what another one
+    reads.  Threads racing on a first call compute equal values, and
+    keeping either is correct."""
+    memo = frozen.__dict__.get("_derived")
     if memo is None:
         memo = {}
-        object.__setattr__(config, "_derived", memo)
+        object.__setattr__(frozen, "_derived", memo)
     try:
         return memo[key]
     except KeyError:
@@ -404,6 +405,37 @@ class MachineConfig:
         return replace(self, llc=replace(self.llc, size_bytes=size_bytes))
 
 
+class _Field(NamedTuple):
+    """One field of a config class, as :func:`_fields` lists it."""
+
+    #: the scalar type of a leaf field; None for a nested config
+    leaf: Optional[type]
+    #: the config class of a nested field; None for a leaf
+    nested: Optional[type]
+
+
+#: leaf type -> the value types a dict may give it, and their wording.
+#: bool is an int subclass, so it is refused everywhere but a bool
+#: field; an int passes for a float unchanged, keeping its key.
+_LEAF_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls: type) -> Dict[str, _Field]:
+    """The fields of config class ``cls`` by name, in declaration
+    order, resolved from its annotations once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (_Field(None, hints[f.name])
+                     if dataclasses.is_dataclass(hints[f.name])
+                     else _Field(hints[f.name], None))
+            for f in dataclasses.fields(cls)}
+
+
 def config_fingerprint(config: MachineConfig) -> str:
     """Stable content hash of a machine configuration.
 
@@ -413,40 +445,51 @@ def config_fingerprint(config: MachineConfig) -> str:
     component of the experiment-cache key
     (:mod:`repro.sim.parallel`): any knob change, however deep
     (a fault rate, a row-buffer size), produces a different key and
-    therefore a cache miss instead of a stale result.
+    therefore a cache miss instead of a stale result.  Computed once
+    per frozen instance.
     """
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    def compute() -> str:
+        payload = json.dumps(config_to_dict(config), sort_keys=True)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    return _derived(config, "fingerprint", compute)
 
 
-def config_to_dict(config: MachineConfig) -> Dict[str, object]:
-    """A machine config as a nested plain dict (JSON-ready).
+def config_to_dict(config) -> Dict[str, object]:
+    """A machine config (or any nested config) as a nested plain dict
+    (JSON-ready), freshly built on every call.
 
     The inverse of :func:`config_from_dict`; the round trip is exact
     because every leaf is an int/float/str/bool and JSON preserves
-    float ``repr`` precision."""
-    return dataclasses.asdict(config)
+    float ``repr`` precision.  The leaves are immutable, so they are
+    shared, not copied."""
+    out: Dict[str, object] = {}
+    for name, (_leaf, nested) in _fields(type(config)).items():
+        value = getattr(config, name)
+        out[name] = value if nested is None else config_to_dict(value)
+    return out
 
 
 def _dataclass_from_dict(cls, data: Mapping, path: str):
     if not isinstance(data, Mapping):
         raise ValueError(f"{path}: expected an object, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    fields = _fields(cls)
+    unknown = sorted(name for name in data if name not in fields)
     if unknown:
         raise ValueError(f"{path}: unknown keys {unknown} "
-                         f"(known: {sorted(known)})")
+                         f"(known: {sorted(fields)})")
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        target = hints[f.name]
-        if dataclasses.is_dataclass(target):
-            value = _dataclass_from_dict(target, value,
-                                         f"{path}.{f.name}")
-        kwargs[f.name] = value
+    for name, value in data.items():
+        leaf, nested = fields[name]
+        if nested is not None:
+            value = _dataclass_from_dict(nested, value, f"{path}.{name}")
+        else:
+            accepted, wording = _LEAF_TYPES[leaf]
+            if (not isinstance(value, accepted)
+                    or (isinstance(value, bool) and leaf is not bool)):
+                raise ValueError(
+                    f"{path}.{name}: expected {wording}, got {value!r}")
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -460,21 +503,34 @@ def config_from_dict(data: Mapping) -> MachineConfig:
     defaults — and recurses into every nested config dataclass, so the
     output of :func:`config_to_dict` (or any hand-written subset of it,
     e.g. a wire-protocol override block) reconstructs the frozen tree
-    exactly.  Unknown keys raise ``ValueError`` rather than being
-    silently dropped: a typo in a knob name must not produce a
-    default-configured run that *looks* like the requested one.
+    exactly.  Unknown keys and leaves of the wrong type raise
+    ``ValueError`` naming their dotted path rather than being silently
+    dropped or crashing a run later: a typo in a knob name must not
+    produce a default-configured run that *looks* like the requested
+    one.  An int is accepted (and kept as is) for a float field; a
+    bool is accepted only for a bool field.
     """
     return _dataclass_from_dict(MachineConfig, data, "config")
 
 
-@functools.lru_cache(maxsize=None)
-def paper_machine_config() -> MachineConfig:
-    """The exact configuration of the paper's Table 2.
+#: core counts whose preset instances are kept; a served request names
+#: its own core count, so the memo must not grow without bound
+_PRESETS_KEPT = 64
+
+
+def paper_machine_config(num_cores: int = 4) -> MachineConfig:
+    """The exact configuration of the paper's Table 2 (at
+    ``num_cores`` cores; the paper's machine has 4).
 
     Built on the first call and shared after it: the config is frozen,
     so every caller may hold the same instance (and every system built
-    from it shares its derived tables)."""
-    return MachineConfig()
+    from it shares its derived tables and its fingerprint)."""
+    return _paper_machine_config(num_cores)
+
+
+@functools.lru_cache(maxsize=_PRESETS_KEPT, typed=True)
+def _paper_machine_config(num_cores: int) -> MachineConfig:
+    return MachineConfig(num_cores=num_cores)
 
 
 def small_machine_config(num_cores: int = 4) -> MachineConfig:
@@ -489,7 +545,7 @@ def small_machine_config(num_cores: int = 4) -> MachineConfig:
     return _small_machine_config(num_cores)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=_PRESETS_KEPT, typed=True)
 def _small_machine_config(num_cores: int) -> MachineConfig:
     base = paper_machine_config()
     return replace(

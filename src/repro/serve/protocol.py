@@ -43,12 +43,14 @@ for a served request and vice versa.
 chosen preset and rebuilt through the config dataclasses, each of
 which rejects its own bad values at construction, so a bad knob is a
 400 at the front door rather than a crashed worker.  Unknown keys
-anywhere are errors, never silently dropped.
+anywhere are errors, never silently dropped, and every leaf must have
+its field's type (an int passes for a float) or the request is a 400
+naming the leaf's dotted path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..common.config import (
@@ -131,11 +133,11 @@ def build_config(data: Optional[Mapping]) -> MachineConfig:
         raise ProtocolError(
             f"config.preset must be one of {list(CONFIG_PRESETS)}, "
             f"got {preset!r}")
-    config = (paper_machine_config() if preset == "paper"
-              else small_machine_config())
-    if "num_cores" in data:
-        config = replace(
-            config, num_cores=_require_int(data, "num_cores", minimum=1))
+    # the shared preset instance, whose fingerprint is computed once
+    presets = (paper_machine_config if preset == "paper"
+               else small_machine_config)
+    config = (presets(_require_int(data, "num_cores", minimum=1))
+              if "num_cores" in data else presets())
     overrides = data.get("overrides")
     if overrides is not None:
         if not isinstance(overrides, Mapping):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..common.config import MachineConfig, config_fingerprint
+from ..common.config import MachineConfig, _derived, config_fingerprint
 from ..common.stats import Stats
 from ..obs.jsonlog import get_logger
 
@@ -110,11 +110,13 @@ def make_params(params: Dict[str, object]) -> WorkloadParams:
 # ---------------------------------------------------------------------------
 class _Point:
     """The identity every point kind shares: its key is the digest of
-    its kind and spec."""
+    its kind and spec, computed once per point and carried with it when
+    it is pickled to a pool worker."""
 
     @property
     def key(self) -> str:
-        return point_key(self.kind, self.spec())
+        return _derived(self, "key",
+                        lambda: point_key(self.kind, self.spec()))
 
 
 def _workload_spec(point, **crash) -> Dict[str, object]:

@@ -39,6 +39,7 @@ from repro.cluster.transport import request_json
 from repro.common.stats import Stats
 from repro.serve import (
     ServeClient,
+    ServeError,
     ServeService,
     parse_request,
     read_http_request,
@@ -898,6 +899,43 @@ class TestClusterChaosAcceptance:
         actions = [action.action for action in report.plan]
         assert actions == ["kill", "restart"]
         assert 0 < report.plan[0].after_request < len(specs)
+
+
+class TestMistypedOverrideAtTheRouter:
+    @pytest.mark.parametrize("overrides,path", [
+        ({"nvm": {"timing": {"read_ns": "1"}}}, "nvm.timing.read_ns"),
+        ({"core": {"issue_width": True}}, "core.issue_width"),
+        ({"faults": {"seed": 1.5}}, "faults.seed"),
+        ({"faults": {"seed": "x"}}, "faults.seed"),
+    ], ids=["str-for-float", "bool-for-int", "float-for-int",
+            "str-for-int"])
+    def test_is_a_400_that_never_reaches_the_node(self, tmp_path,
+                                                  overrides, path):
+        node = ServeService(port=0, jobs=1, cache_dir=tmp_path)
+        node_thread, node_port = run_in_thread(node)
+        router = RouterService([NodeInfo("node0", "127.0.0.1", node_port)],
+                               replication=1, port=0, retries=2,
+                               health_interval_seconds=30)
+        router_thread, router_port = run_in_thread(router)
+        try:
+            client = ServeClient(port=router_port, timeout=60)
+            spec = dict(SPEC, config={"num_cores": 1,
+                                      "overrides": overrides})
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(spec)
+            assert excinfo.value.status == 400
+            assert excinfo.value.payload["error"].startswith(
+                f"config.{path}: expected ")
+            for name in ("forward.ok", "forward.errors", "forward.500",
+                         "forward.503", "forward.rejected", "retries"):
+                assert router.stats.counter(f"cluster.{name}") == 0
+            assert node.stats.counter("serve.executed") == 0
+            assert node.stats.counter("serve.admitted") == 0
+        finally:
+            router.request_shutdown()
+            router_thread.join(timeout=30)
+            node.request_shutdown()
+            node_thread.join(timeout=30)
 
 
 class TestPooledConnectionsOnRealNodes:

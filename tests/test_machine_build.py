@@ -149,6 +149,10 @@ class TestSharedPresets:
         preset = small_machine_config(2)
         assert small_machine_config(num_cores=2) is preset
         assert paper_machine_config() is paper_machine_config()
+        assert paper_machine_config(4) is paper_machine_config()
+        assert paper_machine_config(num_cores=2) is paper_machine_config(2)
+        assert paper_machine_config(2) == replace(paper_machine_config(),
+                                                  num_cores=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             preset.num_cores = 3
         with pytest.raises(dataclasses.FrozenInstanceError):

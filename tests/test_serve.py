@@ -54,6 +54,19 @@ from repro.sim.parallel import (
 
 CONFIG = small_machine_config(num_cores=1)
 
+#: override leaves of the wrong type, and the dotted path each 400 names
+MISTYPED = [
+    ({"nvm": {"timing": {"read_ns": "1"}}}, "nvm.timing.read_ns"),
+    ({"core": {"issue_width": True}}, "core.issue_width"),
+    ({"faults": {"seed": 1.5}}, "faults.seed"),
+    ({"faults": {"seed": "x"}}, "faults.seed"),
+]
+
+
+@pytest.fixture(params=MISTYPED, ids=[path for _, path in MISTYPED])
+def mistyped(request):
+    return request.param
+
 
 def run_async(coro):
     return asyncio.run(coro)
@@ -82,6 +95,25 @@ class TestConfigDict:
             config_from_dict(
                 {"txcache": {"overflow_threshold": 2.0}})
 
+    @pytest.mark.parametrize("data,path", [
+        ({"num_cores": True}, "config.num_cores"),
+        ({"num_cores": 2.0}, "config.num_cores"),
+        ({"core": {"freq_ghz": True}}, "config.core.freq_ghz"),
+        ({"core": {"freq_ghz": "2"}}, "config.core.freq_ghz"),
+        ({"txcache": {"coalesce_writes": 1}}, "config.txcache.coalesce_writes"),
+        ({"txcache": {"organization": 0}}, "config.txcache.organization"),
+        ({"l1": {"name": None}}, "config.l1.name"),
+    ])
+    def test_mistyped_leaf_rejected_with_path(self, data, path):
+        with pytest.raises(ValueError, match=f"^{path}: expected "):
+            config_from_dict(data)
+
+    def test_int_for_a_float_is_kept_as_an_int(self):
+        config = config_from_dict({"core": {"freq_ghz": 3}})
+        assert config.core.freq_ghz == 3
+        assert type(config.core.freq_ghz) is int
+        assert config_from_dict(config_to_dict(config)) == config
+
 
 # ---------------------------------------------------------------------------
 # protocol
@@ -97,6 +129,17 @@ class TestProtocol:
                                  operations=20, seed=7)
         assert request.point == direct
         assert request.key == direct.key
+
+    @pytest.mark.parametrize("preset", ["small", "paper"])
+    def test_override_free_config_is_the_shared_preset(self, preset):
+        shared = {"small": small_machine_config,
+                  "paper": paper_machine_config}[preset]
+        for config, expected in (({"num_cores": 2}, shared(2)),
+                                 ({}, shared())):
+            request = parse_request({
+                "workload": "sps", "scheme": "txcache",
+                "config": dict(config, preset=preset)})
+            assert request.point.config is expected
 
     def test_defaults_match_point_defaults(self):
         request = parse_request({"workload": "sps", "scheme": "txcache"})
@@ -205,6 +248,14 @@ class TestProtocol:
                 "workload": "sps", "scheme": "txcache",
                 "config": {"overrides": overrides},
             })
+
+    def test_mistyped_override_leaf_is_a_protocol_error(self,
+                                                         mistyped):
+        overrides, path = mistyped
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request({"workload": "sps", "scheme": "txcache",
+                           "config": {"overrides": overrides}})
+        assert str(excinfo.value).startswith(f"config.{path}: expected ")
 
     @pytest.mark.parametrize("overrides", [
         {"core": {"mlp": 4}},
