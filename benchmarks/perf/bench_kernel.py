@@ -377,7 +377,7 @@ def main(argv=None) -> int:
                              "timing children per point without it")
     parser.add_argument("--against", metavar="REV",
                         help="fail (exit 1) if the points run more than "
-                             f"{TOLERANCE:.0%} slower than at REV, or any "
+                             f"{TOLERANCE:.0%}% slower than at REV, or any "
                              "event count differs from the baseline")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the committed counts from the full "

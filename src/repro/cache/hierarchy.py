@@ -13,7 +13,7 @@ hierarchy *differently*:
   lines consult the transaction cache for the newest version
   (paper §3, "Persistent Memory Accelerator Working Flow").
 * **Kiln** pins uncommitted lines in the (nonvolatile) LLC through
-  :attr:`llc_pin_predicate`, unpins them with :meth:`unpin_llc_line`,
+  :attr:`llc_pinned_txs`, unpins them with :meth:`unpin_llc_line`,
   flushes on commit with :meth:`flush_to_llc`, and blocks the
   hierarchy during commit with :meth:`block_until`.
 * **SP** uses :meth:`writeback_line` for ``clwb`` semantics.
@@ -27,7 +27,7 @@ both.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Container, Dict, List, Optional, Set, Tuple
 
 from ..common.config import MachineConfig
 from ..common.event import Simulator
@@ -104,9 +104,9 @@ class CacheHierarchy:
         # scheme hooks ---------------------------------------------------
         self.drop_persistent_evictions = False
         self.llc_probe: Optional[LlcProbe] = None
-        #: Kiln: called with a tx_id when a dirty persistent line lands in
-        #: the LLC; return True to pin it (uncommitted data must stay).
-        self.llc_pin_predicate: Optional[Callable[[Optional[int]], bool]] = None
+        #: Kiln: the transactions whose dirty persistent lines are
+        #: pinned when they land in the LLC (uncommitted data must stay)
+        self.llc_pinned_txs: Optional[Container[int]] = None
         self._blocked_until = 0
         # MESI directory over the private cache stacks
         self.coherence = MesiDirectory(self.num_cores,
@@ -347,8 +347,8 @@ class CacheHierarchy:
     def _insert_llc(self, line, version, dirty=False,
                     persistent=False, tx_id=None) -> None:
         pinned = False
-        if (dirty and persistent and self.llc_pin_predicate is not None
-                and self.llc_pin_predicate(tx_id)):
+        if (dirty and persistent and self.llc_pinned_txs is not None
+                and tx_id in self.llc_pinned_txs):
             pinned = True
         # index the set once for the untimed probe and the fill, as
         # _fill_private does (no LRU touch on the probe)

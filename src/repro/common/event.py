@@ -87,6 +87,13 @@ class Simulator:
         #: spent
         self._inline_stop = _NO_LIMIT
 
+    def clock(self) -> int:
+        """The current cycle, as a callable.  The transaction caches
+        time-stamp their trace events with it: it references only the
+        kernel, where a bound method of their owner would reference
+        the owner back."""
+        return self.now
+
     def set_advance_hook(self, hook: Optional[Callable[[int], None]]) -> None:
         """Install ``hook(new_time)``, called whenever the kernel
         advances simulation time — *between* events, never during one.

@@ -125,8 +125,7 @@ class MemRequest:
         addr: byte address (any address within the line is accepted;
             controllers operate on :func:`line_addr` internally).
         req_type: read or write.
-        persistent: True when the write carries persistent data whose
-            completion must be acknowledged (the TC drains on acks).
+        persistent: True when the write carries persistent data.
         tx_id: transaction the data belongs to, if any.
         version: logical payload for the crash-consistency checker.
         callback: invoked as ``callback(request, completion_cycle)``
@@ -144,6 +143,10 @@ class MemRequest:
         tc_seq: the transaction-cache entry sequence number a TC
             write-back carries, matched by its acknowledgment (None
             for every other request).
+        on_ack: the acknowledgment route of a persistent write,
+            called as ``on_ack(request, cycle)`` after the array write
+            (subject to the injected ack faults); None for every
+            request nobody waits to be acknowledged.
         on_read: the requester's callback of a
             :meth:`~repro.memory.system.MemorySystem.read` (None for
             writes and for reads enqueued on a controller directly).
@@ -154,8 +157,8 @@ class MemRequest:
     """
 
     __slots__ = ("addr", "req_type", "persistent", "tx_id", "version",
-                 "callback", "issue_cycle", "source", "tc_seq", "on_read",
-                 "forwarded", "write_attempts",
+                 "callback", "issue_cycle", "source", "tc_seq", "on_ack",
+                 "on_read", "forwarded", "write_attempts",
                  "line", "is_write", "bank", "row", "ready_cycle")
 
     def __init__(self, addr: int, req_type: MemReqType,
@@ -164,7 +167,9 @@ class MemRequest:
                  version: Optional[Version] = None,
                  callback: Optional[Callable[["MemRequest", int], None]] = None,
                  issue_cycle: int = 0, source: str = "",
-                 tc_seq: Optional[int] = None) -> None:
+                 tc_seq: Optional[int] = None,
+                 on_ack: Optional[Callable[["MemRequest", int], None]] = None,
+                 ) -> None:
         self.addr = addr
         self.req_type = req_type
         self.persistent = persistent
@@ -174,6 +179,7 @@ class MemRequest:
         self.issue_cycle = issue_cycle
         self.source = source
         self.tc_seq = tc_seq
+        self.on_ack = on_ack
         self.on_read = None
         self.forwarded = False
         self.write_attempts = 1

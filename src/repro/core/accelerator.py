@@ -33,6 +33,7 @@ memory system; a strict no-op otherwise):
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.config import MachineConfig
@@ -61,12 +62,11 @@ class PersistentMemoryAccelerator:
         self.stats = stats.scoped("tc")
         self.tracer = tracer
         self.latency = config.txcache.latency_cycles(config.freq_ghz)
-        self._global_seq = 0
-
-        def next_seq() -> int:
-            self._global_seq += 1
-            return self._global_seq
-
+        # The TCs share one entry-sequence counter (cross-core probes
+        # pick the globally newest entry) and time-stamp trace events
+        # with the kernel's clock; neither refers back to this
+        # accelerator, so the TCs it owns hold no reference to it.
+        next_seq = itertools.count(1).__next__
         if config.txcache.organization == "set_assoc":
             from .setassoc import SetAssocTransactionBuffer
 
@@ -74,7 +74,7 @@ class PersistentMemoryAccelerator:
                 SetAssocTransactionBuffer(
                     config.txcache, stats.scoped(f"tc.{i}"),
                     seq_source=next_seq, tracer=tracer, track=f"tc{i}",
-                    clock=self._clock)
+                    clock=sim.clock)
                 for i in range(config.num_cores)
             ]
         else:
@@ -82,7 +82,7 @@ class PersistentMemoryAccelerator:
                 TransactionCache(config.txcache, stats.scoped(f"tc.{i}"),
                                  seq_source=next_seq,
                                  tracer=tracer, track=f"tc{i}",
-                                 clock=self._clock)
+                                 clock=sim.clock)
                 for i in range(config.num_cores)
             ]
         # CPUs stalled on a full TC, per core: resume callbacks
@@ -111,14 +111,10 @@ class PersistentMemoryAccelerator:
             ]
         #: scheme hook: called with (core_id, entry) when an *active*
         #: entry reads back uncorrectable — the policy answer is to
-        #: demote that transaction to the COW overflow path
+        #: demote that transaction to the COW overflow path.  It must
+        #: not reference this accelerator (see docs/extending.md).
         self.uncorrectable_handler: Optional[
             Callable[[int, TxEntry], None]] = None
-        memory.set_nvm_ack_handler(self.on_ack)
-
-    def _clock(self) -> int:
-        """Timestamp source handed to the (otherwise passive) TCs."""
-        return self.sim.now
 
     # ------------------------------------------------------------------
     # CPU side
@@ -149,10 +145,10 @@ class PersistentMemoryAccelerator:
     # ------------------------------------------------------------------
     def _issue(self, core_id: int) -> None:
         """Send committed entries toward the NVM in FIFO order, paced
-        to ``issue_window`` outstanding writes per core.  Routing of
-        the later acknowledgment uses the request's ``source`` tag; the
-        entry's sequence number rides along so the ack can be matched
-        idempotently."""
+        to ``issue_window`` outstanding writes per core.  Each write
+        names :meth:`on_ack` as its acknowledgment route, which finds
+        the TC by the request's ``source`` tag; the entry's sequence
+        number rides along so the ack can be matched idempotently."""
         budget = self.issue_window - self._outstanding[core_id]
         if budget <= 0:
             return
@@ -168,6 +164,7 @@ class PersistentMemoryAccelerator:
                 persistent=True, tx_id=entry.tx_id,
                 source=f"tc.{core_id}",
                 tc_seq=entry.seq,
+                on_ack=self.on_ack,
             )
             if self.faults is not None:
                 entry.issue_cycle = self.sim.now
@@ -222,6 +219,7 @@ class PersistentMemoryAccelerator:
             persistent=True, tx_id=entry.tx_id,
             source=f"tc.{core_id}",
             tc_seq=entry.seq,
+            on_ack=self.on_ack,
         )
         self.sim.schedule(self.ack_timeout, self._check_ack,
                           core_id, entry, entry.issue_cycle)

@@ -47,9 +47,9 @@ from ..persistence.base import PersistenceScheme
 class Core:
     """One CPU core executing a prepared trace under a scheme.
 
-    ``__slots__`` plus a per-instance dispatch table: the retire loop
+    ``__slots__`` plus a module-level dispatch table: the retire loop
     runs once per trace op, so attribute reads stay off the instance
-    dict and op dispatch is a list index on the op's dense kind code
+    dict and op dispatch is a tuple index on the op's dense kind code
     instead of a dict built per call.
     """
 
@@ -58,7 +58,7 @@ class Core:
         "mode_tx", "next_tx_id", "cycle", "_ops", "_kinds", "_counts",
         "_ip", "_on_done", "_sb_tokens", "_sb_waiting", "done",
         "_stall_reason", "_tx_begin_cycle", "instructions_retired",
-        "committed_transactions", "_handlers", "_issue_width",
+        "committed_transactions", "_issue_width",
         "_stalls", "_load_latency", "_persist_load_latency",
         "_cur_op", "_cur_issued", "_stepping", "_hide_cycles",
     )
@@ -109,16 +109,8 @@ class Core:
         # headline metrics
         self.instructions_retired = 0
         self.committed_transactions = 0
-        # hot-path precomputation: dispatch table indexed by op kind
-        # code, issue width, and the stall and latency cells
-        handlers = [None] * 7
-        handlers[KIND_LOAD] = self._do_load
-        handlers[KIND_STORE] = self._do_store
-        handlers[KIND_TX_BEGIN] = self._do_tx_begin
-        handlers[KIND_TX_END] = self._do_tx_end
-        handlers[KIND_CLWB] = self._do_clwb
-        handlers[KIND_SFENCE] = self._do_sfence
-        self._handlers = handlers
+        # hot-path precomputation: issue width, and the stall and
+        # latency cells
         self._issue_width = config.issue_width
         self._hide_cycles = config.hide_cycles
         self._stalls = stats.counter_map("stall")
@@ -164,7 +156,7 @@ class Core:
         ops = self._ops
         kinds = self._kinds
         counts = self._counts
-        handlers = self._handlers
+        handlers = _HANDLERS
         sim = self.sim
         step = self._step
         n = len(ops)
@@ -194,7 +186,7 @@ class Core:
                 sim.schedule_at(cycle, step)
                 return
             self.cycle = sim.now
-            handlers[kind](ops[ip])
+            handlers[kind](self, ops[ip])
             if self._ip == ip:
                 # the op waits on an event; its completion resumes us
                 self._stepping = False
@@ -382,3 +374,21 @@ class Core:
         self._ip += 1
         if not self._stepping:
             self._step(False)
+
+
+def _dispatch_table() -> tuple:
+    """Op kind code -> ``Core`` handler, called as ``handler(core,
+    op)``.  Plain functions, not bound methods: a core holding bound
+    methods of itself is a reference cycle, which keeps a finished
+    machine alive until the cyclic collector's next full pass."""
+    handlers = [None] * 7
+    handlers[KIND_LOAD] = Core._do_load
+    handlers[KIND_STORE] = Core._do_store
+    handlers[KIND_TX_BEGIN] = Core._do_tx_begin
+    handlers[KIND_TX_END] = Core._do_tx_end
+    handlers[KIND_CLWB] = Core._do_clwb
+    handlers[KIND_SFENCE] = Core._do_sfence
+    return tuple(handlers)
+
+
+_HANDLERS = _dispatch_table()

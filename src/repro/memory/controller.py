@@ -15,9 +15,12 @@ Implements the policy the paper inherits from DRAMSim2 (Table 2):
   order preserves it),
 * read forwarding from the write queue (a read that matches a pending
   write is served from the queue entry, not the array),
-* an **acknowledgment path**: after a persistent write is written into
-  the array, the controller invokes ``ack_handler`` — this is the
-  message the transaction cache drains on (paper §3/§4.3).
+* an **acknowledgment path**: after a write that names an ack route
+  (``request.on_ack``) is written into the array, the controller calls
+  it — this is the message the transaction cache drains on (paper
+  §3/§4.3).  The route rides on the request, not on the controller,
+  so the memory system holds no reference back to the accelerator
+  that writes into it.
 
 Writes into the NVM are additionally recorded into a
 :class:`DurableImage` timeline so crash points can be replayed exactly.
@@ -49,8 +52,6 @@ from .queues import RequestQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
-
-AckHandler = Callable[[MemRequest, int], None]
 
 
 class _ForwardReplay:
@@ -161,7 +162,6 @@ class MemoryController:
         stats: ScopedStats,
         freq_ghz: float,
         durable_image: Optional[DurableImage] = None,
-        ack_handler: Optional[AckHandler] = None,
         faults: Optional["FaultInjector"] = None,
         tracer: NullTracer = NULL_TRACER,
     ) -> None:
@@ -170,7 +170,6 @@ class MemoryController:
         self.stats = stats
         self.freq_ghz = freq_ghz
         self.durable_image = durable_image
-        self.ack_handler = ack_handler
         self.faults = faults
         self.tracer = tracer
         self._track = config.name  # tracer thread label for this channel
@@ -450,16 +449,16 @@ class MemoryController:
             self.durable_image.record(now, request.line, request.version)
         if request.callback is not None:
             request.callback(request, now)
-        if request.persistent and self.ack_handler is not None:
+        if request.on_ack is not None:
             self._counts.write_acks += 1
             self._send_ack(request, now)
 
     def _send_ack(self, request: MemRequest, now: int) -> None:
         """Deliver the completion acknowledgment, subject to the
         injected interconnect fault model (lost / delayed / duplicated
-        messages).  Fault-free operation calls the handler inline."""
+        messages).  Fault-free operation calls the route inline."""
         if self.faults is None:
-            self.ack_handler(request, now)
+            request.on_ack(request, now)
             return
         from ..faults.injector import AckFate
 
@@ -473,11 +472,10 @@ class MemoryController:
             return
         if fate is AckFate.DUPLICATE:
             self.stats.inc("ack.duplicated")
-            self.ack_handler(request, now)
+            request.on_ack(request, now)
             self.sim.schedule(1, self._deliver_ack, request)
             return
-        self.ack_handler(request, now)
+        request.on_ack(request, now)
 
     def _deliver_ack(self, request: MemRequest) -> None:
-        if self.ack_handler is not None:
-            self.ack_handler(request, self.sim.now)
+        request.on_ack(request, self.sim.now)

@@ -8,8 +8,8 @@ single functional/timing facade.
   controller finishes the array write, recorded in the
   :class:`~repro.memory.controller.DurableImage` timeline.
 
-The NVM controller's acknowledgment path (``ack_handler``) is exposed so
-the transaction cache can drain on completion messages (paper §4.3).
+A write may name an acknowledgment route (``on_ack``), so the
+transaction cache can drain on completion messages (paper §4.3).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..common.types import (
     line_addr,
 )
 from ..obs.tracer import NULL_TRACER, NullTracer
-from .controller import AckHandler, DurableImage, MemoryController
+from .controller import DurableImage, MemoryController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
@@ -45,7 +45,6 @@ class MemorySystem:
         sim: Simulator,
         config: MachineConfig,
         stats: Stats,
-        nvm_ack_handler: Optional[AckHandler] = None,
         faults: Optional["FaultInjector"] = None,
         tracer: NullTracer = NULL_TRACER,
     ) -> None:
@@ -62,7 +61,6 @@ class MemorySystem:
             stats.scoped("mem.nvm"),
             config.freq_ghz,
             durable_image=self.durable_image,
-            ack_handler=nvm_ack_handler,
             faults=faults,
             tracer=tracer,
         )
@@ -77,9 +75,6 @@ class MemorySystem:
         self._contents: Dict[int, Optional[Version]] = {}
 
     # ------------------------------------------------------------------
-    def set_nvm_ack_handler(self, handler: AckHandler) -> None:
-        self.nvm.ack_handler = handler
-
     def peek(self, addr: int) -> Optional[Version]:
         """Architectural contents of a line (no timing)."""
         return self._contents.get(line_addr(addr))
@@ -121,15 +116,16 @@ class MemorySystem:
         on_complete: Optional[Callable[[MemRequest, int], None]] = None,
         source: str = "",
         tc_seq: Optional[int] = None,
+        on_ack: Optional[Callable[[MemRequest, int], None]] = None,
     ) -> None:
         """Write one line.  Architectural contents update immediately;
-        durability (and the ack, if persistent) happen at the cycle the
-        controller finishes the array write."""
+        durability (and ``on_ack(request, cycle)``, when given) happen
+        at the cycle the controller finishes the array write."""
         line = addr & LINE_MASK
         self._contents[line] = version
         (self.nvm if line >= NVM_BASE else self.dram).enqueue(MemRequest(
             line, MemReqType.WRITE, persistent, tx_id, version, on_complete,
-            source=source, tc_seq=tc_seq))
+            source=source, tc_seq=tc_seq, on_ack=on_ack))
 
     # ------------------------------------------------------------------
     def busy(self) -> bool:

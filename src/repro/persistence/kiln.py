@@ -50,12 +50,15 @@ class KilnScheme(PersistenceScheme):
     def __init__(self, sim, config, stats, hierarchy, memory,
                  tracer=NULL_TRACER) -> None:
         super().__init__(sim, config, stats, hierarchy, memory, tracer)
-        hierarchy.llc_pin_predicate = self._pin_uncommitted
         # the LLC is now STT-RAM: every access through it is slower
         hierarchy.llc.latency = int(round(
             hierarchy.llc.latency * self.NV_LLC_LATENCY_FACTOR))
-        #: lines written by each still-open transaction
+        #: lines written by each still-open transaction; its keys are
+        #: the transactions whose dirty persistent LLC arrivals the
+        #: hierarchy pins (data, not a bound method of this scheme, so
+        #: the hierarchy holds no reference back to it)
         self._open_tx_lines: Dict[int, Set[int]] = {}
+        hierarchy.llc_pinned_txs = self._open_tx_lines
         #: program-order versions written by each open transaction
         self._open_tx_versions: Dict[int, Dict[int, Version]] = {}
         #: per-transaction committed line versions (NV-LLC durability)
@@ -63,12 +66,6 @@ class KilnScheme(PersistenceScheme):
         #: commit order (tx -> position), the recovery replay order;
         #: ``commit_cycle`` holds when each commit flush completes
         self._commit_order: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    def _pin_uncommitted(self, tx_id: Optional[int]) -> bool:
-        """Hierarchy hook: pin dirty persistent LLC arrivals whose
-        transaction has not committed yet."""
-        return tx_id is not None and tx_id in self._open_tx_lines
 
     # ------------------------------------------------------------------
     def store(self, core, op, on_issue: StoreIssue,
@@ -87,7 +84,7 @@ class KilnScheme(PersistenceScheme):
                     core.mode_tx, {})[line] = op.version
             # Uncommitted blocks already resident in the NV-LLC must not
             # be replaced (paper §5.2) — pin them where they stand; the
-            # llc_pin_predicate hook pins any that arrive later.
+            # hierarchy pins any that arrive later (llc_pinned_txs).
             entry = self.hierarchy.llc.probe(line)
             if entry is not None:
                 entry.pinned = True

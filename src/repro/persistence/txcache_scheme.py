@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..cache.hierarchy import LlcProbe
 from ..common.types import SchemeName, Version
 from ..core.accelerator import PersistentMemoryAccelerator
 from ..core.overflow import OverflowManager
@@ -46,33 +47,15 @@ class TxCacheScheme(PersistenceScheme):
         self.accelerator = PersistentMemoryAccelerator(
             sim, config, stats, memory, tracer=tracer)
         self.overflow = OverflowManager(sim, memory, stats.scoped("tc.overflow"))
-        self.accelerator.uncorrectable_handler = self._on_uncorrectable
+        self._diversion = _Diversion(sim, self.stats, tracer,
+                                     self.accelerator.tcs, self.overflow)
+        self.accelerator.uncorrectable_handler = \
+            self._diversion.on_uncorrectable
         hierarchy.drop_persistent_evictions = True
-        hierarchy.llc_probe = self._probe
+        hierarchy.llc_probe = _llc_probe(self.accelerator, self.overflow)
         # commit_cycle holds each transaction's commit-request arrival
         # (the durability point: the TC array is nonvolatile), or for a
         # fall-back transaction the cycle its commit record was durable
-
-    # ------------------------------------------------------------------
-    # LLC miss probe
-    # ------------------------------------------------------------------
-    def _probe(self, line: int) -> Optional[Tuple[int, Optional[Version]]]:
-        hit = self.accelerator.llc_probe(line)
-        if hit is not None:
-            return hit
-        # Copy-on-write path: data diverted to the shadow region is not
-        # in any TC; serve the newest shadow value so the program always
-        # observes its own writes.
-        newest: Optional[Version] = None
-        for state in self.overflow.fallback.values():
-            version = state.writes.get(line)
-            if version is not None and (newest is None or
-                                        (version.seq, version.tx_id or 0)
-                                        > (newest.seq, newest.tx_id or 0)):
-                newest = version
-        if newest is not None:
-            return self.accelerator.latency, newest
-        return None
 
     # ------------------------------------------------------------------
     # execution hooks
@@ -96,7 +79,7 @@ class TxCacheScheme(PersistenceScheme):
             on_issue(1)
             return
         if self._should_fall_back(core.core_id, tx_id):
-            self._divert(core.core_id, tx_id)
+            self._diversion.divert(core.core_id, tx_id)
             self.overflow.write(core.core_id, tx_id, op.addr, op.version)
             on_issue(1)
             return
@@ -119,17 +102,6 @@ class TxCacheScheme(PersistenceScheme):
         tc = self.accelerator.tcs[core_id]
         return tc.count_active(tx_id) >= tc.capacity // 4
 
-    def _on_uncorrectable(self, core_id: int, entry) -> None:
-        """An *active* TC entry read back with an uncorrectable double
-        bit error: demote its transaction to the COW path (its write
-        data is reconstructed from the P/V-flagged cache copies that
-        every transactional store also updated) instead of failing."""
-        tx_id = entry.tx_id
-        if self.overflow.is_fallback(tx_id):
-            return
-        self.stats.inc("ecc_fallbacks")
-        self._divert(core_id, tx_id)
-
     def _tc_write(self, core, tx_id: int, op, on_issue: StoreIssue) -> None:
         accepted = self.accelerator.cpu_write(
             core.core_id, tx_id, op.addr, op.version)
@@ -144,7 +116,7 @@ class TxCacheScheme(PersistenceScheme):
             # Waiting could deadlock if the blocking entries belong to
             # this very transaction, so fall back to copy-on-write now.
             self.stats.inc("assoc_overflow_fallbacks")
-            self._divert(core.core_id, tx_id)
+            self._diversion.divert(core.core_id, tx_id)
             self.overflow.write(core.core_id, tx_id, op.addr, op.version)
             on_issue(1)
             return
@@ -158,7 +130,7 @@ class TxCacheScheme(PersistenceScheme):
                 on_issue(1)
                 return
             if self._should_fall_back(core.core_id, tx_id):
-                self._divert(core.core_id, tx_id)
+                self._diversion.divert(core.core_id, tx_id)
                 self.overflow.write(core.core_id, tx_id, op.addr, op.version)
                 on_issue(1)
                 return
@@ -172,16 +144,6 @@ class TxCacheScheme(PersistenceScheme):
             self.tracer.instant("scheme", "txcache", "tc.full_stall",
                                 self.sim.now, core=core.core_id, tx=tx_id)
         self.accelerator.wait_for_space(core.core_id, retry)
-
-    def _divert(self, core_id: int, tx_id: int) -> None:
-        """Demote the running transaction to the COW fall-back path."""
-        dropped = self.accelerator.tcs[core_id].drop_transaction(tx_id)
-        if self.tracer.enabled:
-            self.tracer.instant("scheme", "txcache", "cow.divert",
-                                self.sim.now, core=core_id, tx=tx_id,
-                                dropped=len(dropped))
-        self.overflow.divert(
-            core_id, tx_id, [(e.tag, e.version) for e in dropped])
 
     def tx_end(self, core, op, resume: Resume) -> None:
         tx_id = op.tx_id
@@ -248,3 +210,75 @@ class TxCacheScheme(PersistenceScheme):
         subsequent TC write to the line)."""
         return replay(self.home_image_at(crash_cycle),
                       self.tc_replay_plan(crash_cycle), self.commit_cycle)
+
+
+def _llc_probe(accelerator: PersistentMemoryAccelerator,
+               overflow: OverflowManager) -> LlcProbe:
+    """The hierarchy's LLC-miss probe: the newest version of a line in
+    any TC, else in the copy-on-write shadow region.
+
+    A closure over the accelerator and the overflow manager, not a
+    bound method of the scheme: the scheme holds the hierarchy, so a
+    hook that held the scheme would make a reference cycle."""
+    tc_probe = accelerator.llc_probe
+    fallback = overflow.fallback
+
+    def probe(line: int) -> Optional[Tuple[int, Optional[Version]]]:
+        hit = tc_probe(line)
+        if hit is not None:
+            return hit
+        # Copy-on-write path: data diverted to the shadow region is not
+        # in any TC; serve the newest shadow value so the program always
+        # observes its own writes.
+        newest: Optional[Version] = None
+        for state in fallback.values():
+            version = state.writes.get(line)
+            if version is not None and (newest is None or
+                                        (version.seq, version.tx_id or 0)
+                                        > (newest.seq, newest.tx_id or 0)):
+                newest = version
+        if newest is not None:
+            return accelerator.latency, newest
+        return None
+
+    return probe
+
+
+class _Diversion:
+    """Demotes a running transaction from its TC to the copy-on-write
+    fall-back path.
+
+    Apart from the scheme because the accelerator calls back into it
+    (:meth:`on_uncorrectable` is its ``uncorrectable_handler``): it
+    holds the TCs and the overflow manager, never the accelerator or
+    the scheme, so that hook closes no reference cycle."""
+
+    __slots__ = ("sim", "stats", "tracer", "tcs", "overflow")
+
+    def __init__(self, sim, stats, tracer, tcs, overflow) -> None:
+        self.sim = sim
+        self.stats = stats
+        self.tracer = tracer
+        self.tcs = tcs
+        self.overflow = overflow
+
+    def divert(self, core_id: int, tx_id: int) -> None:
+        """Demote the running transaction to the COW fall-back path."""
+        dropped = self.tcs[core_id].drop_transaction(tx_id)
+        if self.tracer.enabled:
+            self.tracer.instant("scheme", "txcache", "cow.divert",
+                                self.sim.now, core=core_id, tx=tx_id,
+                                dropped=len(dropped))
+        self.overflow.divert(
+            core_id, tx_id, [(e.tag, e.version) for e in dropped])
+
+    def on_uncorrectable(self, core_id: int, entry) -> None:
+        """An *active* TC entry read back with an uncorrectable double
+        bit error: demote its transaction to the COW path (its write
+        data is reconstructed from the P/V-flagged cache copies that
+        every transactional store also updated) instead of failing."""
+        tx_id = entry.tx_id
+        if self.overflow.is_fallback(tx_id):
+            return
+        self.stats.inc("ecc_fallbacks")
+        self.divert(core_id, tx_id)

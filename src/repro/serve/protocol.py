@@ -13,7 +13,7 @@ same frozen point kinds the batch engine runs
       "workload_params": {"...": 1},   // optional, scalar values
       "config": {                      // optional config block
         "preset": "small",             //   "small" (default) | "paper"
-        "num_cores": 1,                //   shortcut for the common knob
+        "num_cores": 1,                //   shortcut, 1..MAX_CORES
         "overrides": {"txcache": {"size_bytes": 8192}}
       },
       "fractions": [0.1, 0.5, 0.9],    // optional, crash kind only
@@ -45,7 +45,10 @@ which rejects its own bad values at construction, so a bad knob is a
 400 at the front door rather than a crashed worker.  Unknown keys
 anywhere are errors, never silently dropped, and every leaf must have
 its field's type (an int passes for a float) or the request is a 400
-naming the leaf's dotted path.
+naming the leaf's dotted path.  ``num_cores`` may not exceed
+:data:`MAX_CORES`, by the shortcut or by an override: a node builds the
+machine a request names.  ``workload_params`` names must be parameters
+of the workload's constructor (other than ``core_id`` and ``seed``).
 """
 
 from __future__ import annotations
@@ -62,10 +65,14 @@ from ..common.config import (
 )
 from ..common.types import NEGATIVE_CONTROLS, SchemeName
 from ..sim.parallel import POINT_KINDS, make_params
-from ..workloads import WORKLOADS
+from ..workloads import WORKLOADS, workload_param_names
 
 #: presets a request may name in its config block
 CONFIG_PRESETS = ("small", "paper")
+#: the largest ``config.num_cores`` a request may name (the repository
+#: itself runs at most 4 cores); a node builds whatever machine a
+#: request names, and a build grows with its core count
+MAX_CORES = 64
 
 _TOP_KEYS = frozenset({
     "kind", "workload", "scheme", "operations", "seed",
@@ -94,13 +101,19 @@ class PointRequest:
         return self.point.key
 
 
-def _require_int(data: Mapping, name: str, minimum: int = 0) -> int:
+def _require_int(data: Mapping, name: str, minimum: int = 0,
+                 maximum: Optional[int] = None, path: str = "") -> int:
+    """``data[name]`` as an int in ``[minimum, maximum]``; errors name
+    ``path`` (default: ``name``)."""
     value = data[name]
+    path = path or name
     # bool is an int subclass; a spec saying "operations": true is a bug
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+        raise ProtocolError(f"{path} must be an integer, got {value!r}")
     if value < minimum:
-        raise ProtocolError(f"{name} must be >= {minimum}, got {value}")
+        raise ProtocolError(f"{path} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ProtocolError(f"{path} must be <= {maximum}, got {value}")
     return value
 
 
@@ -136,7 +149,9 @@ def build_config(data: Optional[Mapping]) -> MachineConfig:
     # the shared preset instance, whose fingerprint is computed once
     presets = (paper_machine_config if preset == "paper"
                else small_machine_config)
-    config = (presets(_require_int(data, "num_cores", minimum=1))
+    config = (presets(_require_int(data, "num_cores", minimum=1,
+                                   maximum=MAX_CORES,
+                                   path="config.num_cores"))
               if "num_cores" in data else presets())
     overrides = data.get("overrides")
     if overrides is not None:
@@ -149,6 +164,10 @@ def build_config(data: Optional[Mapping]) -> MachineConfig:
             config = config_from_dict(merged)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
+        if config.num_cores > MAX_CORES:
+            raise ProtocolError(
+                f"config.overrides.num_cores must be <= {MAX_CORES}, "
+                f"got {config.num_cores}")
     return config
 
 
@@ -216,7 +235,12 @@ def parse_request(data: object) -> PointRequest:
         if not isinstance(params, Mapping):
             raise ProtocolError(
                 f"workload_params must be an object, got {params!r}")
+        known = workload_param_names(workload)
         for name, value in params.items():
+            if name not in known:
+                raise ProtocolError(
+                    f"workload_params.{name}: not a parameter of "
+                    f"{workload!r} (known: {sorted(known)})")
             if isinstance(value, (dict, list)):
                 raise ProtocolError(
                     f"workload_params.{name} must be a scalar, "

@@ -5,7 +5,9 @@ to instantiate one.  Adding a workload means writing its class and
 adding it to that table.
 """
 
-from typing import Dict, Type
+import functools
+import inspect
+from typing import Dict, FrozenSet, Type
 
 from ..pheap.arena import WORD
 from .base import Workload
@@ -43,6 +45,14 @@ def create_workload(name: str, core_id: int = 0, seed: int = 42,
     return cls(core_id=core_id, seed=seed, **params)
 
 
+@functools.lru_cache(maxsize=None)
+def workload_param_names(name: str) -> FrozenSet[str]:
+    """The parameters workload ``name`` takes besides ``core_id`` and
+    ``seed``: its class's constructor signature, read once per class."""
+    params = inspect.signature(WORKLOADS[name]).parameters
+    return frozenset(params) - {"core_id", "seed"}
+
+
 def workload_table() -> Dict[str, str]:
     """The rows of the paper's Table 3."""
     return {name: cls.description for name, cls in sorted(WORKLOADS.items())}
@@ -61,5 +71,6 @@ __all__ = [
     "SyntheticWorkload",
     "Workload",
     "create_workload",
+    "workload_param_names",
     "workload_table",
 ]

@@ -206,14 +206,14 @@ class TestSchemeHooks:
         assert latency == hierarchy.llc.latency
         entry = hierarchy.llc.probe(NVM_BASE)
         assert entry.dirty and entry.version == Version(4, 0)
-        assert not entry.pinned     # no pin predicate installed
+        assert not entry.pinned     # no pinned transactions installed
         assert not hierarchy.l1[0].probe(NVM_BASE).dirty
 
     def test_pin_and_unpin(self):
-        """Kiln's path: the pin predicate pins an uncommitted line as
-        it lands in the LLC, and commit unpins it."""
+        """Kiln's path: an uncommitted line is pinned as it lands in
+        the LLC, and commit unpins it."""
         sim, stats, memory, hierarchy = build()
-        hierarchy.llc_pin_predicate = lambda tx_id: tx_id == 1
+        hierarchy.llc_pinned_txs = {1}
         run_store(sim, hierarchy, 0, NVM_BASE, Version(1, 0),
                   persistent=True, tx_id=1)
         run_store(sim, hierarchy, 0, NVM_BASE + 64, Version(2, 0),

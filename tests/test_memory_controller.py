@@ -25,7 +25,7 @@ def nvm_config(**overrides) -> MemCtrlConfig:
     return replace(base, **overrides)
 
 
-def make_controller(sim=None, config=None, ack_handler=None, image=None):
+def make_controller(sim=None, config=None, image=None):
     sim = sim or Simulator()
     stats = Stats()
     ctrl = MemoryController(
@@ -34,7 +34,6 @@ def make_controller(sim=None, config=None, ack_handler=None, image=None):
         stats.scoped("nvm"),
         FREQ,
         durable_image=image,
-        ack_handler=ack_handler,
     )
     return sim, stats, ctrl
 
@@ -205,12 +204,15 @@ class TestControllerWrites:
 
     def test_persistent_write_triggers_ack(self):
         acks = []
-        sim, stats, ctrl = make_controller(ack_handler=lambda r, c: acks.append((r.line, c)))
-        ctrl.enqueue(write(NVM_BASE, persistent=True))
-        ctrl.enqueue(write(NVM_BASE + 4096))  # volatile: no ack
+        sim, stats, ctrl = make_controller()
+        persistent = write(NVM_BASE, persistent=True)
+        persistent.on_ack = lambda r, c: acks.append((r.line, c))
+        ctrl.enqueue(persistent)
+        ctrl.enqueue(write(NVM_BASE + 4096))  # no ack route: no ack
         sim.run()
         assert len(acks) == 1
         assert acks[0][0] == NVM_BASE
+        assert stats.counter("nvm.write.acks") == 1
 
     def test_same_line_writes_complete_in_program_order(self):
         image = DurableImage()

@@ -224,9 +224,10 @@ class TestKilnScheme:
         system = System.build("kiln")
         scheme = system.scheme
         scheme._open_tx_lines[42] = {NVM_BASE}
-        assert system.hierarchy.llc_pin_predicate(42)
-        assert not system.hierarchy.llc_pin_predicate(7)
-        assert not system.hierarchy.llc_pin_predicate(None)
+        assert system.hierarchy.llc_pinned_txs is scheme._open_tx_lines
+        assert 42 in system.hierarchy.llc_pinned_txs
+        assert 7 not in system.hierarchy.llc_pinned_txs
+        assert None not in system.hierarchy.llc_pinned_txs
 
 
 class TestNegativeControl:

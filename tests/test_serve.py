@@ -15,6 +15,7 @@ Three layers, matched to the subsystem's structure:
 """
 
 import asyncio
+import inspect
 import json
 import multiprocessing
 import os
@@ -45,12 +46,14 @@ from repro.serve import (
     parse_request,
     run_in_thread,
 )
+from repro.serve.protocol import MAX_CORES
 from repro.sim.parallel import (
     CrashPoint,
     ExperimentEngine,
     ExperimentPoint,
     ResultCache,
 )
+from repro.workloads import WORKLOADS, workload_param_names
 
 CONFIG = small_machine_config(num_cores=1)
 
@@ -268,6 +271,60 @@ class TestProtocol:
                 "workload": "sps", "scheme": "txcache",
                 "config": {"overrides": overrides},
             })
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_unknown_workload_param_names_its_path(self, workload):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request({"workload": workload, "scheme": "txcache",
+                           "workload_params": {"bogus": 1}})
+        assert str(excinfo.value).startswith("workload_params.bogus: ")
+
+    @pytest.mark.parametrize("name", ["seed", "core_id"])
+    def test_generator_arguments_are_not_workload_params(self, name):
+        with pytest.raises(ProtocolError,
+                           match=f"^workload_params.{name}: "):
+            parse_request({"workload": "sps", "scheme": "txcache",
+                           "workload_params": {name: 1}})
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_workload_param_keys_as_the_engine_does(self, workload):
+        names = workload_param_names(workload)
+        assert names
+        for name in names:
+            value = inspect.signature(
+                WORKLOADS[workload]).parameters[name].default
+            request = parse_request({
+                "workload": workload, "scheme": "txcache",
+                "operations": 20, "workload_params": {name: value}})
+            assert request.key == ExperimentPoint(
+                workload, "txcache", small_machine_config(),
+                operations=20, workload_params=((name, value),)).key
+
+    @pytest.mark.parametrize("config,path", [
+        ({"num_cores": MAX_CORES + 1}, "config.num_cores"),
+        ({"num_cores": 10 ** 9}, "config.num_cores"),
+        ({"overrides": {"num_cores": MAX_CORES + 1}},
+         "config.overrides.num_cores"),
+        ({"preset": "paper", "overrides": {"num_cores": 10 ** 9}},
+         "config.overrides.num_cores"),
+    ], ids=["shortcut", "shortcut-huge", "override", "paper-override"])
+    def test_num_cores_above_the_maximum_names_its_path(self, config, path):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request({"workload": "sps", "scheme": "txcache",
+                           "config": config})
+        assert str(excinfo.value) == (
+            f"{path} must be <= {MAX_CORES}, "
+            f"got {config.get('num_cores') or config['overrides']['num_cores']}")
+
+    def test_num_cores_at_the_maximum_is_served(self):
+        shortcut = parse_request({"workload": "sps", "scheme": "txcache",
+                                  "config": {"num_cores": MAX_CORES}})
+        override = parse_request({
+            "workload": "sps", "scheme": "txcache",
+            "config": {"overrides": {"num_cores": MAX_CORES}}})
+        assert shortcut.point.config.num_cores == MAX_CORES
+        assert override.key == shortcut.key
+        assert MAX_CORES >= 4  # the largest machine the repository runs
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +711,21 @@ class TestServiceEndToEnd:
             client.submit({"workload": "nope", "scheme": "txcache"})
         assert excinfo.value.status == 400
         assert "workload" in str(excinfo.value)
+
+    @pytest.mark.parametrize("spec,path", [
+        ({"workload_params": {"bogus": 1}}, "workload_params.bogus"),
+        ({"config": {"num_cores": 10 ** 9}}, "config.num_cores"),
+    ], ids=["workload-param", "num-cores"])
+    def test_unservable_spec_is_400_before_any_worker(self, service, spec,
+                                                       path):
+        svc, client, _cache = service
+        executed = svc.stats.counter("serve.executed")
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"workload": "hashtable", "scheme": "txcache",
+                           **spec})
+        assert excinfo.value.status == 400
+        assert path in str(excinfo.value)
+        assert svc.stats.counter("serve.executed") == executed
 
     def test_queue_full_is_503_with_retry_after(self, tmp_path):
         svc = ServeService(port=0, jobs=1, cache_dir=tmp_path)
