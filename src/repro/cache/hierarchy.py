@@ -320,7 +320,7 @@ class CacheHierarchy:
         A dirty victim moves down a level: into ``below`` (the core's
         L2, when filling its L1) or, when ``below`` is None (filling
         the L2), into the LLC.  The set is indexed once for the lookup
-        and the insert; the LRU clock ticks as ``CacheArray.lookup``
+        and the insert; the LRU clock ticks as ``CacheLevel.access``
         and ``CacheArray.fill`` tick it."""
         array = level.array
         cache_set = level._sets[(line // CACHE_LINE_SIZE) % level._num_sets]

@@ -46,8 +46,8 @@ class CacheLevel:
     def access(self, line: int) -> Optional[CacheLine]:
         """Timed lookup: counts an access, and a miss on a miss.
 
-        Inlines :meth:`CacheArray.lookup` (same set index, same LRU
-        touch) — this method runs a few times per simulated memory op.
+        A hit ticks the array's LRU clock into the line's ``last_use``
+        — this method runs a few times per simulated memory op.
         """
         self._counts.access += 1
         entry = self._sets[(line // CACHE_LINE_SIZE) % self._num_sets].get(line)
@@ -62,9 +62,6 @@ class CacheLevel:
     def probe(self, line: int) -> Optional[CacheLine]:
         """Untimed lookup (no stats, no LRU update)."""
         return self._sets[(line // CACHE_LINE_SIZE) % self._num_sets].get(line)
-
-    def insert(self, line: int, **attrs) -> Optional[CacheLine]:
-        return self.array.insert(line, **attrs)
 
     def invalidate(self, line: int) -> Optional[CacheLine]:
         """Remove a line; returns it (with its dirty state) if present."""

@@ -11,7 +11,7 @@ behind the elevated LLC miss rate in the paper's Fig. 8.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..common.types import Version
 
@@ -52,9 +52,11 @@ class EvictionImpossible(Exception):
 class CacheArray:
     """Set-associative array with true-LRU replacement.
 
-    Replacement ignores pinned lines; when a set is entirely pinned the
-    insert raises :class:`EvictionImpossible` and the caller decides on
-    a bypass policy.
+    Replacement ignores pinned lines; when a set is entirely pinned
+    :meth:`fill` raises :class:`EvictionImpossible` and the caller
+    decides on a bypass policy.  Lookups, LRU touches and invalidation
+    go through :class:`~repro.cache.level.CacheLevel`, which indexes
+    the sets directly.
     """
 
     __slots__ = ("num_sets", "assoc", "line_size", "_sets", "_use_clock")
@@ -66,54 +68,15 @@ class CacheArray:
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
         self._use_clock = 0
 
-    def _set_index(self, line: int) -> int:
-        return (line // self.line_size) % self.num_sets
-
-    def _tick(self) -> int:
-        self._use_clock += 1
-        return self._use_clock
-
-    def lookup(self, line: int, touch: bool = True) -> Optional[CacheLine]:
-        """Return the resident line or None; updates LRU on a hit."""
-        entry = self._sets[(line // self.line_size) % self.num_sets].get(line)
-        if entry is not None and touch:
-            self._use_clock += 1
-            entry.last_use = self._use_clock
-        return entry
-
-    def contains(self, line: int) -> bool:
-        return line in self._sets[self._set_index(line)]
-
-    def insert(self, line: int, **attrs) -> Optional[CacheLine]:
-        """Insert (or update) a line; returns the evicted victim if any.
-
-        Keyword attrs (dirty/persistent/pinned/tx_id/version) are applied
-        to the inserted line.
-        """
-        cache_set = self._sets[self._set_index(line)]
-        existing = cache_set.get(line)
-        if existing is not None:
-            for key, value in attrs.items():
-                setattr(existing, key, value)
-            existing.last_use = self._tick()
-            return None
-        victim = None
-        if len(cache_set) >= self.assoc:
-            victim = self._select_victim(cache_set)
-            del cache_set[victim.tag]
-        entry = CacheLine(tag=line, last_use=self._tick(), **attrs)
-        cache_set[line] = entry
-        return victim
-
     def fill(self, line: int, dirty: bool, persistent: bool, pinned: bool,
              tx_id: Optional[int], version: Optional[Version],
              cache_set: Optional[Dict[int, CacheLine]] = None,
              ) -> Optional[CacheLine]:
-        """Positional insert of a line known to be absent (the caller
-        just looked it up) — the hierarchy's fill path, minus the
-        kwargs packing and existing-entry handling of :meth:`insert`.
-        ``cache_set`` is the line's set when the caller's lookup
-        already indexed it.  Returns the evicted victim if any."""
+        """Insert a line known to be absent (the caller just looked it
+        up), evicting the set's least recently used unpinned line when
+        the set is full.  ``cache_set`` is the line's set when the
+        caller's lookup already indexed it.  Returns the evicted victim
+        if any."""
         if cache_set is None:
             cache_set = self._sets[(line // self.line_size) % self.num_sets]
         victim = None
@@ -138,14 +101,3 @@ class CacheArray:
         if victim is None:
             raise EvictionImpossible("all ways pinned")
         return victim
-
-    def invalidate(self, line: int) -> Optional[CacheLine]:
-        """Remove a line; returns it (with its dirty state) if present."""
-        return self._sets[self._set_index(line)].pop(line, None)
-
-    def iter_lines(self) -> Iterator[CacheLine]:
-        for cache_set in self._sets:
-            yield from cache_set.values()
-
-    def resident_count(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets)

@@ -1,16 +1,22 @@
 """Litmus runner: one scheme × one program × a crash at *every* cycle.
 
-The naive shape — a fresh simulation per crash point, as
-:func:`repro.sim.crash.run_with_crash` does for a handful of
-fractions — is quadratic in run length and unusable at every-cycle
-granularity.  Instead the runner steps **one** simulation with
-``system.run(until=cycle)`` and queries the scheme's recovery model
-at each pause.  That is sound because every scheme's
-``durable_lines``/``durably_committed`` are pure functions of event
-history (the durable image replays a timeline; TC/COW commit scans
-build fresh lists) — a differential test in
-``tests/test_litmus_runner.py`` holds the stepped states equal to
-fresh-run states at sampled cycles.
+The naive shape — a fresh simulation per crash point — is quadratic in
+run length and unusable at every-cycle granularity.  Instead every
+crash check in the repo goes through one stepper,
+:func:`step_crashes`: it pauses **one** simulation with
+``system.run(until=cycle)`` at each cycle of an increasing schedule
+and queries the scheme's recovery model in place.  That is sound
+because every scheme's ``durable_lines``/``durably_committed`` are
+pure functions of event history (the durable image replays a
+timeline; TC/COW commit scans build fresh lists), and the fault
+injector's per-site streams draw the same sequence however the run is
+paused — differential tests in ``tests/test_litmus_runner.py`` and
+``tests/test_crash_sweep.py`` hold the stepped states equal to
+fresh-run states at sampled cycles, faults on and off.  The litmus
+runner feeds the stepper the event-to-event schedule below; a crash
+sweep (:func:`repro.sim.crash.crash_at_fractions`) feeds it its sorted
+fraction cycles, and :func:`repro.sim.crash.run_with_crash` its one
+crash cycle.
 
 Between two consecutive events the machine state is frozen, so a
 crash at any cycle in which no event executes exposes the state of
@@ -26,7 +32,8 @@ rather than recomputing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName, Version
@@ -94,27 +101,50 @@ def _require_stride(check_every: int) -> None:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
 
 
+#: one paused machine as recovery sees it:
+#: ``(cycle, durably_committed, recovered_image)``
+CrashState = Tuple[int, set, Dict[int, Optional[Version]]]
+
+
+def step_crashes(system: System,
+                 cycles: Iterable[int]) -> Iterator[CrashState]:
+    """The one crash sequence: for each cycle of the increasing
+    ``cycles``, run the loaded ``system`` up to it (volatile state left
+    as the crash finds it) and yield the scheme's recovery model read
+    in place.  ``cycles`` is pulled one cycle at a time, after each
+    pause, so a schedule may read the paused machine to pick the next
+    crash; a crash past the end of the run sees the drained machine."""
+    scheme = system.scheme
+    for cycle in cycles:
+        system.run(until=cycle)
+        committed = scheme.durably_committed(cycle)
+        yield cycle, committed, scheme.durable_lines(cycle, committed)
+
+
+def _event_schedule(system: System, check_every: int) -> Iterator[int]:
+    """Cycle 0, then the first stride cycle at or after each next
+    queued event (the stride cycles before it would run nothing),
+    until the queue drains."""
+    cycle = 0
+    while True:
+        yield cycle
+        next_event = system.sim.next_event_time()
+        if next_event is None:
+            return
+        cycle += -((cycle - next_event) // check_every) * check_every
+
+
 def iter_crash_states(
     system: System,
     *,
     check_every: int = 1,
-) -> Iterator[Tuple[int, set, Dict[int, Optional[Version]]]]:
+) -> Iterator[CrashState]:
     """Step a loaded system, yielding ``(cycle, durably_committed,
     recovered_image)`` at cycle 0 and at every multiple of
     ``check_every`` where the machine state changed, the last being
     the cycle at which the event queue drained."""
     _require_stride(check_every)
-    cycle = 0
-    while True:
-        system.run(until=cycle)
-        committed = system.scheme.durably_committed(cycle)
-        yield cycle, committed, system.scheme.durable_lines(cycle, committed)
-        next_event = system.sim.next_event_time()
-        if next_event is None:
-            return
-        # the first stride cycle at or after the next event: the
-        # stride cycles before it would run nothing
-        cycle += -((cycle - next_event) // check_every) * check_every
+    return step_crashes(system, _event_schedule(system, check_every))
 
 
 def check_crash_states(

@@ -10,7 +10,7 @@ same frozen point kinds the batch engine runs
       "scheme": "txcache",
       "operations": 100,               // optional (kind default)
       "seed": 42,                      // optional
-      "workload_params": {"...": 1},   // optional, scalar values
+      "workload_params": {"...": 1},   // optional, typed as the defaults
       "config": {                      // optional config block
         "preset": "small",             //   "small" (default) | "paper"
         "num_cores": 1,                //   shortcut, 1..MAX_CORES
@@ -48,7 +48,9 @@ its field's type (an int passes for a float) or the request is a 400
 naming the leaf's dotted path.  ``num_cores`` may not exceed
 :data:`MAX_CORES`, by the shortcut or by an override: a node builds the
 machine a request names.  ``workload_params`` names must be parameters
-of the workload's constructor (other than ``core_id`` and ``seed``).
+of the workload's constructor (other than ``core_id`` and ``seed``),
+each value must have the type of the parameter's default, and the
+workload must construct with the values.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ from ..common.config import (
     small_machine_config,
 )
 from ..common.types import NEGATIVE_CONTROLS, SchemeName
+from ..pheap.heap import OutOfMemory
 from ..sim.parallel import POINT_KINDS, make_params
-from ..workloads import WORKLOADS, workload_param_names
+from ..workloads import WORKLOADS, create_workload, workload_param_defaults
 
 #: presets a request may name in its config block
 CONFIG_PRESETS = ("small", "paper")
@@ -191,6 +194,44 @@ def _deep_merge(base: Dict[str, object], overrides: Mapping,
     return out
 
 
+def _has_default_type(value: object, default: object) -> bool:
+    """A bool only for a bool default, an int for an int, an int or a
+    float for a float (bool is an int subclass, so it is tested
+    first)."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _check_workload_params(point) -> None:
+    """Each of the point's workload params is a constructor parameter
+    whose default has the value's type, and the workload constructs
+    with the values; the value whose addition breaks construction is
+    the one the error names."""
+    workload = point.workload
+    defaults = workload_param_defaults(workload)
+    accepted: Dict[str, object] = {}
+    for name, value in point.workload_params:
+        if name not in defaults:
+            raise ProtocolError(
+                f"workload_params.{name}: not a parameter of "
+                f"{workload!r} (known: {sorted(defaults)})")
+        default = defaults[name]
+        if not _has_default_type(value, default):
+            raise ProtocolError(
+                f"workload_params.{name} must be of type "
+                f"{type(default).__name__}, got {value!r}")
+        accepted[name] = value
+        try:
+            create_workload(workload, 0, point.seed, **accepted)
+        except (ValueError, TypeError, OutOfMemory) as exc:
+            raise ProtocolError(
+                f"workload_params.{name}: {workload!r} does not "
+                f"construct with {value!r}: {exc}") from exc
+
+
 def parse_request(data: object) -> PointRequest:
     """Parse one request body (already JSON-decoded) into a point.
 
@@ -235,16 +276,6 @@ def parse_request(data: object) -> PointRequest:
         if not isinstance(params, Mapping):
             raise ProtocolError(
                 f"workload_params must be an object, got {params!r}")
-        known = workload_param_names(workload)
-        for name, value in params.items():
-            if name not in known:
-                raise ProtocolError(
-                    f"workload_params.{name}: not a parameter of "
-                    f"{workload!r} (known: {sorted(known)})")
-            if isinstance(value, (dict, list)):
-                raise ProtocolError(
-                    f"workload_params.{name} must be a scalar, "
-                    f"got {value!r}")
         kwargs["workload_params"] = make_params(dict(params))
 
     if "fractions" in data:
@@ -259,6 +290,7 @@ def parse_request(data: object) -> PointRequest:
         point = point_cls(**kwargs)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+    _check_workload_params(point)
     return PointRequest(point=point, deadline=deadline)
 
 

@@ -7,9 +7,9 @@ from .._lazy import lazy_exports
 _LAZY = {
     "analytic": ("TraceProfile", "compare_with_simulation",
                  "predict_overhead_cycles", "predict_relative_performance"),
-    "crash": ("CrashReport", "check_recovery", "crash_and_check",
-              "crash_at_fractions", "crash_sweep", "expected_image",
-              "measure_run_length", "run_with_crash"),
+    "crash": ("CrashReport", "check_recovery", "crash_at_fractions",
+              "crash_sweep", "expected_image", "measure_run_length",
+              "run_with_crash"),
     "energy": ("EnergyBreakdown", "EnergyModel", "estimate_energy"),
     "parallel": ("CrashPoint", "ExperimentEngine", "ExperimentPoint",
                  "LitmusPoint", "ResultCache"),

@@ -7,8 +7,10 @@ the second assumption: it sweeps fault-injection configurations
 flips) × crash fractions × schemes × workloads.  A chaos sweep is a
 crash sweep over faulty configs: every (workload, scheme) pair is one
 crash point on a machine config whose ``faults`` field carries the
-rates, each crash checked by the same legal-persist-set oracle as the
-crash and litmus harnesses (:mod:`repro.litmus.oracle`).  The report
+rates: one run under the pair's fault seed, stepped through its crash
+cycles and paused at each by the same stepper, and checked by the same
+legal-persist-set oracle, as the crash and litmus harnesses
+(:mod:`repro.litmus.runner`, :mod:`repro.litmus.oracle`).  The report
 aggregates each run's ``fault_stats`` — retries, remaps, ack
 timeouts/reissues, ECC corrections, COW degradations — so a sweep
 shows not only *that* every run recovered consistently but *what it
@@ -115,10 +117,11 @@ def chaos_sweep(
     :class:`~repro.sim.parallel.ExperimentEngine`: ``jobs=1``, no
     cache); every point regenerates its traces from the same seed.
 
-    Each run gets its own fault seed (``fault_config.seed`` + run
-    index, pair by pair and fraction by fraction) so the sweep explores
-    distinct fault timings instead of replaying one draw sequence 5×N
-    times — while staying exactly reproducible for a given base seed.
+    Pair ``i`` runs under fault seed ``fault_config.seed + i`` (the
+    rule :func:`~repro.litmus.runner.run_litmus_matrix` uses), and its
+    crashes pause that one run, so the sweep explores distinct fault
+    timings pair by pair while staying exactly reproducible for a
+    given base seed.
 
     Every pair's config is built up front, so a bad fault knob raises
     before any point simulates.
@@ -132,8 +135,7 @@ def chaos_sweep(
     points = [
         CrashPoint(workload, scheme,
                    replace(base, faults=replace(
-                       fault_config,
-                       seed=fault_config.seed + index * len(fractions))),
+                       fault_config, seed=fault_config.seed + index)),
                    tuple(fractions), operations=operations, seed=seed,
                    trace_dir=trace_dir, trace_epoch=trace_epoch)
         for index, (workload, scheme) in enumerate(pairs)]

@@ -12,12 +12,14 @@ the crash cycle, asks the scheme's recovery model for the recovered
 image and the durably-committed set, and checks both against the
 scheme-independent expectation derived from the workload traces.
 :func:`crash_at_fractions` does the same at several fractions of one
-experiment's run, stepping one system through every crash on a clean
-config; it is the one body behind :func:`crash_sweep`, the chaos sweep
+experiment's run, stepping one system through every crash; it is the
+one body behind :func:`crash_sweep`, the chaos sweep
 (:mod:`repro.sim.chaos`) and the persistent heap's ``crash_test``.
-The machine config's ``faults`` field decides whether the hardware is
-perfect or lossy; either way each report carries the resilience
-machinery's counters (all 0 on a clean run).
+Both pause through the litmus runner's stepper
+(:func:`repro.litmus.runner.step_crashes`), the one place a crash is
+taken.  The machine config's ``faults`` field decides whether the
+hardware is perfect or lossy; either way each report carries the
+resilience machinery's counters (all 0 on a clean run).
 
 The expectation machinery itself lives in :mod:`repro.litmus.oracle`
 (the legal-persist-set oracle): :func:`check_recovery` is membership in
@@ -38,6 +40,7 @@ from ..common.types import SchemeName, Version
 from ..cpu.trace import Trace
 from ..litmus.oracle import (check_membership, expected_image_from_summaries,
                              tx_summaries)
+from ..litmus.runner import CrashState, step_crashes
 from .parallel import (CRASH_FRACTIONS, CrashPoint, ExperimentEngine,
                        capture_obs, make_params, write_trace)
 from .runner import make_traces
@@ -63,20 +66,6 @@ def check_recovery(traces: Sequence[Trace],
     writer per core), and no uncommitted data leaked into the NVM.
     """
     return check_membership(tx_summaries(traces), committed, recovered)
-
-
-def crash_and_check(system: System, traces: Sequence[Trace],
-                    crash_cycle: int):
-    """Run ``system`` up to ``crash_cycle`` (volatile state left as the
-    crash finds it), query the scheme's recovery model in place, and
-    check the recovered image against the legal persist set.  Returns
-    ``(committed, recovered, violations)`` — the one crash/recover/check
-    sequence :func:`run_with_crash` (and the litmus stepping runner,
-    in spirit) is built on."""
-    system.run(until=crash_cycle)
-    committed = system.scheme.durably_committed(crash_cycle)
-    recovered = system.scheme.durable_lines(crash_cycle, committed)
-    return committed, recovered, check_recovery(traces, recovered, committed)
 
 
 #: stats counters surfaced per crash run: (report key, counter name);
@@ -180,20 +169,20 @@ def measure_run_length(
 
 def _crash_report(system: System, workload: str,
                   scheme: Union[str, SchemeName], traces: Sequence[Trace],
-                  crash_cycle: int, total_cycles: int) -> CrashReport:
-    """Crash the loaded ``system`` at ``crash_cycle``, recover, check."""
-    committed, recovered, violations = crash_and_check(
-        system, traces, crash_cycle)
+                  total_cycles: int, state: CrashState) -> CrashReport:
+    """The checked report of one crash ``state`` of ``system``, read
+    while the system is paused there."""
+    cycle, committed, recovered = state
     return CrashReport(
         workload=workload,
         scheme=SchemeName.parse(scheme),
-        crash_cycle=crash_cycle,
+        crash_cycle=cycle,
         total_cycles=total_cycles,
         committed=set(committed),
         program_committed=sum(core.committed_transactions
                               for core in system.cores),
         recovered_lines=len(recovered),
-        violations=violations,
+        violations=check_recovery(traces, recovered, committed),
         fault_stats=_collect_fault_stats(system),
     )
 
@@ -227,8 +216,9 @@ def run_with_crash(
         traces = make_traces(workload, config.num_cores, operations,
                              seed=seed, **workload_params)
     system.load_traces(traces)
-    return _crash_report(system, workload, scheme, traces, crash_cycle,
-                         total_cycles or crash_cycle)
+    (state,) = step_crashes(system, (crash_cycle,))
+    return _crash_report(system, workload, scheme, traces,
+                         total_cycles or crash_cycle, state)
 
 
 def crash_at_fractions(
@@ -251,12 +241,11 @@ def crash_at_fractions(
     The traces are built once.  An uninterrupted run of ``config`` with
     its faults cleared gives the length; fraction ``f`` crashes at
     cycle ``max(1, int(length * f))``, so a sweep at different fault
-    rates crashes at comparable execution points.  On a fault-free
-    config one system is stepped through the sorted crash cycles, as
-    the litmus runner steps through every cycle (a crash pauses the
-    run; it does not end it), and equal cycles share one check.  With
-    faults on, fraction ``j`` runs a fresh system with fault seed
-    ``config.faults.seed + j``, so each crash sees its own fault draws.
+    rates crashes at comparable execution points.  One system, under
+    the config's one fault seed, is stepped through the sorted crash
+    cycles, as the litmus runner steps through every cycle (a crash
+    pauses the run; it does not end it), and equal cycles share one
+    check.
 
     ``trace_dir`` writes one Chrome trace per crash, taken at its
     pause, as ``<trace_stem>.<j>.trace.json``; ``trace_epoch`` turns
@@ -270,25 +259,14 @@ def crash_at_fractions(
                                traces=traces)
     cycles = [max(1, int(total * fraction)) for fraction in fractions]
 
-    if config.faults.enabled:
-        reports = []
-        for index, cycle in enumerate(cycles):
-            faults = replace(config.faults, seed=config.faults.seed + index)
-            obs = capture_obs(trace_dir, trace_epoch)
-            reports.append(run_with_crash(
-                workload, scheme, cycle,
-                config=replace(config, faults=faults), total_cycles=total,
-                traces=traces, obs=obs))
-            write_trace(trace_dir, f"{trace_stem}.{index}", obs)
-        return reports
-
     obs = capture_obs(trace_dir, trace_epoch)
     system = System(config, scheme, obs=obs)
     system.load_traces(traces)
     by_cycle: Dict[int, CrashReport] = {}
-    for cycle in sorted(set(cycles)):
+    for state in step_crashes(system, sorted(set(cycles))):
+        cycle = state[0]
         by_cycle[cycle] = _crash_report(system, workload, scheme, traces,
-                                        cycle, total)
+                                        total, state)
         for index, at in enumerate(cycles):
             if at == cycle:
                 write_trace(trace_dir, f"{trace_stem}.{index}", obs)

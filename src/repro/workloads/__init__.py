@@ -7,7 +7,8 @@ adding it to that table.
 
 import functools
 import inspect
-from typing import Dict, FrozenSet, Type
+from types import MappingProxyType
+from typing import Dict, Mapping, Type
 
 from ..pheap.arena import WORD
 from .base import Workload
@@ -46,11 +47,14 @@ def create_workload(name: str, core_id: int = 0, seed: int = 42,
 
 
 @functools.lru_cache(maxsize=None)
-def workload_param_names(name: str) -> FrozenSet[str]:
+def workload_param_defaults(name: str) -> Mapping[str, object]:
     """The parameters workload ``name`` takes besides ``core_id`` and
-    ``seed``: its class's constructor signature, read once per class."""
+    ``seed``, each with its default: its class's constructor signature,
+    read once per class."""
     params = inspect.signature(WORKLOADS[name]).parameters
-    return frozenset(params) - {"core_id", "seed"}
+    return MappingProxyType({param: spec.default
+                             for param, spec in params.items()
+                             if param not in ("core_id", "seed")})
 
 
 def workload_table() -> Dict[str, str]:
@@ -71,6 +75,6 @@ __all__ = [
     "SyntheticWorkload",
     "Workload",
     "create_workload",
-    "workload_param_names",
+    "workload_param_defaults",
     "workload_table",
 ]

@@ -246,7 +246,8 @@ def _cache_contents(hierarchy):
         (name, index, entry.tag, entry.dirty, entry.persistent,
          entry.pinned, entry.tx_id, entry.version, entry.last_use)
         for name, index, level in levels
-        for entry in level.array.iter_lines())
+        for cache_set in level.array._sets
+        for entry in cache_set.values())
 
 
 def _play(num_cores, ops, hierarchy_cls):

@@ -1,14 +1,14 @@
 """One crash sweep, one stepped run: every report equals a fresh run.
 
-A crash sweep measures the run length once, then, on a fault-free
-config, steps one system through the sorted crash cycles instead of
-starting a fresh system per fraction; with faults on, each fraction
-still runs its own system under its own fault seed.  These tests hold
-every report of :func:`crash_sweep`, :func:`chaos_sweep` and
+A crash sweep measures the run length once, then steps one system
+through the sorted crash cycles instead of starting a fresh system per
+fraction, faults on or off: a faulty config's one fault seed drives
+the whole stepped run.  These tests hold every report of
+:func:`crash_sweep`, :func:`chaos_sweep` and
 ``PersistentArena.crash_test`` equal to the fresh-run shape they
 replace: a run-length measurement on the fault-free config and one
-:func:`run_with_crash` per fraction, at the cycle
-``max(1, int(length * fraction))``.
+:func:`run_with_crash` per fraction under the same config, at the
+cycle ``max(1, int(length * fraction))``.
 """
 
 import json
@@ -18,6 +18,7 @@ import pytest
 
 from repro.common.config import FaultConfig, small_machine_config
 from repro.common.types import SchemeName
+from repro.faults import injector as injector_module
 from repro.obs import Observability, validate_chrome_trace
 from repro.pheap import PersistentArena, PersistentDict
 from repro.sim import crash as crash_module
@@ -33,24 +34,16 @@ FAULTS = FaultConfig(seed=11, nvm_write_fail_rate=1e-2, ack_loss_rate=1e-2,
 
 
 def fresh_reports(workload, scheme, config, fractions, *, operations,
-                  seed=42, traces=None, fault_seed=None, **params):
+                  seed=42, traces=None, **params):
     """The fresh-run reference: the length of a fault-free run, then a
-    new system per fraction, fraction ``j`` under fault seed
-    ``fault_seed + j`` (default ``config.faults.seed + j``)."""
+    new system per fraction, each under ``config`` as given."""
     total = measure_run_length(
         workload, scheme, config=replace(config, faults=FaultConfig()),
         operations=operations, seed=seed, traces=traces, **params)
-    if fault_seed is None:
-        fault_seed = config.faults.seed
-    reports = []
-    for index, fraction in enumerate(fractions):
-        run_config = replace(config, faults=replace(
-            config.faults, seed=fault_seed + index))
-        reports.append(run_with_crash(
-            workload, scheme, max(1, int(total * fraction)),
-            config=run_config, operations=operations, seed=seed,
-            total_cycles=total, traces=traces, **params).to_dict())
-    return reports
+    return [run_with_crash(
+        workload, scheme, max(1, int(total * fraction)), config=config,
+        operations=operations, seed=seed, total_cycles=total,
+        traces=traces, **params).to_dict() for fraction in fractions]
 
 
 def dicts(reports):
@@ -77,21 +70,85 @@ class TestSteppedEqualsFresh:
             "sps", scheme, config, FRACTIONS, operations=15, seed=7,
             array_elements=64)
 
-    def test_faulty_config_runs_each_fraction_under_its_own_seed(self):
+    def test_faulty_config_steps_one_run_under_one_seed(self, monkeypatch):
+        seeds = []
+
+        class RecordingInjector(injector_module.FaultInjector):
+            def __init__(self, config):
+                seeds.append(config.seed)
+                super().__init__(config)
+
+        monkeypatch.setattr(injector_module, "FaultInjector",
+                            RecordingInjector)
         config = replace(CONFIG, faults=FAULTS)
         reports = crash_sweep("sps", "txcache", FRACTIONS, config=config,
                               operations=25)
+        assert seeds == [FAULTS.seed]
         assert dicts(reports) == fresh_reports(
             "sps", "txcache", config, FRACTIONS, operations=25)
         assert any(value for report in reports
                    for value in report.fault_stats.values())
-        # equal fractions crash at one cycle, each under its own fault seed
-        assert reports[2].crash_cycle == reports[3].crash_cycle
+        # equal fractions crash at one cycle and share its one check
+        assert reports[2] == reports[3]
 
     def test_broken_commit_still_tears(self):
         reports = crash_sweep("sps", "broken_commit", operations=30)
         assert len(reports) == len(CRASH_FRACTIONS)
         assert not any(report.consistent for report in reports)
+
+
+#: harsher than any sweep's rates, so that every resilience path fires
+HARSH = FaultConfig(seed=5, nvm_write_fail_rate=1e-2, ack_loss_rate=1e-2,
+                    ack_delay_rate=1e-2, ack_duplicate_rate=1e-2,
+                    tc_bit_flip_rate=1e-3)
+#: sampled crashes, the last two past the fault-free length (3.0 also
+#: past the end of every faulty run below)
+STEP_FRACTIONS = (0.05, 0.3, 0.6, 0.95, 1.3, 3.0)
+STEP_SCHEMES = [scheme.value for scheme in SchemeName
+                if scheme is not SchemeName.OPTIMAL]
+STEP_WORKLOADS = ("hashtable", "sps", "queue", "rbtree")
+#: (workload, scheme, cores): every real scheme and the negative
+#: control at 1 and 2 cores, the workloads taken in turn
+FAULTY_PAIRS = [
+    (STEP_WORKLOADS[(index + cores) % len(STEP_WORKLOADS)], scheme, cores)
+    for cores in (1, 2) for index, scheme in enumerate(STEP_SCHEMES)]
+#: resilience counters the faulty pairs must make fire somewhere
+FIRED = ("nvm_write_retries", "ack_timeouts", "ack_reissues",
+         "acks_dropped", "ecc_fallbacks", "ecc_corrected")
+
+
+@pytest.fixture(scope="module")
+def faulty_sweeps():
+    """Each faulty pair's stepped sweep and its fresh-run reference."""
+    out = {}
+    for workload, scheme, cores in FAULTY_PAIRS:
+        config = replace(small_machine_config(num_cores=cores), faults=HARSH)
+        stepped = crash_sweep(workload, scheme, STEP_FRACTIONS,
+                              config=config, operations=15)
+        out[workload, scheme, cores] = (stepped, fresh_reports(
+            workload, scheme, config, STEP_FRACTIONS, operations=15))
+    return out
+
+
+class TestFaultyStepping:
+    """Stepping one faulty run is a fresh faulty run paused there: the
+    injector's per-site streams draw the same sequence however often
+    the run is paused."""
+
+    @pytest.mark.parametrize("pair", FAULTY_PAIRS,
+                             ids=["/".join(map(str, p)) for p in FAULTY_PAIRS])
+    def test_stepped_reports_equal_fresh_runs(self, faulty_sweeps, pair):
+        stepped, fresh = faulty_sweeps[pair]
+        assert dicts(stepped) == fresh
+        assert stepped[-1].crash_cycle > stepped[-1].total_cycles
+
+    def test_every_resilience_path_fires(self, faulty_sweeps):
+        totals = dict.fromkeys(FIRED, 0)
+        for stepped, _fresh in faulty_sweeps.values():
+            for report in stepped:
+                for name in FIRED:
+                    totals[name] += report.fault_stats[name]
+        assert all(totals.values()), totals
 
 
 class TestChaosAndArenaEqualFresh:
@@ -103,10 +160,10 @@ class TestChaosAndArenaEqualFresh:
         expected = []
         for index, (workload, scheme) in enumerate(
                 (w, s) for w in workloads for s in schemes):
+            faults = replace(FAULTS, seed=FAULTS.seed + index)
             expected += fresh_reports(
-                workload, scheme, replace(CONFIG, faults=FAULTS), fractions,
-                operations=20,
-                fault_seed=FAULTS.seed + index * len(fractions))
+                workload, scheme, replace(CONFIG, faults=faults), fractions,
+                operations=20)
         assert dicts(report.runs) == expected
 
     def test_arena_crash_test(self):
@@ -122,7 +179,10 @@ class TestChaosAndArenaEqualFresh:
 
 
 class TestOnePointPerSweep:
-    def test_default_sweep_is_one_point_and_two_runs(self, monkeypatch):
+    @pytest.mark.parametrize("faults", [FaultConfig(), FAULTS],
+                             ids=["clean", "faulty"])
+    def test_default_sweep_is_one_point_and_two_runs(self, monkeypatch,
+                                                      faults):
         built = []
 
         class CountingSystem(crash_module.System):
@@ -133,6 +193,7 @@ class TestOnePointPerSweep:
         monkeypatch.setattr(crash_module, "System", CountingSystem)
         engine = ExperimentEngine()
         reports = crash_sweep("sps", "txcache", operations=20,
+                              config=replace(CONFIG, faults=faults),
                               engine=engine)
         assert len(reports) == len(CRASH_FRACTIONS)
         assert engine.stats.counter("engine.points") == 1

@@ -5,8 +5,8 @@ import io
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.line import CacheArray
-from repro.common.config import TxCacheConfig
+from repro.cache.level import CacheLevel
+from repro.common.config import CacheLevelConfig, TxCacheConfig
 from repro.common.stats import Stats
 from repro.common.types import CACHE_LINE_SIZE, NVM_BASE, Version, line_addr
 from repro.core.txcache import TransactionCache, TxState
@@ -129,22 +129,35 @@ class TestTransactionCacheProperties:
 # ---------------------------------------------------------------------------
 # cache array
 # ---------------------------------------------------------------------------
+def _tiny_level():
+    """A 4-set, 2-way cache level."""
+    return CacheLevel(CacheLevelConfig("t", 4 * 2 * 64, 2, 1.0),
+                      Stats().scoped("t"), 1.0)
+
+
+def _access_or_fill(level, line):
+    """A timed lookup, filling the line on a miss as the hierarchy does."""
+    if level.access(line) is None:
+        level.array.fill(line, False, False, False, None, None)
+
+
 class TestCacheArrayProperties:
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_resident_count_bounded_by_capacity(self, accesses):
-        array = CacheArray(num_sets=4, assoc=2, line_size=64)
+        level = _tiny_level()
         for index in accesses:
-            array.insert(index * 64)
-        assert array.resident_count() <= 4 * 2
+            _access_or_fill(level, index * 64)
+        assert sum(level.probe(index * 64) is not None
+                   for index in set(accesses)) <= 4 * 2
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=100))
     @settings(max_examples=60, deadline=None)
     def test_most_recent_insert_always_resident(self, accesses):
-        array = CacheArray(num_sets=4, assoc=2, line_size=64)
+        level = _tiny_level()
         for index in accesses:
-            array.insert(index * 64)
-            assert array.contains(index * 64)
+            _access_or_fill(level, index * 64)
+            assert level.probe(index * 64) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from repro.sim.parallel import (
     ExperimentPoint,
     ResultCache,
 )
-from repro.workloads import WORKLOADS, workload_param_names
+from repro.workloads import WORKLOADS, workload_param_defaults
 
 CONFIG = small_machine_config(num_cores=1)
 
@@ -64,6 +64,11 @@ MISTYPED = [
     ({"faults": {"seed": 1.5}}, "faults.seed"),
     ({"faults": {"seed": "x"}}, "faults.seed"),
 ]
+
+
+#: hashtable workload params that do not type-check or construct
+BAD_PARAM_VALUES = [{"buckets": "x"}, {"buckets": 0}, {"buckets": 10 ** 12},
+                    {"insert_ratio": "a"}, {"buckets": True}]
 
 
 @pytest.fixture(params=MISTYPED, ids=[path for _, path in MISTYPED])
@@ -286,9 +291,31 @@ class TestProtocol:
             parse_request({"workload": "sps", "scheme": "txcache",
                            "workload_params": {name: 1}})
 
+    @pytest.mark.parametrize("params", BAD_PARAM_VALUES,
+                             ids=[repr(p) for p in BAD_PARAM_VALUES])
+    def test_bad_workload_param_value_names_its_path(self, params):
+        # a value of the wrong type, or one the workload does not
+        # construct with, is a 400 at parse time, never a worker crash
+        (name,) = params
+        with pytest.raises(ProtocolError,
+                           match=f"^workload_params.{name}[ :]"):
+            parse_request({"workload": "hashtable", "scheme": "txcache",
+                           "workload_params": params})
+
+    @pytest.mark.parametrize("workload,params", [
+        ("hashtable", {"insert_ratio": 1}),
+        ("hashtable", {"buckets": 64, "insert_ratio": 0.25}),
+        ("synthetic", {"sequential": True, "footprint_lines": 8}),
+    ], ids=["int-for-float", "two-params", "bool"])
+    def test_typed_workload_param_values_parse(self, workload, params):
+        request = parse_request({"kind": "crash", "workload": workload,
+                                 "scheme": "txcache",
+                                 "workload_params": params})
+        assert request.point.workload_params == tuple(sorted(params.items()))
+
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_every_workload_param_keys_as_the_engine_does(self, workload):
-        names = workload_param_names(workload)
+        names = workload_param_defaults(workload)
         assert names
         for name in names:
             value = inspect.signature(
@@ -714,8 +741,11 @@ class TestServiceEndToEnd:
 
     @pytest.mark.parametrize("spec,path", [
         ({"workload_params": {"bogus": 1}}, "workload_params.bogus"),
+        ({"workload_params": {"buckets": "x"}}, "workload_params.buckets"),
+        ({"workload_params": {"buckets": 10 ** 12}},
+         "workload_params.buckets"),
         ({"config": {"num_cores": 10 ** 9}}, "config.num_cores"),
-    ], ids=["workload-param", "num-cores"])
+    ], ids=["workload-param", "param-type", "param-value", "num-cores"])
     def test_unservable_spec_is_400_before_any_worker(self, service, spec,
                                                        path):
         svc, client, _cache = service

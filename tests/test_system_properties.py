@@ -187,7 +187,8 @@ class TestInclusionProperty:
         hierarchy = system.hierarchy
         hierarchy.coherence.check_invariants()
         for level in (hierarchy.l1[0], hierarchy.l2[0]):
-            for entry in level.array.iter_lines():
+            for entry in (entry for cache_set in level.array._sets
+                          for entry in cache_set.values()):
                 assert 0 in hierarchy.coherence.holders(entry.tag), (
                     f"line {entry.tag:#x} resident in {level.name} but "
                     "not tracked by the MESI directory")
