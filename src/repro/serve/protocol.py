@@ -49,8 +49,11 @@ naming the leaf's dotted path.  ``num_cores`` may not exceed
 :data:`MAX_CORES`, by the shortcut or by an override: a node builds the
 machine a request names.  ``workload_params`` names must be parameters
 of the workload's constructor (other than ``core_id`` and ``seed``),
-each value must have the type of the parameter's default, and the
-workload must construct with the values.
+each value must have the type of the parameter's default, and an int
+must lie in ``[1, MAX_WORKLOAD_PARAM]`` where it sizes a persistent
+allocation and ``[0, MAX_WORKLOAD_PARAM]`` where it is a count.  These
+are checks only: the parser never builds a workload, whose memory
+grows with its params.
 """
 
 from __future__ import annotations
@@ -66,9 +69,8 @@ from ..common.config import (
     small_machine_config,
 )
 from ..common.types import NEGATIVE_CONTROLS, SchemeName
-from ..pheap.heap import OutOfMemory
 from ..sim.parallel import POINT_KINDS, make_params
-from ..workloads import WORKLOADS, create_workload, workload_param_defaults
+from ..workloads import WORKLOADS, workload_param_defaults
 
 #: presets a request may name in its config block
 CONFIG_PRESETS = ("small", "paper")
@@ -76,6 +78,15 @@ CONFIG_PRESETS = ("small", "paper")
 #: itself runs at most 4 cores); a node builds whatever machine a
 #: request names, and a build grows with its core count
 MAX_CORES = 64
+#: the largest int ``workload_params`` value a request may name (the
+#: repository itself sizes a structure at most 4096); a worker builds
+#: the structure a request names, and at this bound every structure
+#: fits a core's persistent region
+MAX_WORKLOAD_PARAM = 1 << 16
+#: the int workload params that size a persistent allocation, which
+#: ``p_malloc`` refuses at 0; every other int param is a count
+_SIZE_PARAMS = frozenset({"array_elements", "buckets", "capacity",
+                          "footprint_lines", "vertices"})
 
 _TOP_KEYS = frozenset({
     "kind", "workload", "scheme", "operations", "seed",
@@ -207,29 +218,22 @@ def _has_default_type(value: object, default: object) -> bool:
 
 def _check_workload_params(point) -> None:
     """Each of the point's workload params is a constructor parameter
-    whose default has the value's type, and the workload constructs
-    with the values; the value whose addition breaks construction is
-    the one the error names."""
-    workload = point.workload
-    defaults = workload_param_defaults(workload)
-    accepted: Dict[str, object] = {}
+    whose default has the value's type, and an int one is in range."""
+    defaults = workload_param_defaults(point.workload)
     for name, value in point.workload_params:
+        path = f"workload_params.{name}"
         if name not in defaults:
             raise ProtocolError(
-                f"workload_params.{name}: not a parameter of "
-                f"{workload!r} (known: {sorted(defaults)})")
+                f"{path}: not a parameter of {point.workload!r} "
+                f"(known: {sorted(defaults)})")
         default = defaults[name]
         if not _has_default_type(value, default):
-            raise ProtocolError(
-                f"workload_params.{name} must be of type "
-                f"{type(default).__name__}, got {value!r}")
-        accepted[name] = value
-        try:
-            create_workload(workload, 0, point.seed, **accepted)
-        except (ValueError, TypeError, OutOfMemory) as exc:
-            raise ProtocolError(
-                f"workload_params.{name}: {workload!r} does not "
-                f"construct with {value!r}: {exc}") from exc
+            raise ProtocolError(f"{path} must be of type "
+                                f"{type(default).__name__}, got {value!r}")
+        if type(default) is int:
+            _require_int({name: value}, name,
+                         minimum=1 if name in _SIZE_PARAMS else 0,
+                         maximum=MAX_WORKLOAD_PARAM, path=path)
 
 
 def parse_request(data: object) -> PointRequest:

@@ -46,14 +46,14 @@ from repro.serve import (
     parse_request,
     run_in_thread,
 )
-from repro.serve.protocol import MAX_CORES
+from repro.serve.protocol import _SIZE_PARAMS, MAX_CORES, MAX_WORKLOAD_PARAM
 from repro.sim.parallel import (
     CrashPoint,
     ExperimentEngine,
     ExperimentPoint,
     ResultCache,
 )
-from repro.workloads import WORKLOADS, workload_param_defaults
+from repro.workloads import WORKLOADS, create_workload, workload_param_defaults
 
 CONFIG = small_machine_config(num_cores=1)
 
@@ -66,9 +66,26 @@ MISTYPED = [
 ]
 
 
-#: hashtable workload params that do not type-check or construct
+#: hashtable workload params of the wrong type or out of range
 BAD_PARAM_VALUES = [{"buckets": "x"}, {"buckets": 0}, {"buckets": 10 ** 12},
                     {"insert_ratio": "a"}, {"buckets": True}]
+
+
+#: (workload, int param) for every int-defaulted constructor parameter
+INT_PARAMS = [(workload, name)
+              for workload in sorted(WORKLOADS)
+              for name, default in workload_param_defaults(workload).items()
+              if type(default) is int]
+
+
+@pytest.fixture
+def no_workload_builds(monkeypatch):
+    """Fail the test if anything constructs a workload."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} was constructed")
+
+    for cls in WORKLOADS.values():
+        monkeypatch.setattr(cls, "__init__", refuse)
 
 
 @pytest.fixture(params=MISTYPED, ids=[path for _, path in MISTYPED])
@@ -294,13 +311,44 @@ class TestProtocol:
     @pytest.mark.parametrize("params", BAD_PARAM_VALUES,
                              ids=[repr(p) for p in BAD_PARAM_VALUES])
     def test_bad_workload_param_value_names_its_path(self, params):
-        # a value of the wrong type, or one the workload does not
-        # construct with, is a 400 at parse time, never a worker crash
+        # a value of the wrong type or out of range is a 400 at parse
+        # time, never a worker crash
         (name,) = params
         with pytest.raises(ProtocolError,
                            match=f"^workload_params.{name}[ :]"):
             parse_request({"workload": "hashtable", "scheme": "txcache",
                            "workload_params": params})
+
+    @pytest.mark.parametrize("workload,name", INT_PARAMS,
+                             ids=[f"{w}.{n}" for w, n in INT_PARAMS])
+    def test_int_workload_param_range_is_checked_without_a_build(
+            self, workload, name, no_workload_builds):
+        # the parser checks values; it never builds the workload, whose
+        # memory grows with them (graph keeps a dict per vertex)
+        minimum = 1 if name in _SIZE_PARAMS else 0
+        for value in (minimum - 1, MAX_WORKLOAD_PARAM + 1, 2 ** 24):
+            with pytest.raises(ProtocolError,
+                               match=f"^workload_params.{name} must be "):
+                parse_request({"workload": workload, "scheme": "txcache",
+                               "workload_params": {name: value}})
+        for value in (minimum, MAX_WORKLOAD_PARAM):
+            request = parse_request({"workload": workload,
+                                     "scheme": "txcache",
+                                     "workload_params": {name: value}})
+            assert request.point.workload_params == ((name, value),)
+
+    @pytest.mark.parametrize("workload,name", INT_PARAMS,
+                             ids=[f"{w}.{n}" for w, n in INT_PARAMS])
+    def test_int_workload_param_range_is_what_constructs(self, workload,
+                                                         name):
+        # every in-range value builds, and a size param's 0 does not,
+        # so the parser's range is the constructor's
+        minimum = 1 if name in _SIZE_PARAMS else 0
+        create_workload(workload, 0, 42, **{name: minimum})
+        create_workload(workload, 0, 42, **{name: MAX_WORKLOAD_PARAM})
+        if minimum:
+            with pytest.raises(ValueError, match="allocation size"):
+                create_workload(workload, 0, 42, **{name: 0})
 
     @pytest.mark.parametrize("workload,params", [
         ("hashtable", {"insert_ratio": 1}),
@@ -744,10 +792,15 @@ class TestServiceEndToEnd:
         ({"workload_params": {"buckets": "x"}}, "workload_params.buckets"),
         ({"workload_params": {"buckets": 10 ** 12}},
          "workload_params.buckets"),
+        ({"workload": "graph",
+          "workload_params": {"vertices": MAX_WORKLOAD_PARAM + 1}},
+         "workload_params.vertices"),
         ({"config": {"num_cores": 10 ** 9}}, "config.num_cores"),
-    ], ids=["workload-param", "param-type", "param-value", "num-cores"])
+    ], ids=["workload-param", "param-type", "param-value", "param-size",
+            "num-cores"])
     def test_unservable_spec_is_400_before_any_worker(self, service, spec,
-                                                       path):
+                                                       path,
+                                                       no_workload_builds):
         svc, client, _cache = service
         executed = svc.stats.counter("serve.executed")
         with pytest.raises(ServeError) as excinfo:
